@@ -42,33 +42,7 @@ class BadPoint:
         return self.tags[0]
 
 
-def _roots_equal(r1: IsolatedRoot, r2: IsolatedRoot) -> bool:
-    """Whether two isolated roots (possibly of different polynomials)
-    describe the same real number."""
-    if r1.is_exact and r2.is_exact:
-        return r1.lo == r2.lo
-    if r2.is_exact:
-        r1, r2 = r2, r1
-    if r1.is_exact:
-        # equal iff the exact value is the (unique) root inside r2's interval
-        v = r1.lo
-        return r2.lo < v < r2.hi and evaluate(r2.defining, v) == 0
-    if sign_at(r2.defining, r1) != 0:
-        return False
-    # r1's value is a root of r2.defining; shrink r1 until it lands inside
-    # r2's interval (same real) or escapes it (a different root)
-    cur = r1
-    while True:
-        if r2.lo < cur.lo and cur.hi < r2.hi:
-            return True
-        if cur.hi <= r2.lo or cur.lo >= r2.hi:
-            return False
-        cur = cur.refine(cur.width / 2)
-        if cur.is_exact:
-            return r2.lo < cur.lo < r2.hi
-
-
-def _separate_entries(entries: list[tuple[IsolatedRoot, set[str]]]):
+def _separate_entries(entries: list[tuple[IsolatedRoot, str]]):
     """Refine intervals of pairwise-distinct reals until totally ordered."""
     changed = True
     while changed:
@@ -86,41 +60,22 @@ def _separate_entries(entries: list[tuple[IsolatedRoot, set[str]]]):
 
 
 def bad_points(g: RatPolynomial, h: RatPolynomial) -> list[BadPoint]:
-    """Ascending bad points of the pair (g, h), deduplicated as reals."""
+    """Ascending bad points of the pair (g, h).
+
+    A real where two of g - 1, g + 1, h - 1, h + 1 vanish has f = +-1 and
+    fails the f > 1 filter, so the kept roots are pairwise distinct reals.
+    """
     if not (g.degree >= 1 and h.degree >= 1):
         raise ValueError("both factors must be nonconstant")
-    tagged: list[tuple[str, IsolatedRoot]] = []
-    for tag, poly in (
-        ("g+", g - 1),
-        ("g-", g + 1),
-        ("h+", h - 1),
-        ("h-", h + 1),
-    ):
-        for root in isolate_roots(poly):
-            tagged.append((tag, root))
-
-    entries: list[tuple[IsolatedRoot, set[str]]] = []
-    for tag, root in tagged:
-        for i, (existing, tags) in enumerate(entries):
-            if _roots_equal(existing, root):
-                tags.add(tag)
-                if root.is_exact and not existing.is_exact:
-                    entries[i] = (root, tags)
-                break
-        else:
-            entries.append((root, {tag}))
-
     f_minus_1 = g * h - 1
     kept = [
-        (root, tags)
-        for root, tags in entries
+        (root, tag)
+        for tag, poly in zip(TAG_ORDER, (g - 1, g + 1, h - 1, h + 1))
+        for root in isolate_roots(poly)
         if sign_at(f_minus_1, root) == 1
     ]
     _separate_entries(kept)
-    return [
-        BadPoint(root=root, tags=tuple(t for t in TAG_ORDER if t in tags))
-        for root, tags in kept
-    ]
+    return [BadPoint(root=root, tags=(tag,)) for root, tag in kept]
 
 
 @dataclass(frozen=True)

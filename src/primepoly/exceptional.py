@@ -17,7 +17,7 @@ from typing import Optional
 from .census import UnitFibers, unit_fibers
 from .errors import TheoremViolation
 from .poly import RatPolynomial, compose_affine, make_poly
-from .roots import count_real_roots, integer_solutions
+from .roots import integer_solutions
 
 
 @dataclass(frozen=True)
@@ -142,15 +142,10 @@ def search_exceptional(degree: int, coeff_bound: int) -> SearchReport:
             # only depends on m mod 2
             if coeffs[0] % 2 == 0 and sum(coeffs) % 2 == 0:
                 continue
-            # E is at most (real roots of f-1) + (real roots of f+1)
-            r_plus = count_real_roots(make_poly([coeffs[0] - 1] + coeffs[1:]))
-            r_minus = count_real_roots(make_poly([coeffs[0] + 1] + coeffs[1:]))
-            if r_plus + r_minus <= degree:
-                continue
             f = make_poly(coeffs)
             eplus = integer_solutions(f, 1)
-            if len(eplus) + r_minus <= degree:
-                continue
+            if not eplus:
+                continue  # f = -1 has at most `degree` solutions, so E <= degree
             eminus = integer_solutions(f, -1)
             E = len(eplus) + len(eminus)
             if E <= degree:

@@ -1,14 +1,16 @@
-"""Exact real root machinery built on Sturm sequences.
+"""Exact root machinery in integer arithmetic.
 
-Everything here reduces to integer arithmetic: rational polynomials are
-cleared to primitive integer coefficient lists, Sturm chains use primitive
-pseudo-remainders (no coefficient blowup, no floating point), and interval
-endpoints stay dyadic because every subdivision is a bisection.
-
-Provided operations: distinct-real-root counting on an interval, root
-isolation with on-demand refinement, complete integer solution sets of
-p(x) = v, the exact sign of a polynomial at an isolated algebraic point,
+Real roots come from Sturm sequences: rational polynomials are cleared to
+primitive integer coefficient lists, chains use primitive pseudo-remainders
+(no coefficient blowup, no floating point), and interval endpoints stay
+dyadic because every subdivision is a bisection.  They give counts of
+distinct real roots on an interval, root isolation with on-demand
+refinement, the exact sign of a polynomial at an isolated algebraic point,
 and two-sided brackets for the Lebesgue measure of {x : |p(x)| <= K}.
+
+Complete integer solution sets of p(x) = v need no real roots: they come
+from p-adic lifting (Loos, "Computing rational zeros of integral polynomials
+by p-adic expansion", SIAM J. Comput. 1983), see `integer_solutions`.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .poly import RatPolynomial, evaluate, integer_coeffs, make_poly
+from .primes import primes_stream
 
 IntCoeffs = tuple[int, ...]
 
@@ -174,11 +177,35 @@ def _exact_div(a: list[int], b: list[int]) -> list[int]:
     return _primitive([int(v * lcd) for v in q])
 
 
+def _gcd_mod(a: list[int], b: list[int], q: int) -> list[int]:
+    """A gcd of a and b in GF(q)[x], q prime (inputs reduced mod q)."""
+    while b:
+        inv = pow(b[-1], -1, q)
+        a = list(a)
+        while len(a) >= len(b):
+            coef = a[-1] * inv % q
+            shift = len(a) - len(b)
+            for i, bv in enumerate(b):
+                a[shift + i] = (a[shift + i] - coef * bv) % q
+            _strip(a)
+        a, b = b, a
+    return a
+
+
+def _squarefree_mod(c: list[int], dc: list[int], q: int) -> bool:
+    """Whether c mod q is square-free, for a prime q not dividing lc(c) (dc = c')."""
+    return len(_gcd_mod([v % q for v in c], _strip([v % q for v in dc]), q)) == 1
+
+
 def _squarefree(c: list[int]) -> list[int]:
     c = _primitive(c)
     if len(c) <= 2:
         return c
-    g = _gcd_poly(c, _deriv(c))
+    dc = _deriv(c)
+    q = next(q for q in primes_stream(3) if c[-1] % q)
+    if _squarefree_mod(c, dc, q):
+        return c  # a square factor would survive reduction mod q
+    g = _gcd_poly(c, dc)
     if len(g) <= 1:
         return c
     return _exact_div(c, g)
@@ -205,6 +232,21 @@ def _cauchy_bound(c: list[int]) -> int:
     lead = abs(c[-1])
     m = max((abs(v) for v in c[:-1]), default=0)
     return 1 + m // lead + 1
+
+
+def _eval_mod(c: list[int], x: int, m: int) -> int:
+    acc = 0
+    for v in reversed(c):
+        acc = (acc * x + v) % m
+    return acc
+
+
+def _lifting_prime(c: list[int], dc: list[int]) -> int:
+    """First odd prime q not dividing lc(c) with c mod q square-free (dc = c');
+    one exists for square-free c, as the bad primes divide lc(c) * disc(c)."""
+    for q in primes_stream(3):
+        if c[-1] % q and _squarefree_mod(c, dc, q):
+            return q
 
 
 # ---------------------------------------------------------------------------
@@ -394,29 +436,36 @@ def _refine_new(defining, ints, lo: Fraction, hi: Fraction, width: Fraction) -> 
 
 
 def integer_solutions(p: RatPolynomial, v) -> list[int]:
-    """All integers m with p(m) = v, ascending.
+    """All integers m with p(m) = v, ascending, by p-adic lifting (Loos 1983).
 
-    Found by isolating the real roots of p - v to width below 1 and
-    testing the nearby integers by exact evaluation; no divisor
-    enumeration of the constant term is involved, so huge constant terms
-    are harmless.
+    Let c be the square-free primitive part of p - v and q the first odd
+    prime not dividing lc(c) with c mod q square-free.  Each root of c mod q
+    is lifted by Newton steps r <- r - c(r)/c'(r) mod q^(2^k) until the
+    modulus exceeds 2B, with B = _cauchy_bound(c), and its symmetric residue
+    is kept if c vanishes there exactly.  Complete: an integer root z is a
+    simple root mod q, so its lift is unique and is z mod q^(2^k), and
+    |z| < B makes the symmetric residue z itself.  Nothing isolates real
+    roots or enumerates divisors, so huge coefficients are harmless.
     """
     if not p.degree >= 1:
         raise ValueError("p must be nonconstant")
-    q = p - Fraction(v)
+    c = _squarefree(_to_int(p - Fraction(v)))
+    dc = _deriv(c)
+    q = _lifting_prime(c, dc)
+    limit = 2 * _cauchy_bound(c)
     out = []
-    for root in isolate_roots(q):
-        if root.is_exact:
-            if root.lo.denominator == 1:
-                out.append(int(root.lo))
+    for r in range(q):
+        if _eval_mod(c, r, q):
             continue
-        root = root.refine(Fraction(1, 2))
-        m = math.floor(root.lo) + 1
-        while m < root.hi:
-            if evaluate(p, m) == Fraction(v):
-                out.append(m)
-            m += 1
-    return sorted(set(out))
+        m = q
+        while m <= limit:
+            m *= m
+            r = (r - _eval_mod(c, r, m) * pow(_eval_mod(dc, r, m), -1, m)) % m
+        if r > m // 2:
+            r -= m
+        if _eval_at_int(c, r) == 0:
+            out.append(r)
+    return sorted(out)
 
 
 def sign_at(q: RatPolynomial, r: IsolatedRoot) -> int:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 from primepoly.poly import RatPolynomial, make_poly
+from primepoly.roots import isolate_roots
 
 
 def random_int_poly(rng: random.Random, degree: int, bound: int) -> RatPolynomial:
@@ -30,3 +32,23 @@ def brute_integer_solutions(p: RatPolynomial, v, limit: int) -> list[int]:
     """Oracle: scan |m| <= limit for p(m) = v."""
     target = Fraction(v)
     return [m for m in range(-limit, limit + 1) if p(m) == target]
+
+
+def sturm_integer_solutions(p: RatPolynomial, v) -> list[int]:
+    """Reference for `integer_solutions` by real isolation: isolate every
+    real root of p - v with Sturm chains, refine to width below 1, and test
+    the integers inside by exact evaluation."""
+    target = Fraction(v)
+    out = set()
+    for root in isolate_roots(p - target):
+        if root.is_exact:
+            if root.lo.denominator == 1:
+                out.add(int(root.lo))
+            continue
+        root = root.refine(Fraction(1, 2))
+        m = math.floor(root.lo) + 1
+        while m < root.hi:
+            if p(m) == target:
+                out.add(m)
+            m += 1
+    return sorted(out)

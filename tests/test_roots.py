@@ -2,10 +2,18 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from primepoly.constructions import build_n_plus_1
 from primepoly.poly import make_poly
 from primepoly.roots import (
     IsolatedRoot,
+    _deriv,
+    _lifting_prime,
+    _squarefree,
+    _to_int,
     count_real_roots,
     integer_solutions,
     isolate_roots,
@@ -14,7 +22,7 @@ from primepoly.roots import (
     sublevel_measure,
 )
 
-from helpers import brute_integer_solutions, random_int_poly
+from helpers import brute_integer_solutions, random_int_poly, sturm_integer_solutions
 
 H2 = make_poly([1, -3, 1])
 
@@ -112,6 +120,70 @@ def test_integer_solutions_against_brute_scan():
         got = integer_solutions(p, v)
         assert got == brute_integer_solutions(p, v, 1000)
         assert all(abs(m) <= 1000 for m in got)
+
+
+def _sympy_integer_roots(p, v) -> list[int]:
+    """Oracle: integer roots of p - v from sympy's factorisation over Q."""
+    x = sympy.Symbol("x")
+    q = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed((p - v).coeffs)], x)
+    roots = set()
+    for factor, _ in q.factor_list()[1]:
+        if factor.degree() == 1:
+            a, b = factor.all_coeffs()
+            root = -b / a
+            if root.is_integer:
+                roots.add(int(root))
+    return sorted(roots)
+
+
+_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+_nonzero = _rationals.filter(lambda c: c != 0)
+
+
+@st.composite
+def _dense_polys(draw):
+    """Degree 1-8, rational coefficients."""
+    degree = draw(st.integers(1, 8))
+    return make_poly(draw(st.lists(_rationals, min_size=degree, max_size=degree)) + [draw(_nonzero)])
+
+
+@st.composite
+def _linear_products(draw):
+    """lc * product of (x - r), roots integers (0 included) or rationals, repeats allowed."""
+    roots = draw(st.lists(
+        st.one_of(st.integers(-10 ** 6, 10 ** 6), st.just(0), _rationals),
+        min_size=1, max_size=8,
+    ))
+    roots += draw(st.lists(st.sampled_from(roots), max_size=8 - len(roots)))
+    p = make_poly([draw(_nonzero)])
+    for r in roots:
+        p = p * make_poly([-r, 1])
+    return p
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_dense_polys(), _linear_products()), st.integers(-3, 3))
+def test_integer_solutions_match_sympy(p, v):
+    assert integer_solutions(p, v) == _sympy_integer_roots(p, v)
+    assert integer_solutions(p + v, v) == _sympy_integer_roots(p, 0)
+
+
+@pytest.mark.parametrize("n", [20, 40, 60])
+def test_integer_solutions_match_sturm_on_n_plus_1_fibers(n):
+    g = build_n_plus_1(n).f.factors[1]
+    for v in (1, -1):
+        assert integer_solutions(g, v) == sturm_integer_solutions(g, v)
+
+
+def test_integer_solutions_skips_primes_with_colliding_roots():
+    # roots 0, 105 and -1/2: 0 and 105 collide mod 3, 5 and 7, so the
+    # square-free part is not square-free modulo those primes
+    p = make_poly([0, 1]) * make_poly([-105, 1]) * make_poly([1, 2])
+    c = _to_int(p)
+    assert _lifting_prime(c, _deriv(c)) == 11
+    assert _squarefree(c) == c and _squarefree(_to_int(p ** 2)) == c
+    assert integer_solutions(p, 0) == [0, 105] == sturm_integer_solutions(p, 0)
+    assert integer_solutions(p ** 2 + 1, 1) == [0, 105]
 
 
 def test_sign_at_examples():
