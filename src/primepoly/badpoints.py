@@ -157,14 +157,14 @@ class ComplexCounterexample:
     points: tuple[str, ...]
     factor_identity_ok: bool
     h_at_2: Fraction
-    h_at_2_plus_3i: GaussianRational
-    h_at_2_minus_3i: GaussianRational
-    g_at_2_plus_3i: GaussianRational
+    h_at_2_plus_3i: QuadExtElement   # d = -1, a Gaussian rational
+    h_at_2_minus_3i: QuadExtElement  # d = -1
+    g_at_2_plus_3i: QuadExtElement   # d = -1
     f_at_0: Fraction
     f_at_2: Fraction
     f_at_sqrt3: QuadExtElement
     f_at_neg_sqrt3: QuadExtElement
-    f_at_2_plus_3i: GaussianRational
+    f_at_2_plus_3i: QuadExtElement   # d = -1
 
 
 def complex_counterexample() -> ComplexCounterexample:
@@ -208,7 +208,7 @@ def complex_counterexample() -> ComplexCounterexample:
         f_ns3 == QuadExtElement(Fraction(23, 9), Fraction(8, 9), 3),
         (f_s3 - 1).sign() == 1,
         (f_ns3 - 1).sign() == 1,
-        f_zp == GaussianRational(Fraction(49, 3), 0) and f_zp.re > 1,
+        f_zp == GaussianRational(Fraction(49, 3), 0) and f_zp.a > 1,
     ]
     if not all(checks):
         raise TheoremViolation(f"complex counterexample failed exact checks: {checks}")

@@ -101,7 +101,6 @@ class FactorialBoundCheck:
     data: SetPairData
     bound_power: Fraction   # the bound raised to the comparison power
     power: int              # that power
-    bound: float            # display value of the bound itself
     holds: bool
 
 
@@ -117,7 +116,6 @@ def factorial_lower_bound(a, b) -> FactorialBoundCheck:
         data=data,
         bound_power=bound_sq,
         power=2,
-        bound=math.sqrt(bound_sq),
         holds=data.D ** 2 >= bound_sq,
     )
 
@@ -136,7 +134,6 @@ def unbalanced_factorial_bound(a, b) -> FactorialBoundCheck:
         data=data,
         bound_power=bound_pow,
         power=power,
-        bound=float(bound_pow) ** (1.0 / power),
         holds=data.D ** power >= bound_pow,
     )
 

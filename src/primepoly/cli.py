@@ -137,36 +137,31 @@ def _certificate_dict(cert: ConstructionCertificate) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (report dict, exit code)
+# Subcommand handlers: each returns (report dict, exit code); `run` adds
+# the command and version keys in front of the report
 # ---------------------------------------------------------------------------
 
 
 def _cmd_analyze(args) -> tuple[dict, int]:
     factors = _parse_factors(args.factors)
     census = prime_census(factored(factors))
-    report = {
-        "command": "analyze",
-        "version": __version__,
+    return {
         "factors": [format_poly(g) for g in factors],
         "degree": int(sum(g.degree for g in factors)),
         **_census_dict(census),
-    }
-    return report, EXIT_OK
+    }, EXIT_OK
 
 
 def _cmd_levels(args) -> tuple[dict, int]:
     poly = parse_poly(args.poly)
     targets = _parse_int_set(args.set)
     cen = level_census(poly, targets)
-    report = {
-        "command": "levels",
-        "version": __version__,
+    return {
         "poly": format_poly(poly),
         "set": list(cen.targets),
         "count": cen.count,
         "witnesses": list(cen.witnesses),
-    }
-    return report, EXIT_OK
+    }, EXIT_OK
 
 
 _FIXED_ALIASES = {
@@ -194,31 +189,21 @@ def _cmd_construct(args) -> tuple[dict, int]:
             raise ValueError("construct nplus2 requires --n")
         result = search_n_plus_2(args.n, b_scan_max=args.bmax, t_max=args.tmax)
         if isinstance(result, SearchFrontier):
-            report = {
-                "command": "construct",
-                "version": __version__,
+            return {
                 "kind": "nplus2",
                 "outcome": "budget_exhausted",
                 "anchors_tried": list(result.anchors_tried),
                 "t_frontier": result.t_frontier,
-            }
-            return report, EXIT_BUDGET
+            }, EXIT_BUDGET
         cert = result
     else:
         raise ValueError(f"unknown construction kind {kind!r}")
-    report = {
-        "command": "construct",
-        "version": __version__,
-        **_certificate_dict(cert),
-    }
-    return report, EXIT_OK
+    return _certificate_dict(cert), EXIT_OK
 
 
 def _cmd_exceptional(args) -> tuple[dict, int]:
     result = search_exceptional(args.degree, args.bound)
-    report = {
-        "command": "exceptional",
-        "version": __version__,
+    return {
         "degree": result.degree,
         "coeff_bound": result.coeff_bound,
         "scanned": result.scanned,
@@ -238,21 +223,17 @@ def _cmd_exceptional(args) -> tuple[dict, int]:
             }
             for h in result.hits
         ],
-    }
-    return report, EXIT_OK
+    }, EXIT_OK
 
 
 def _cmd_constant(args) -> tuple[dict, int]:
     sol = solve_constant(args.digits)
-    report = {
-        "command": "constant",
-        "version": __version__,
+    return {
         "digits": sol.digits,
         "t": sol.t_star,
         "c": sol.c,
         "residual_bound": repr(float(sol.residual)),
-    }
-    return report, EXIT_OK
+    }, EXIT_OK
 
 
 def _cmd_lemmas(args) -> tuple[dict, int]:
@@ -276,25 +257,20 @@ def _cmd_lemmas(args) -> tuple[dict, int]:
         a2, b2 = mixed[:k2], mixed[k2:]
         if not unbalanced_factorial_bound(a2, b2).holds:
             violations.append({"check": "unbalanced_factorial", "a": sorted(a2), "b": sorted(b2)})
-    report = {
-        "command": "lemmas",
-        "version": __version__,
+    return {
         "trials": args.trials,
         "seed": args.seed,
         "kmax": kmax,
         "coord": coord,
         "violations": violations,
         "pass": not violations,
-    }
-    return report, EXIT_OK if not violations else EXIT_VIOLATION
+    }, EXIT_OK if not violations else EXIT_VIOLATION
 
 
 def _cmd_polya(args) -> tuple[dict, int]:
     poly = parse_poly(args.poly)
     check = polya_measure_check(poly, Fraction(args.K), Fraction(args.tol))
-    report = {
-        "command": "polya",
-        "version": __version__,
+    return {
         "poly": format_poly(poly),
         "K": str(Fraction(args.K)),
         "tol": str(Fraction(args.tol)),
@@ -302,8 +278,7 @@ def _cmd_polya(args) -> tuple[dict, int]:
         "measure_upper": str(check.bracket.upper),
         "bound": repr(check.bound),
         "holds": check.holds,
-    }
-    return report, EXIT_OK if check.holds else EXIT_VIOLATION
+    }, EXIT_OK if check.holds else EXIT_VIOLATION
 
 
 def _block_report_dict(rep) -> dict:
@@ -340,36 +315,28 @@ def _cmd_statement41(args) -> tuple[dict, int]:
             rep = block_report(make_poly(gc), make_poly(hc))
             max_k = max(max_k, rep.k)
             checked += 1
-        report = {
-            "command": "statement41",
-            "version": __version__,
+        return {
             "trials": args.trials,
             "seed": args.seed,
             "checked": checked,
             "max_k": max_k,
             "violations": [],
             "pass": True,
-        }
-        return report, EXIT_OK
+        }, EXIT_OK
     if args.g is None or args.h is None:
         raise ValueError("need --g and --h (or --random)")
     g, h = parse_poly(args.g), parse_poly(args.h)
     rep = block_report(g, h)
-    report = {
-        "command": "statement41",
-        "version": __version__,
+    return {
         "g": format_poly(g),
         "h": format_poly(h),
         **_block_report_dict(rep),
-    }
-    return report, EXIT_OK
+    }, EXIT_OK
 
 
 def _cmd_counterexample(args) -> tuple[dict, int]:
     cx = complex_counterexample()
-    report = {
-        "command": "counterexample",
-        "version": __version__,
+    return {
         "g": format_poly(cx.g),
         "h": format_poly(cx.h),
         "degree": cx.degree,
@@ -385,8 +352,7 @@ def _cmd_counterexample(args) -> tuple[dict, int]:
         "f(sqrt3)": str(cx.f_at_sqrt3),
         "f(-sqrt3)": str(cx.f_at_neg_sqrt3),
         "f(2+3i)": str(cx.f_at_2_plus_3i),
-    }
-    return report, EXIT_OK
+    }, EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -470,7 +436,7 @@ def run(argv) -> int:
     except TheoremViolation as exc:
         print(f"THEOREM VIOLATION: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    _emit(report, args.json)
+    _emit({"command": args.subcommand, "version": __version__, **report}, args.json)
     return code
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .census import Census, FactoredPolynomial, factored, prime_census
-from .errors import TheoremViolation
+from .errors import BudgetExhausted, TheoremViolation
 from .poly import RatPolynomial, X, evaluate, make_poly
 from .primes import find_multiplier, first_primes, is_prime, primes_stream
 
@@ -112,14 +112,13 @@ def pairing_primes(n: int) -> list[int]:
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    if n % 2 == 1:
-        return first_primes(n - 1, signed_pairs=True)
+    start, tail = (3, []) if n % 2 == 1 else (7, [2, -3, -5])
     out: list[int] = []
-    for p in primes_stream(7):
-        if len(out) == n - 4:
+    for p in primes_stream(start):
+        if len(out) == n - 1 - len(tail):
             break
         out.extend((p, -p))
-    return out + [2, -3, -5]
+    return out + tail
 
 
 def _anchor_product_poly(t: int, anchors) -> RatPolynomial:
@@ -136,10 +135,11 @@ def build_n_plus_1(n: int, t_max: int = 10 ** 6) -> ConstructionCertificate:
     pairing = check_pairing(ps)
     if not pairing.equal:
         raise TheoremViolation("parity rule failed to balance the two products")
-    hit = find_multiplier(pairing.left, positive_required=False, t_max=t_max)
+    hit = find_multiplier([pairing.left], positive_required=False, t_max=t_max)
     g = _anchor_product_poly(hit.t, ps)
     f = factored((X, g))
-    induced = ((hit.value, hit.status), (-hit.value, hit.status))  # f(1), f(-1)
+    v = hit.verdicts[0]
+    induced = ((v.value, v.status), (-v.value, v.status))  # f(1), f(-1)
     return _certify("nplus1", f, tuple(ps), hit.t, induced, "P", n + 1)
 
 
@@ -151,12 +151,11 @@ def build_p_plus(n: int, t_max: int = 10 ** 6) -> ConstructionCertificate:
     M = 1
     for p in ps:
         M *= 1 - p
-    hit = find_multiplier(M, positive_required=True, t_max=t_max)
+    hit = find_multiplier([M], positive_required=True, t_max=t_max)
     g = _anchor_product_poly(hit.t, ps)
     f = factored((X, g))
-    cert = _certify(
-        "pplus", f, tuple(ps), hit.t, ((hit.value, hit.status),), "Pplus", n
-    )
+    v = hit.verdicts[0]
+    cert = _certify("pplus", f, tuple(ps), hit.t, ((v.value, v.status),), "Pplus", n)
     if cert.census.Pplus > n:
         raise TheoremViolation(
             f"Pplus={cert.census.Pplus} exceeds the degree-{n} ceiling"
@@ -194,25 +193,18 @@ def search_n_plus_2(
             break
     if len(bs) < n - 2:
         return SearchFrontier(anchors_tried=tuple(bs), t_frontier=0)
-
+    if t_max < 1:  # an empty scan is a frontier here, not an input error
+        return SearchFrontier(anchors_tried=tuple(bs), t_frontier=t_max)
     coeffs = []
     for i in range(4):
         prod = 1
         for b in bs:
             prod *= i - b
         coeffs.append(prod)
-
-    for magnitude in range(1, t_max + 1):
-        for t in (magnitude, -magnitude):
-            verdicts = []
-            for a in coeffs:
-                v = is_prime(1 + t * a)
-                if not v.is_prime:
-                    break
-                verdicts.append(v)
-            else:
-                g = _anchor_product_poly(t, bs)
-                f = factored((g, H2))
-                induced = tuple((v.value, v.status) for v in verdicts)
-                return _certify("nplus2", f, tuple(bs), t, induced, "P", n + 2)
-    return SearchFrontier(anchors_tried=tuple(bs), t_frontier=t_max)
+    try:
+        hit = find_multiplier(coeffs, positive_required=False, t_max=t_max)
+    except BudgetExhausted:
+        return SearchFrontier(anchors_tried=tuple(bs), t_frontier=t_max)
+    f = factored((_anchor_product_poly(hit.t, bs), H2))
+    induced = tuple((v.value, v.status) for v in hit.verdicts)
+    return _certify("nplus2", f, tuple(bs), hit.t, induced, "P", n + 2)

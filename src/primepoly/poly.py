@@ -3,8 +3,8 @@
 Polynomials are stored densely by ascending degree with `Fraction`
 coefficients.  Besides ring arithmetic the module provides the binomial
 (falling-factorial) basis with its integer-valuedness test, denominator
-clearing, affine substitution, and exact evaluation over the rationals,
-the Gaussian rationals, and real quadratic extensions Q(sqrt(d)).
+clearing, affine substitution, and exact evaluation over the rationals
+and the quadratic extensions Q(sqrt(d)), the Gaussian rationals among them.
 """
 
 from __future__ import annotations
@@ -157,9 +157,7 @@ def scale_to_integer(p: RatPolynomial) -> tuple[RatPolynomial, int]:
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no canonical integer scaling")
-    d = 1
-    for c in p.coeffs:
-        d = d * c.denominator // math.gcd(d, c.denominator)
+    d = math.lcm(*(c.denominator for c in p.coeffs))
     return RatPolynomial(tuple(c * d for c in p.coeffs)), d
 
 
@@ -167,10 +165,6 @@ def integer_coeffs(p: RatPolynomial) -> list[int]:
     """Coefficients of D*p as plain ints (D the least common denominator)."""
     scaled, _ = scale_to_integer(p)
     return [int(c) for c in scaled.coeffs]
-
-
-def is_integer_coeff(p: RatPolynomial) -> bool:
-    return all(c.denominator == 1 for c in p.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -235,63 +229,12 @@ def is_integer_valued(p: RatPolynomial) -> bool:
 
 
 @dataclass(frozen=True)
-class GaussianRational:
-    """Exact complex number re + im*i with rational parts."""
-
-    re: Fraction
-    im: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "re", _frac(self.re))
-        object.__setattr__(self, "im", _frac(self.im))
-
-    def __add__(self, other) -> "GaussianRational":
-        other = _as_gaussian(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other) -> "GaussianRational":
-        return self + (-_as_gaussian(other))
-
-    def __rsub__(self, other) -> "GaussianRational":
-        return _as_gaussian(other) + (-self)
-
-    def __mul__(self, other) -> "GaussianRational":
-        other = _as_gaussian(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.im == 0
-
-    def __str__(self) -> str:
-        return f"{self.re}{'+' if self.im >= 0 else '-'}{abs(self.im)}i"
-
-
-def _as_gaussian(x) -> GaussianRational:
-    if isinstance(x, GaussianRational):
-        return x
-    return GaussianRational(_frac(x), Fraction(0))
-
-
-@dataclass(frozen=True)
 class QuadExtElement:
-    """Exact element a + b*sqrt(d) of a real quadratic extension.
+    """Exact element a + b*sqrt(d) of a quadratic extension of Q.
 
-    d must be a fixed square-free positive integer; arithmetic between
-    elements with different d is rejected.
+    d must be a fixed square-free positive integer (a real extension) or
+    -1 (the Gaussian rationals, sqrt(-1) = i); arithmetic between elements
+    with different d is rejected.
     """
 
     a: Fraction
@@ -301,8 +244,8 @@ class QuadExtElement:
     def __post_init__(self):
         object.__setattr__(self, "a", _frac(self.a))
         object.__setattr__(self, "b", _frac(self.b))
-        if self.d <= 0:
-            raise ValueError("d must be a positive integer")
+        if self.d <= 0 and self.d != -1:
+            raise ValueError("d must be a positive integer or -1")
 
     def _check(self, other) -> "QuadExtElement":
         other = _as_quad(other, self.d)
@@ -335,12 +278,17 @@ class QuadExtElement:
 
     __rmul__ = __mul__
 
+    def conjugate(self) -> "QuadExtElement":
+        return QuadExtElement(self.a, -self.b, self.d)
+
     @property
     def is_rational(self) -> bool:
         return self.b == 0
 
     def sign(self) -> int:
-        """Exact sign of a + b*sqrt(d)."""
+        """Exact sign of a + b*sqrt(d), for a real extension (d > 0)."""
+        if self.d < 0:
+            raise ValueError("a Gaussian rational has no sign")
         if self.b == 0:
             return 0 if self.a == 0 else (1 if self.a > 0 else -1)
         if self.a == 0:
@@ -357,7 +305,13 @@ class QuadExtElement:
         return 0
 
     def __str__(self) -> str:
-        return f"{self.a}{'+' if self.b >= 0 else '-'}{abs(self.b)}*sqrt({self.d})"
+        unit = "i" if self.d == -1 else f"*sqrt({self.d})"
+        return f"{self.a}{'+' if self.b >= 0 else '-'}{abs(self.b)}{unit}"
+
+
+def GaussianRational(re, im) -> QuadExtElement:
+    """Exact complex number re + im*i: the d = -1 case of QuadExtElement."""
+    return QuadExtElement(re, im, -1)
 
 
 def _as_quad(x, d: int) -> QuadExtElement:
@@ -367,23 +321,14 @@ def _as_quad(x, d: int) -> QuadExtElement:
 
 
 def evaluate(p: RatPolynomial, x):
-    """Exact Horner evaluation of p at a rational, Gaussian-rational, or
-    quadratic-extension point; the result has the same numeric kind."""
-    if isinstance(x, GaussianRational):
-        acc: GaussianRational = GaussianRational(Fraction(0), Fraction(0))
-        for c in reversed(p.coeffs):
-            acc = acc * x + GaussianRational(c, Fraction(0))
-        return acc
-    if isinstance(x, QuadExtElement):
-        accq = QuadExtElement(Fraction(0), Fraction(0), x.d)
-        for c in reversed(p.coeffs):
-            accq = accq * x + QuadExtElement(c, Fraction(0), x.d)
-        return accq
-    xf = _frac(x)
-    accf = Fraction(0)
+    """Exact Horner evaluation of p at a rational or quadratic-extension
+    point (Gaussian rationals included); the result has the same kind."""
+    if not isinstance(x, QuadExtElement):
+        x = _frac(x)
+    acc = x * 0
     for c in reversed(p.coeffs):
-        accf = accf * xf + c
-    return accf
+        acc = acc * x + c
+    return acc
 
 
 def eval_int_scaled(int_coeffs: Sequence[int], m: int) -> int:

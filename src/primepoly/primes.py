@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 from .errors import BudgetExhausted
 
@@ -145,77 +146,58 @@ def is_prime(n: int) -> PrimalityVerdict:
 @dataclass(frozen=True)
 class ProgressionHit:
     """First multiplier t (in the scan order 1, -1, 2, -2, ...) making
-    1 + t*M prime."""
+    every 1 + t*M prime, with one verdict per M, in the order of Ms."""
 
-    M: int
+    Ms: tuple[int, ...]
     t: int
-    value: int
+    verdicts: tuple[PrimalityVerdict, ...]
     positive_required: bool
-    status: str
 
 
-def _hit_ok(value: int, positive_required: bool) -> PrimalityVerdict | None:
-    v = is_prime(value)
-    if not v.is_prime:
-        return None
-    if positive_required and value <= 0:
-        return None
-    return v
+def find_multiplier(Ms, positive_required: bool, t_max: int) -> ProgressionHit:
+    """Scan t = 1, -1, 2, -2, ... up to |t| = t_max for a t making 1 + t*M
+    prime for every M in Ms at once.
 
-
-def find_multiplier(M: int, positive_required: bool, t_max: int) -> ProgressionHit:
-    """Scan t = 1, -1, 2, -2, ... up to |t| = t_max for prime 1 + t*M.
-
-    Without `positive_required` a hit is any t with |1 + t*M| prime;
+    Without `positive_required` a value counts when |1 + t*M| is prime;
     with it, 1 + t*M itself must be a positive prime.  Raises
     BudgetExhausted if no multiplier up to t_max works.
     """
-    if M == 0:
-        raise ValueError("M must be nonzero")
+    Ms = tuple(Ms)
+    if not Ms or 0 in Ms:
+        raise ValueError("need at least one M, each nonzero")
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
     for a in range(1, t_max + 1):
         for t in (a, -a):
-            value = 1 + t * M
-            verdict = _hit_ok(value, positive_required)
-            if verdict is not None:
-                return ProgressionHit(
-                    M=M, t=t, value=value,
-                    positive_required=positive_required,
-                    status=verdict.status,
-                )
+            verdicts = []
+            for M in Ms:
+                v = is_prime(1 + t * M)
+                if not v.is_prime or (positive_required and v.value <= 0):
+                    break
+                verdicts.append(v)
+            else:
+                return ProgressionHit(Ms, t, tuple(verdicts), positive_required)
     raise BudgetExhausted(
-        f"no multiplier with |t| <= {t_max} makes 1 + t*{M} prime",
+        f"no multiplier with |t| <= {t_max} makes 1 + t*{' and 1 + t*'.join(map(str, Ms))} prime",
         frontier=t_max,
     )
 
 
 def primes_stream(start: int = 2):
-    """Yield primes >= start in increasing order."""
+    """Yield primes >= start in increasing order.
+
+    Candidates go to `_classify` directly: `is_prime` is the entry point for
+    testing values, and a scan for small primes is not one.
+    """
     n = max(2, start)
     while True:
-        if is_prime(n).is_prime:
+        if _classify(n)[0] != STATUS_COMPOSITE:
             yield n
         n += 1
 
 
-def first_primes(count: int, signed_pairs: bool = False) -> list[int]:
-    """First `count` primes, ascending; with `signed_pairs`, alternate each
-    odd prime p >= 3 with -p instead (3, -3, 5, -5, ...)."""
+def first_primes(count: int) -> list[int]:
+    """First `count` primes, ascending."""
     if count < 1:
         raise ValueError("count must be positive")
-    out: list[int] = []
-    if signed_pairs:
-        for p in primes_stream(3):
-            out.append(p)
-            if len(out) == count:
-                break
-            out.append(-p)
-            if len(out) == count:
-                break
-    else:
-        for p in primes_stream(2):
-            out.append(p)
-            if len(out) == count:
-                break
-    return out
+    return list(islice(primes_stream(2), count))

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .poly import RatPolynomial, evaluate, integer_coeffs, make_poly
+from .poly import RatPolynomial, eval_int_scaled, evaluate, integer_coeffs, make_poly
 from .primes import primes_stream
 
 IntCoeffs = tuple[int, ...]
@@ -56,19 +56,12 @@ def _deriv(c: list[int]) -> list[int]:
     return _strip([i * v for i, v in enumerate(c) if i > 0])
 
 
-def _eval_at_int(c: list[int], m: int) -> int:
-    acc = 0
-    for v in reversed(c):
-        acc = acc * m + v
-    return acc
-
-
 def _eval_scaled_frac(c: list[int], num: int, den: int) -> int:
     """den^deg * p(num/den), exact in integers (den >= 1)."""
     if not c:
         return 0
     if den == 1:
-        return _eval_at_int(c, num)
+        return eval_int_scaled(c, num)
     acc = c[-1]
     dp = 1
     for v in reversed(c[:-1]):
@@ -171,10 +164,7 @@ def _exact_div(a: list[int], b: list[int]) -> list[int]:
         q[shift] = coef
         for i, bv in enumerate(b):
             fa[shift + i] -= coef * bv
-    lcd = 1
-    for v in q:
-        lcd = lcd * v.denominator // math.gcd(lcd, v.denominator)
-    return _primitive([int(v * lcd) for v in q])
+    return _to_int(RatPolynomial(tuple(q)))
 
 
 def _gcd_mod(a: list[int], b: list[int], q: int) -> list[int]:
@@ -209,22 +199,6 @@ def _squarefree(c: list[int]) -> list[int]:
     if len(g) <= 1:
         return c
     return _exact_div(c, g)
-
-
-def _div_out_root(c: list[int], r: Fraction) -> list[int]:
-    """Divide by (x - r) for a known rational root r, primitive result."""
-    num, den = r.numerator, r.denominator
-    # synthetic division by (den*x - num), then the content wash
-    out: list[Fraction] = [Fraction(0)] * (len(c) - 1)
-    acc = Fraction(0)
-    for i in range(len(c) - 1, 0, -1):
-        acc = acc + c[i]
-        out[i - 1] = acc
-        acc = acc * r
-    lcd = 1
-    for v in out:
-        lcd = lcd * v.denominator // math.gcd(lcd, v.denominator)
-    return _primitive([int(v * lcd) for v in out])
 
 
 def _cauchy_bound(c: list[int]) -> int:
@@ -302,12 +276,6 @@ class IsolatedRoot:
                 hi = mid
         return IsolatedRoot(self.defining, lo, hi, self._ints)
 
-    def refine_step(self) -> "IsolatedRoot":
-        """One bisection step."""
-        if self.is_exact:
-            return self
-        return self.refine(self.width * Fraction(3, 4))
-
     def __str__(self) -> str:
         if self.is_exact:
             return f"={self.lo}"
@@ -343,10 +311,10 @@ def sturm_count(p: RatPolynomial, lo, hi) -> int:
         return 0
     extra = 0
     if _eval_scaled_frac(c, hi.numerator, hi.denominator) == 0:
-        c = _div_out_root(c, hi)
+        c = _exact_div(c, [-hi.numerator, hi.denominator])
         extra = 1
     if c and _eval_scaled_frac(c, lo.numerator, lo.denominator) == 0:
-        c = _div_out_root(c, lo)
+        c = _exact_div(c, [-lo.numerator, lo.denominator])
     if len(c) <= 1:
         return extra
     chain = _chain(c)
@@ -429,7 +397,7 @@ def _refine_new(defining, ints, lo: Fraction, hi: Fraction, width: Fraction) -> 
         # degree >= 2 keep their interval (nothing downstream needs more)
         m = math.floor(root.lo) + 1
         while m < root.hi:
-            if _eval_at_int(list(ints), m) == 0:
+            if eval_int_scaled(ints, m) == 0:
                 return IsolatedRoot(defining, Fraction(m), Fraction(m), ints)
             m += 1
     return root
@@ -463,7 +431,7 @@ def integer_solutions(p: RatPolynomial, v) -> list[int]:
             r = (r - _eval_mod(c, r, m) * pow(_eval_mod(dc, r, m), -1, m)) % m
         if r > m // 2:
             r -= m
-        if _eval_at_int(c, r) == 0:
+        if eval_int_scaled(c, r) == 0:
             out.append(r)
     return sorted(out)
 

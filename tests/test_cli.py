@@ -17,7 +17,9 @@ from pathlib import Path
 
 import pytest
 
-from primepoly.cli import EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_OK, run
+from primepoly import cli
+from primepoly.cli import EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_OK, EXIT_VIOLATION, run
+from primepoly.errors import TheoremViolation
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -34,6 +36,14 @@ CASES = [
     ("construct_nplus2_10", ["construct", "nplus2", "--n", "10"], EXIT_OK),
     ("construct_nplus2_budget", ["construct", "nplus2", "--n", "12", "--tmax", "2"], EXIT_BUDGET),
     ("exceptional_2_3", ["exceptional", "--degree", "2", "--bound", "3"], EXIT_OK),
+    ("constant_50", ["constant", "--digits", "50"], EXIT_OK),
+    ("lemmas_50_1", ["lemmas", "--trials", "50", "--seed", "1"], EXIT_OK),
+    ("polya_integer", ["polya", "--poly=9,1,-6,-9,-6,-4,-3", "--K", "19"], EXIT_OK),
+    ("polya_rational", ["polya", "--poly=1/3,0,-7/5,1/9", "--K", "5/2"], EXIT_OK),
+    ("statement41_quartic", ["statement41", "--g=1,-3,1", "--h=29,-11,1"], EXIT_OK),
+    ("statement41_irrational", ["statement41", "--g=-2,-4,3,1", "--h=-3,-2,2"], EXIT_OK),
+    ("statement41_random", ["statement41", "--random", "--trials", "200", "--seed", "1"], EXIT_OK),
+    ("counterexample", ["counterexample"], EXIT_OK),
     ("bad_input", ["analyze", "--factors=1,x"], EXIT_BAD_INPUT),
 ]
 
@@ -56,6 +66,23 @@ def test_cli_golden(name, argv, code, as_json):
         assert out == "" and err.startswith("error: bad polynomial '1,x'")
     else:
         assert err == ""
+
+
+def test_cli_theorem_violation_exits_1(monkeypatch):
+    def broken():
+        raise TheoremViolation("injected")
+
+    monkeypatch.setattr(cli, "complex_counterexample", broken)
+    code, out, err = _capture(["counterexample"])
+    assert code == EXIT_VIOLATION
+    assert out == "" and err == "THEOREM VIOLATION: injected\n"
+
+
+def test_cli_lemmas_large_kmax_has_no_traceback():
+    # k up to 12 at coordinate 100 makes the factorial bound too large for a float
+    code, out, err = _capture(["lemmas", "--trials", "20", "--seed", "0", "--kmax", "12", "--coord", "100"])
+    assert code == EXIT_OK
+    assert err == "" and "pass: True" in out
 
 
 def _record() -> None:

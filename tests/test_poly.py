@@ -47,6 +47,9 @@ def test_evaluate_rational():
     assert evaluate(H2, 0) == 1
     assert evaluate(H2, F(1, 2)) == F(-1, 4)
     assert H2(3) == 1
+    assert evaluate(make_poly([]), F(1, 2)) == 0
+    with pytest.raises(TypeError):
+        evaluate(H2, 0.5)
 
 
 def test_evaluate_gaussian():
@@ -55,6 +58,9 @@ def test_evaluate_gaussian():
     assert evaluate(h, z) == GaussianRational(-1, 0)
     assert evaluate(h, z.conjugate()) == GaussianRational(-1, 0)
     assert z.conjugate().conjugate() == z
+    assert z == QuadExtElement(2, 3, -1)
+    assert str(z * z) == "-5+12i" and str(z.conjugate()) == "2-3i"
+    assert evaluate(make_poly([]), z) == GaussianRational(0, 0)
 
 
 def test_evaluate_quadratic_extension():
@@ -71,6 +77,11 @@ def test_quad_ext_mixed_d_rejected():
         a + b
     with pytest.raises(ValueError):
         a * b
+    with pytest.raises(ValueError):
+        GaussianRational(1, 1) + a
+    for d in (0, -2):
+        with pytest.raises(ValueError):
+            QuadExtElement(1, 1, d)
 
 
 def test_quad_ext_sign():
@@ -80,6 +91,8 @@ def test_quad_ext_sign():
     assert QuadExtElement(F(13, 9), F(-8, 9), 3).sign() == -1  # 169 < 192
     assert QuadExtElement(0, 0, 3).sign() == 0
     assert QuadExtElement(2, -1, 4).sign() == 0  # 2 = sqrt(4)
+    with pytest.raises(ValueError):
+        QuadExtElement(1, 1, -1).sign()  # the Gaussian rationals are not ordered
 
 
 def test_to_binomial_examples():

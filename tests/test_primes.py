@@ -1,8 +1,11 @@
+import math
 import random
+from itertools import islice
 
 import pytest
 import sympy
 
+from primepoly.constructions import quadratic_anchor_points
 from primepoly.errors import BudgetExhausted
 from primepoly.primes import (
     STATUS_COMPOSITE,
@@ -69,12 +72,13 @@ def test_agrees_with_sympy_on_random_large():
 
 
 def test_find_multiplier_examples():
-    hit = find_multiplier(-8, positive_required=False, t_max=100)
-    assert (hit.t, hit.value) == (1, -7)
-    hit = find_multiplier(24, positive_required=True, t_max=100)
-    assert (hit.t, hit.value) == (3, 73)
-    hit = find_multiplier(1, positive_required=False, t_max=10)
-    assert (hit.t, hit.value) == (1, 2)
+    hit = find_multiplier([-8], positive_required=False, t_max=100)
+    assert (hit.t, hit.verdicts[0].value) == (1, -7)
+    hit = find_multiplier([24], positive_required=True, t_max=100)
+    assert (hit.t, hit.verdicts[0].value) == (3, 73)
+    hit = find_multiplier([1], positive_required=False, t_max=10)
+    assert (hit.t, hit.verdicts[0].value) == (1, 2)
+    assert hit.Ms == (1,) and not hit.positive_required
 
 
 def test_find_multiplier_minimality_certificate():
@@ -85,32 +89,38 @@ def test_find_multiplier_minimality_certificate():
             yield -a
             a += 1
 
-    for M in (-8, 24, 192, -480, 1152):
-        hit = find_multiplier(M, positive_required=False, t_max=1000)
-        assert is_prime(hit.value).is_prime
+    # the four progressions of the n+2 search at n = 5: prod(i - b) over
+    # its anchors b, for i = 0, 1, 2, 3
+    bs = list(islice(quadratic_anchor_points(200), 3))
+    quadruple = [math.prod(i - b for b in bs) for i in range(4)]
+    cases = [([M], False) for M in (-8, 24, 192, -480, 1152)] + [(quadruple, False), (quadruple, True)]
+    for Ms, positive in cases:
+        hit = find_multiplier(Ms, positive_required=positive, t_max=1000)
+        assert [v.value for v in hit.verdicts] == [1 + hit.t * M for M in Ms]
+        assert all(sympy.isprime(abs(v.value)) and (v.value > 0 or not positive) for v in hit.verdicts)
         for t in scan_order():
             if t == hit.t:
                 break
-            assert not is_prime(1 + t * M).is_prime
+            values = [1 + t * M for M in Ms]
+            assert not all(sympy.isprime(abs(v)) and (v > 0 or not positive) for v in values)
 
 
 def test_find_multiplier_budget_and_validation():
     with pytest.raises(BudgetExhausted):
         # 1 + 2t is odd; with t_max=1 only |3| and |1| are reachable and
         # the scan-first hit t=1 value 3 is prime, so force a miss instead
-        find_multiplier(8, positive_required=True, t_max=1)
+        find_multiplier([8], positive_required=True, t_max=1)
     with pytest.raises(ValueError):
-        find_multiplier(0, positive_required=False, t_max=5)
+        find_multiplier([0], positive_required=False, t_max=5)
     with pytest.raises(ValueError):
-        find_multiplier(5, positive_required=False, t_max=0)
+        find_multiplier([3, 0], positive_required=False, t_max=5)
+    with pytest.raises(ValueError):
+        find_multiplier([], positive_required=False, t_max=5)
+    with pytest.raises(ValueError):
+        find_multiplier([5], positive_required=False, t_max=0)
 
 
 def test_first_primes():
     assert first_primes(3) == [2, 3, 5]
-    assert first_primes(2, signed_pairs=True) == [3, -3]
-    assert first_primes(4, signed_pairs=True) == [3, -3, 5, -5]
-    assert first_primes(5, signed_pairs=True) == [3, -3, 5, -5, 7]
-    ps = first_primes(30, signed_pairs=True)
-    assert len(set(ps)) == len(ps)
     with pytest.raises(ValueError):
         first_primes(0)
