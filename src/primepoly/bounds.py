@@ -258,6 +258,18 @@ def solve_constant(digits: int = 10) -> ConstantSolution:
 # ---------------------------------------------------------------------------
 
 
+def _display_root(x, n: int) -> float:
+    """x^(1/n) as a display float for rational x >= 0; through logarithms
+    when x overflows a float, and inf when the root does too."""
+    try:
+        return float(x) ** (1.0 / n)
+    except OverflowError:
+        try:
+            return math.exp((math.log(x.numerator) - math.log(x.denominator)) / n)
+        except OverflowError:
+            return math.inf
+
+
 @dataclass(frozen=True)
 class PolyaCheck:
     bracket: MeasureBracket
@@ -274,7 +286,7 @@ def polya_measure_check(f: RatPolynomial, K, tol=Fraction(1, 100)) -> PolyaCheck
     n = int(f.degree)
     ratio = K / abs(f.lead)
     holds = bracket.upper ** n <= 4 ** n * ratio
-    return PolyaCheck(bracket=bracket, bound=4.0 * float(ratio) ** (1.0 / n), holds=holds)
+    return PolyaCheck(bracket=bracket, bound=4.0 * _display_root(ratio, n), holds=holds)
 
 
 @dataclass(frozen=True)
@@ -301,7 +313,7 @@ def level_count_bound(f: RatPolynomial, S) -> LevelBoundCheck:
         holds = True
     else:
         holds = excess ** n <= 4 ** n * K * math.factorial(n)
-    bound = n + 4.0 * float(K * math.factorial(n)) ** (1.0 / n)
+    bound = n + 4.0 * _display_root(K * math.factorial(n), n)
     return LevelBoundCheck(census=cen, K=K, bound=bound, holds=holds)
 
 

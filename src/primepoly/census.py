@@ -13,10 +13,10 @@ Pplus restricts to f(m) a positive prime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .poly import RatPolynomial, eval_int_scaled, evaluate, integer_coeffs, is_integer_valued, scale_to_integer
+from .poly import RatPolynomial, eval_int_scaled, is_integer_valued, scale_to_integer
 from .primes import is_prime
 from .roots import integer_solutions
 
@@ -26,34 +26,26 @@ class FactoredPolynomial:
     """A polynomial given as an ordered product of nonconstant factors."""
 
     factors: tuple[RatPolynomial, ...]
-    product: RatPolynomial
+    product: RatPolynomial = field(init=False)
 
     def __post_init__(self):
         if not self.factors:
             raise ValueError("need at least one factor")
+        product = RatPolynomial((Fraction(1),))
         for g in self.factors:
             if not g.degree >= 1:
                 raise ValueError("every factor must be nonconstant")
-        check = _product(self.factors)
-        if check != self.product:
-            raise ValueError("cached product does not match the factors")
+            product = product * g
+        object.__setattr__(self, "product", product)
 
     @property
     def degree(self) -> int:
         return int(self.product.degree)
 
 
-def _product(factors) -> RatPolynomial:
-    out = RatPolynomial((Fraction(1),))
-    for g in factors:
-        out = out * g
-    return out
-
-
 def factored(factors) -> FactoredPolynomial:
     """Build a FactoredPolynomial from a sequence of factors."""
-    fs = tuple(factors)
-    return FactoredPolynomial(fs, _product(fs))
+    return FactoredPolynomial(tuple(factors))
 
 
 @dataclass(frozen=True)
@@ -119,8 +111,8 @@ def prime_census(f: FactoredPolynomial) -> Census:
     fibers = tuple(unit_fibers(g) for g in f.factors)
     candidates = sorted({m for fib in fibers for m in fib.eplus + fib.eminus})
 
-    int_coeffs = integer_coeffs(f.product)
-    _, denom = scale_to_integer(f.product)
+    scaled, denom = scale_to_integer(f.product)
+    int_coeffs = [int(c) for c in scaled.coeffs]
 
     witnesses = []
     pplus = 0
@@ -132,9 +124,7 @@ def prime_census(f: FactoredPolynomial) -> Census:
         verdict = is_prime(value)
         if not verdict.is_prime:
             continue
-        units = tuple(
-            i for i, g in enumerate(f.factors) if abs(evaluate(g, m)) == 1
-        )
+        units = tuple(i for i, fib in enumerate(fibers) if m in fib.eplus or m in fib.eminus)
         witnesses.append(Witness(m=m, value=value, unit_factors=units, status=verdict.status))
         if value > 0:
             pplus += 1

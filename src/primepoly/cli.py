@@ -22,14 +22,11 @@ from fractions import Fraction
 from . import __version__
 from .badpoints import block_report, complex_counterexample
 from .bounds import (
-    binomial_level_family,
     cross_difference_bound,
     factorial_lower_bound,
-    level_count_bound,
     polya_measure_check,
     set_pair_data,
     solve_constant,
-    truncate_decimal,
     unbalanced_factorial_bound,
 )
 from .census import factored, level_census, prime_census
@@ -44,7 +41,6 @@ from .constructions import (
 from .errors import BudgetExhausted, TheoremViolation
 from .exceptional import search_exceptional
 from .poly import format_poly, make_poly, parse_poly
-from .primes import is_prime
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -176,17 +172,13 @@ def _cmd_construct(args) -> tuple[dict, int]:
     kind = args.kind
     if kind in _FIXED_ALIASES:
         cert = fixed_example(_FIXED_ALIASES[kind])
+    elif kind in ("nplus1", "pplus", "nplus2") and args.n is None:
+        raise ValueError(f"construct {kind} requires --n")
     elif kind == "nplus1":
-        if args.n is None:
-            raise ValueError("construct nplus1 requires --n")
         cert = build_n_plus_1(args.n, t_max=args.tmax)
     elif kind == "pplus":
-        if args.n is None:
-            raise ValueError("construct pplus requires --n")
         cert = build_p_plus(args.n, t_max=args.tmax)
     elif kind == "nplus2":
-        if args.n is None:
-            raise ValueError("construct nplus2 requires --n")
         result = search_n_plus_2(args.n, b_scan_max=args.bmax, t_max=args.tmax)
         if isinstance(result, SearchFrontier):
             return {

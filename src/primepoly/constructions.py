@@ -193,8 +193,6 @@ def search_n_plus_2(
             break
     if len(bs) < n - 2:
         return SearchFrontier(anchors_tried=tuple(bs), t_frontier=0)
-    if t_max < 1:  # an empty scan is a frontier here, not an input error
-        return SearchFrontier(anchors_tried=tuple(bs), t_frontier=t_max)
     coeffs = []
     for i in range(4):
         prod = 1

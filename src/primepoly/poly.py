@@ -281,10 +281,6 @@ class QuadExtElement:
     def conjugate(self) -> "QuadExtElement":
         return QuadExtElement(self.a, -self.b, self.d)
 
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def sign(self) -> int:
         """Exact sign of a + b*sqrt(d), for a real extension (d > 0)."""
         if self.d < 0:

@@ -16,10 +16,10 @@ by p-adic expansion", SIAM J. Comput. 1983), see `integer_solutions`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import RatPolynomial, eval_int_scaled, evaluate, integer_coeffs, make_poly
+from .poly import RatPolynomial, eval_int_scaled, evaluate, integer_coeffs
 from .primes import primes_stream
 
 IntCoeffs = tuple[int, ...]
@@ -127,14 +127,12 @@ def _var_at(chain: list[list[int]], num: int, den: int) -> int:
     return _variations([_sign(_eval_scaled_frac(c, num, den)) for c in chain])
 
 
-def _var_at_inf(chain: list[list[int]], positive: bool) -> int:
-    signs = []
-    for c in chain:
-        s = _sign(c[-1]) if c else 0
-        if not positive and (len(c) - 1) % 2 == 1:
-            s = -s
-        signs.append(s)
-    return _variations(signs)
+def _count(chain: list[list[int]], lo: Fraction, hi: Fraction) -> int:
+    """Distinct roots in (lo, hi] of the square-free chain[0], endpoints roots
+    or not: at a simple root x0, chain[0] takes the sign of chain[1] just right
+    of x0, so V(x0) = V(x0+).  Without a root at lo or hi it counts the
+    distinct roots in (lo, hi) of any chain[0]."""
+    return _var_at(chain, lo.numerator, lo.denominator) - _var_at(chain, hi.numerator, hi.denominator)
 
 
 def _gcd_poly(a: list[int], b: list[int]) -> list[int]:
@@ -230,21 +228,17 @@ def _lifting_prime(c: list[int], dc: list[int]) -> int:
 
 @dataclass(frozen=True)
 class IsolatedRoot:
-    """A real algebraic number: a square-free defining polynomial plus a
-    rational isolating interval containing exactly one of its roots.
+    """A real algebraic number: a square-free defining polynomial, as its
+    primitive integer coefficients, plus a rational isolating interval
+    containing exactly one of its roots.
 
     A rational root is stored exactly as a degenerate interval lo == hi;
     otherwise neither endpoint is a root.
     """
 
-    defining: RatPolynomial
+    defining: IntCoeffs
     lo: Fraction
     hi: Fraction
-    _ints: IntCoeffs = field(default=(), repr=False, compare=False)
-
-    def __post_init__(self):
-        if not self._ints:
-            object.__setattr__(self, "_ints", tuple(_to_int(self.defining)))
 
     @property
     def is_exact(self) -> bool:
@@ -254,27 +248,23 @@ class IsolatedRoot:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def refine(self, width: Fraction) -> "IsolatedRoot":
         """Bisect until the interval is at most `width` wide (or exact)."""
         if self.is_exact:
             return self
-        c = list(self._ints)
+        c = self.defining
         lo, hi = self.lo, self.hi
         s_lo = _sign(_eval_scaled_frac(c, lo.numerator, lo.denominator))
         while hi - lo > width:
             mid = (lo + hi) / 2
             s_mid = _sign(_eval_scaled_frac(c, mid.numerator, mid.denominator))
             if s_mid == 0:
-                return IsolatedRoot(self.defining, mid, mid, self._ints)
+                return IsolatedRoot(c, mid, mid)
             if s_mid == s_lo:
                 lo = mid
             else:
                 hi = mid
-        return IsolatedRoot(self.defining, lo, hi, self._ints)
+        return IsolatedRoot(c, lo, hi)
 
     def __str__(self) -> str:
         if self.is_exact:
@@ -290,9 +280,6 @@ class MeasureBracket:
     upper: Fraction
     tolerance: Fraction
 
-    def __contains__(self, value) -> bool:
-        return self.lower <= value <= self.upper
-
 
 # ---------------------------------------------------------------------------
 # Operations
@@ -306,23 +293,7 @@ def sturm_count(p: RatPolynomial, lo, hi) -> int:
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
         raise ValueError("need lo < hi")
-    c = _squarefree(_to_int(p))
-    if len(c) <= 1:
-        return 0
-    extra = 0
-    if _eval_scaled_frac(c, hi.numerator, hi.denominator) == 0:
-        c = _exact_div(c, [-hi.numerator, hi.denominator])
-        extra = 1
-    if c and _eval_scaled_frac(c, lo.numerator, lo.denominator) == 0:
-        c = _exact_div(c, [-lo.numerator, lo.denominator])
-    if len(c) <= 1:
-        return extra
-    chain = _chain(c)
-    return (
-        _var_at(chain, lo.numerator, lo.denominator)
-        - _var_at(chain, hi.numerator, hi.denominator)
-        + extra
-    )
+    return _count(_chain(_squarefree(_to_int(p))), lo, hi)
 
 
 def count_real_roots(p: RatPolynomial) -> int:
@@ -330,10 +301,8 @@ def count_real_roots(p: RatPolynomial) -> int:
     if p.is_zero:
         raise ValueError("zero polynomial")
     c = _squarefree(_to_int(p))
-    if len(c) <= 1:
-        return 0
-    chain = _chain(c)
-    return _var_at_inf(chain, positive=False) - _var_at_inf(chain, positive=True)
+    bound = Fraction(_cauchy_bound(c))
+    return _count(_chain(c), -bound, bound)
 
 
 def isolate_roots(p: RatPolynomial) -> list[IsolatedRoot]:
@@ -347,10 +316,9 @@ def isolate_roots(p: RatPolynomial) -> list[IsolatedRoot]:
     c = _squarefree(_to_int(p))
     if len(c) <= 1:
         return []
-    defining = make_poly(c)
-    ints = tuple(c)
+    defining = tuple(c)
     if len(c) == 2:
-        return [IsolatedRoot(defining, Fraction(-c[0], c[1]), Fraction(-c[0], c[1]), ints)]
+        return [IsolatedRoot(defining, Fraction(-c[0], c[1]), Fraction(-c[0], c[1]))]
     chain = _chain(c)
     bound = _cauchy_bound(c)
 
@@ -365,7 +333,7 @@ def isolate_roots(p: RatPolynomial) -> list[IsolatedRoot]:
         if n == 0:
             continue
         if n == 1:
-            found.append(_refine_new(defining, ints, lo, hi, Fraction(1)))
+            found.append(_refine_new(defining, lo, hi, Fraction(1)))
             continue
         mid = (lo + hi) / 2
         if _eval_scaled_frac(c, mid.numerator, mid.denominator) == 0:
@@ -379,7 +347,7 @@ def isolate_roots(p: RatPolynomial) -> list[IsolatedRoot]:
                 ):
                     break
                 delta /= 2
-            found.append(IsolatedRoot(defining, mid, mid, ints))
+            found.append(IsolatedRoot(defining, mid, mid))
             stack.append((lo, a, vlo, var(a)))
             stack.append((b, hi, var(b), vhi))
         else:
@@ -390,15 +358,15 @@ def isolate_roots(p: RatPolynomial) -> list[IsolatedRoot]:
     return found
 
 
-def _refine_new(defining, ints, lo: Fraction, hi: Fraction, width: Fraction) -> IsolatedRoot:
-    root = IsolatedRoot(defining, lo, hi, ints).refine(width)
+def _refine_new(defining: IntCoeffs, lo: Fraction, hi: Fraction, width: Fraction) -> IsolatedRoot:
+    root = IsolatedRoot(defining, lo, hi).refine(width)
     if not root.is_exact:
         # snap integer roots to exact form; non-integer rational roots of
         # degree >= 2 keep their interval (nothing downstream needs more)
         m = math.floor(root.lo) + 1
         while m < root.hi:
-            if eval_int_scaled(ints, m) == 0:
-                return IsolatedRoot(defining, Fraction(m), Fraction(m), ints)
+            if eval_int_scaled(defining, m) == 0:
+                return IsolatedRoot(defining, Fraction(m), Fraction(m))
             m += 1
     return root
 
@@ -444,21 +412,23 @@ def sign_at(q: RatPolynomial, r: IsolatedRoot) -> int:
         val = evaluate(q, r.lo)
         return (val > 0) - (val < 0)
     cq = _to_int(q)
-    if len(cq) == 1:
-        return _sign(cq[0])
-    g = _gcd_poly(cq, list(r._ints))
-    if len(g) > 1 and sturm_count(make_poly(g), r.lo, r.hi) >= 1:
+    # g divides the square-free defining polynomial, so its roots are simple
+    # and at most the one root inside (lo, hi), where neither end is a root
+    g = _gcd_poly(cq, list(r.defining))
+    if _sign(_eval_scaled_frac(g, r.lo.numerator, r.lo.denominator)) != _sign(
+        _eval_scaled_frac(g, r.hi.numerator, r.hi.denominator)
+    ):
         return 0
-    chain = _chain(list(cq))
+    chain = _chain(cq)
     cur = r
     while True:
         s_lo = _sign(_eval_scaled_frac(cq, cur.lo.numerator, cur.lo.denominator))
-        if s_lo != 0:
-            inside = _var_at(chain, cur.lo.numerator, cur.lo.denominator) - _var_at(
-                chain, cur.hi.numerator, cur.hi.denominator
-            )
-            if inside == 0 and _eval_scaled_frac(cq, cur.hi.numerator, cur.hi.denominator) != 0:
-                return s_lo
+        if (
+            s_lo != 0
+            and _eval_scaled_frac(cq, cur.hi.numerator, cur.hi.denominator) != 0
+            and _count(chain, cur.lo, cur.hi) == 0
+        ):
+            return s_lo
         cur = cur.refine(cur.width / 2)
         if cur.is_exact:
             val = evaluate(q, cur.lo)

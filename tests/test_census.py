@@ -86,6 +86,9 @@ def test_prime_census_brute_scan_oracle():
         h = random_int_poly(rng, rng.randint(1, 3), 9)
         f = factored([g, h])
         census = prime_census(f)
+        assert f.product == g * h
+        for w in census.witnesses:
+            assert w.unit_factors == tuple(i for i, gi in enumerate(f.factors) if abs(evaluate(gi, w.m)) == 1)
         got = {w.m for w in census.witnesses if abs(w.m) <= 500}
         expect = set()
         for m in range(-500, 501):

@@ -85,6 +85,21 @@ def test_cli_lemmas_large_kmax_has_no_traceback():
     assert err == "" and "pass: True" in out
 
 
+@pytest.mark.parametrize("kind", ["nplus1", "pplus", "nplus2"])
+def test_cli_construct_empty_multiplier_budget_exits_2(kind):
+    code, out, err = _capture(["construct", kind, "--n", "12", "--tmax", "0"])
+    assert code == EXIT_BAD_INPUT
+    assert out == "" and err == "error: t_max must be at least 1\n"
+
+
+@pytest.mark.parametrize("poly", [f"1,0,1/{10 ** 400}", f"0,1/{10 ** 400}"], ids=["quadratic", "linear"])
+def test_cli_polya_tiny_leading_coefficient_has_no_traceback(poly):
+    # K/|lead| = 10^400 overflows a float; its root does too for degree 1
+    code, out, err = _capture(["polya", f"--poly={poly}", "--K", "1"])
+    assert code == EXIT_OK and err == ""
+    assert "holds: True" in out
+
+
 def _record() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for name, argv, code in CASES:

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from primepoly.constructions import build_n_plus_1
@@ -122,10 +122,16 @@ def test_integer_solutions_against_brute_scan():
         assert all(abs(m) <= 1000 for m in got)
 
 
+_X = sympy.Symbol("x")
+
+
+def _sympy_poly(p) -> sympy.Poly:
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], _X)
+
+
 def _sympy_integer_roots(p, v) -> list[int]:
     """Oracle: integer roots of p - v from sympy's factorisation over Q."""
-    x = sympy.Symbol("x")
-    q = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed((p - v).coeffs)], x)
+    q = _sympy_poly(p - v)
     roots = set()
     for factor, _ in q.factor_list()[1]:
         if factor.degree() == 1:
@@ -211,7 +217,7 @@ def test_sign_at_shared_root_engineered():
 
 
 def test_sign_at_exact_root():
-    r = IsolatedRoot(make_poly([-6, 1]), F(6), F(6))
+    r = IsolatedRoot((-6, 1), F(6), F(6))
     assert sign_at(make_poly([-5, 1]), r) == 1
     assert sign_at(make_poly([-7, 1]), r) == -1
     assert sign_at(make_poly([-6, 1]), r) == 0
@@ -256,3 +262,61 @@ def test_count_real_roots():
     assert count_real_roots(make_poly([1, 0, 1])) == 0
     assert count_real_roots(make_poly([9])) == 0
     assert count_real_roots(make_poly([-1, 1]) ** 4) == 1
+
+
+def _sympy_distinct_real_roots(p) -> list:
+    """Oracle: the distinct real roots of p, ascending (Rational or CRootOf)."""
+    q = _sympy_poly(p)
+    return q.sqf_part().real_roots() if q.degree() >= 1 else []
+
+
+@st.composite
+def _factored_with_endpoints(draw):
+    """A product of rational linear factors, some repeated, times a random
+    factor, and an interval lo < hi whose ends are often among those roots."""
+    roots = draw(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=4), min_size=1, max_size=5))
+    roots += draw(st.lists(st.sampled_from(roots), max_size=3))
+    p = make_poly(draw(st.lists(st.integers(-6, 6), max_size=3)) + [draw(_nonzero)])
+    for r in roots:
+        p = p * make_poly([-r, 1])
+    ends = st.one_of(st.sampled_from(roots), st.fractions(min_value=-8, max_value=8, max_denominator=6))
+    lo, hi = draw(ends), draw(ends)
+    assume(lo != hi)
+    return p, min(lo, hi), max(lo, hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_factored_with_endpoints())
+def test_sturm_count_half_open_matches_sympy(case):
+    p, lo, hi = case
+    lo_s, hi_s = sympy.Rational(lo.numerator, lo.denominator), sympy.Rational(hi.numerator, hi.denominator)
+    expect = [r for r in _sympy_distinct_real_roots(p) if lo_s < r <= hi_s]
+    assert sturm_count(p, lo, hi) == len(expect)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_dense_polys(), _linear_products()))
+def test_count_real_roots_matches_sympy(p):
+    assert count_real_roots(p) == len(_sympy_distinct_real_roots(p))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_sign_at_matches_sympy(seed):
+    # q shares the factor a with p = a*b (sign 0 at the roots of a) or is
+    # random, almost always coprime to p; a nonzero q(root) of these small
+    # polynomials is far above 10^-30, so 50 digits decide the sign
+    rng = random.Random(seed)
+    a = random_int_poly(rng, rng.randint(1, 3), 6)
+    p = a * random_int_poly(rng, rng.randint(1, 3), 6)
+    q = random_int_poly(rng, rng.randint(0, 4), 9)
+    if rng.random() < 0.5:
+        q = a * q
+    roots = isolate_roots(p)
+    expect = _sympy_distinct_real_roots(p)
+    assert len(roots) == len(expect)
+    q_expr = _sympy_poly(q).as_expr()
+    for r, alpha in zip(roots, expect):
+        value = q_expr.subs(_X, alpha).evalf(50)
+        want = 0 if abs(value) < sympy.Float(10) ** -30 else (1 if value > 0 else -1)
+        assert sign_at(q, r) == want
