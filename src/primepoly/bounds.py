@@ -259,13 +259,16 @@ def solve_constant(digits: int = 10) -> ConstantSolution:
 
 
 def _display_root(x, n: int) -> float:
-    """x^(1/n) as a display float for rational x >= 0; through logarithms
-    when x overflows a float, and inf when the root does too."""
+    """x^(1/n) as a display float for rational x >= 0.  When x overflows a
+    float, x = m * 2^e with m in (1/2, 2) and the root is m^(1/n) * 2^(e/n),
+    finished by `math.ldexp`; inf when the root overflows too."""
     try:
         return float(x) ** (1.0 / n)
     except OverflowError:
+        e = x.numerator.bit_length() - x.denominator.bit_length()
+        q, r = divmod(e, n)
         try:
-            return math.exp((math.log(x.numerator) - math.log(x.denominator)) / n)
+            return math.ldexp((float(x / 2 ** e) * 2.0 ** r) ** (1 / n), q)
         except OverflowError:
             return math.inf
 

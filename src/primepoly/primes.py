@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import islice
 
 from .errors import BudgetExhausted
@@ -111,7 +110,6 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     return False
 
 
-@lru_cache(maxsize=1 << 16)
 def _classify(n: int) -> tuple[str, str]:
     """(status, method) for n >= 2."""
     if n < 2:

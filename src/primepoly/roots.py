@@ -1,12 +1,14 @@
 """Exact root machinery in integer arithmetic.
 
 Real roots come from Sturm sequences: rational polynomials are cleared to
-primitive integer coefficient lists, chains use primitive pseudo-remainders
-(no coefficient blowup, no floating point), and interval endpoints stay
-dyadic because every subdivision is a bisection.  They give counts of
-distinct real roots on an interval, root isolation with on-demand
-refinement, the exact sign of a polynomial at an isolated algebraic point,
-and two-sided brackets for the Lebesgue measure of {x : |p(x)| <= K}.
+primitive integer coefficient lists, one signed remainder sequence
+`_chain(a, b)` uses primitive pseudo-remainders (no coefficient blowup, no
+floating point), and interval endpoints stay dyadic because every
+subdivision is a bisection.  They give counts of distinct real roots on an
+interval, root isolation with on-demand refinement, and two-sided brackets
+for the Lebesgue measure of {x : |p(x)| <= K}.  The exact sign of a
+polynomial at an isolated algebraic point comes from one Sturm-Tarski query
+on the isolating interval, not from refining it.
 
 Complete integer solution sets of p(x) = v need no real roots: they come
 from p-adic lifting (Loos, "Computing rational zeros of integral polynomials
@@ -74,15 +76,14 @@ def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
-def _chain(c: list[int]) -> list[list[int]]:
-    """Canonical Sturm chain with primitive-part scaling (sign-correct)."""
-    chain = [list(c)]
-    d = _deriv(c)
-    if d:
-        chain.append(d)
+def _chain(a: list[int], b: list[int]) -> list[list[int]]:
+    """Signed remainder sequence of a and b with primitive-part scaling
+    (sign-correct); its last entry is gcd(a, b) up to a constant."""
+    chain = [list(a)]
+    if b:
+        chain.append(list(b))
     while len(chain[-1]) > 1:
-        a, b = chain[-2], chain[-1]
-        r, factor_sign = _pseudo_rem(a, b)
+        r, factor_sign = _pseudo_rem(chain[-2], chain[-1])
         if not r:
             break
         chain.append(_primitive([-v * factor_sign for v in r]))
@@ -128,41 +129,33 @@ def _var_at(chain: list[list[int]], num: int, den: int) -> int:
 
 
 def _count(chain: list[list[int]], lo: Fraction, hi: Fraction) -> int:
-    """Distinct roots in (lo, hi] of the square-free chain[0], endpoints roots
-    or not: at a simple root x0, chain[0] takes the sign of chain[1] just right
-    of x0, so V(x0) = V(x0+).  Without a root at lo or hi it counts the
-    distinct roots in (lo, hi) of any chain[0]."""
+    """V(lo) - V(hi), lo < hi.  For _chain(c, c') it counts the distinct roots
+    in (lo, hi] of a square-free c, endpoints roots or not (at a simple root
+    x0, c takes the sign of c' just right of x0, so V(x0) = V(x0+)), and
+    without a root at lo or hi the distinct roots in (lo, hi) of any c.  For
+    _chain(p, p'q), neither end a root of p, it is the Tarski query: the sum
+    of sign q(x) over the roots x of p in (lo, hi) (Sturm-Tarski theorem)."""
     return _var_at(chain, lo.numerator, lo.denominator) - _var_at(chain, hi.numerator, hi.denominator)
 
 
-def _gcd_poly(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd of two integer polynomials (positive leading coeff)."""
-    a, b = _primitive(a), _primitive(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r, _ = _pseudo_rem(a, b)
-        a, b = b, _primitive(r)
-    if a and a[-1] < 0:
-        a = [-v for v in a]
-    return a
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, av in enumerate(a):
+        for j, bv in enumerate(b):
+            out[i + j] += av * bv
+    return out
 
 
 def _exact_div(a: list[int], b: list[int]) -> list[int]:
-    """Exact quotient a / b over Q, returned primitive over Z."""
-    fa = [Fraction(v) for v in a]
-    q: list[Fraction] = [Fraction(0)] * (len(a) - len(b) + 1)
-    while len(fa) >= len(b) and any(fa):
-        while fa and fa[-1] == 0:
-            fa.pop()
-        if len(fa) < len(b):
-            break
-        coef = fa[-1] / b[-1]
-        shift = len(fa) - len(b)
-        q[shift] = coef
+    """Exact quotient a / b of primitive a and b with b | a; it lies in Z[x]
+    and is primitive by Gauss's lemma."""
+    a = list(a)
+    q = [0] * (len(a) - len(b) + 1)
+    for shift in reversed(range(len(q))):
+        q[shift] = coef = a[shift + len(b) - 1] // b[-1]
         for i, bv in enumerate(b):
-            fa[shift + i] -= coef * bv
-    return _to_int(RatPolynomial(tuple(q)))
+            a[shift + i] -= coef * bv
+    return q
 
 
 def _gcd_mod(a: list[int], b: list[int], q: int) -> list[int]:
@@ -193,9 +186,11 @@ def _squarefree(c: list[int]) -> list[int]:
     q = next(q for q in primes_stream(3) if c[-1] % q)
     if _squarefree_mod(c, dc, q):
         return c  # a square factor would survive reduction mod q
-    g = _gcd_poly(c, dc)
+    g = _primitive(_chain(c, dc)[-1])
     if len(g) <= 1:
         return c
+    if g[-1] < 0:
+        g = [-v for v in g]
     return _exact_div(c, g)
 
 
@@ -293,7 +288,8 @@ def sturm_count(p: RatPolynomial, lo, hi) -> int:
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
         raise ValueError("need lo < hi")
-    return _count(_chain(_squarefree(_to_int(p))), lo, hi)
+    c = _squarefree(_to_int(p))
+    return _count(_chain(c, _deriv(c)), lo, hi)
 
 
 def count_real_roots(p: RatPolynomial) -> int:
@@ -302,7 +298,7 @@ def count_real_roots(p: RatPolynomial) -> int:
         raise ValueError("zero polynomial")
     c = _squarefree(_to_int(p))
     bound = Fraction(_cauchy_bound(c))
-    return _count(_chain(c), -bound, bound)
+    return _count(_chain(c, _deriv(c)), -bound, bound)
 
 
 def isolate_roots(p: RatPolynomial) -> list[IsolatedRoot]:
@@ -319,7 +315,7 @@ def isolate_roots(p: RatPolynomial) -> list[IsolatedRoot]:
     defining = tuple(c)
     if len(c) == 2:
         return [IsolatedRoot(defining, Fraction(-c[0], c[1]), Fraction(-c[0], c[1]))]
-    chain = _chain(c)
+    chain = _chain(c, _deriv(c))
     bound = _cauchy_bound(c)
 
     def var(x: Fraction) -> int:
@@ -411,28 +407,8 @@ def sign_at(q: RatPolynomial, r: IsolatedRoot) -> int:
     if r.is_exact:
         val = evaluate(q, r.lo)
         return (val > 0) - (val < 0)
-    cq = _to_int(q)
-    # g divides the square-free defining polynomial, so its roots are simple
-    # and at most the one root inside (lo, hi), where neither end is a root
-    g = _gcd_poly(cq, list(r.defining))
-    if _sign(_eval_scaled_frac(g, r.lo.numerator, r.lo.denominator)) != _sign(
-        _eval_scaled_frac(g, r.hi.numerator, r.hi.denominator)
-    ):
-        return 0
-    chain = _chain(cq)
-    cur = r
-    while True:
-        s_lo = _sign(_eval_scaled_frac(cq, cur.lo.numerator, cur.lo.denominator))
-        if (
-            s_lo != 0
-            and _eval_scaled_frac(cq, cur.hi.numerator, cur.hi.denominator) != 0
-            and _count(chain, cur.lo, cur.hi) == 0
-        ):
-            return s_lo
-        cur = cur.refine(cur.width / 2)
-        if cur.is_exact:
-            val = evaluate(q, cur.lo)
-            return (val > 0) - (val < 0)
+    p = list(r.defining)
+    return _count(_chain(p, _mul(_deriv(p), _to_int(q))), r.lo, r.hi)
 
 
 def _separate(roots: list[IsolatedRoot]) -> list[IsolatedRoot]:

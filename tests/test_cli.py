@@ -92,12 +92,16 @@ def test_cli_construct_empty_multiplier_budget_exits_2(kind):
     assert out == "" and err == "error: t_max must be at least 1\n"
 
 
-@pytest.mark.parametrize("poly", [f"1,0,1/{10 ** 400}", f"0,1/{10 ** 400}"], ids=["quadratic", "linear"])
-def test_cli_polya_tiny_leading_coefficient_has_no_traceback(poly):
-    # K/|lead| = 10^400 overflows a float; its root does too for degree 1
+@pytest.mark.parametrize(
+    "poly,bound", [(f"1,0,1/{10 ** 400}", "4e+200"), (f"0,1/{10 ** 400}", "inf")], ids=["quadratic", "linear"]
+)
+def test_cli_polya_tiny_leading_coefficient_has_no_traceback(poly, bound):
+    # K/|lead| = 10^400 overflows a float; its root does too for degree 1.
+    # (10^400)^(1/2) = 10^200, so the quadratic bound prints exactly 4e+200
     code, out, err = _capture(["polya", f"--poly={poly}", "--K", "1"])
     assert code == EXIT_OK and err == ""
     assert "holds: True" in out
+    assert f"bound: {bound}\n" in out
 
 
 def _record() -> None:

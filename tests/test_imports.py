@@ -1,6 +1,8 @@
-"""Every module-level import of a primepoly module is used by that module.
+"""Every module-level import of a primepoly module is used by that module,
+and every module-level private name is referenced somewhere in primepoly.
 
-`__init__.py` is skipped: it imports names only to re-export them.
+`__init__.py` is skipped by the import check: it imports names only to
+re-export them.
 """
 
 from __future__ import annotations
@@ -28,3 +30,30 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_no_unused_module_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def test_no_dead_private_names():
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(a.name for a in node.names)
+    defined = [(module, name) for module, tree in trees.items() for name in _private_definitions(tree)]
+    assert defined
+    assert [(module, name) for module, name in defined if name not in referenced] == []

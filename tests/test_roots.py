@@ -22,7 +22,7 @@ from primepoly.roots import (
     sublevel_measure,
 )
 
-from helpers import brute_integer_solutions, random_int_poly, sturm_integer_solutions
+from helpers import brute_integer_solutions, random_int_poly, random_rat_poly, sturm_integer_solutions
 
 H2 = make_poly([1, -3, 1])
 
@@ -303,13 +303,14 @@ def test_count_real_roots_matches_sympy(p):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2 ** 32))
 def test_sign_at_matches_sympy(seed):
-    # q shares the factor a with p = a*b (sign 0 at the roots of a) or is
-    # random, almost always coprime to p; a nonzero q(root) of these small
-    # polynomials is far above 10^-30, so 50 digits decide the sign
+    # q, rational and often of higher degree than p = a*b (the shape of
+    # f - 1 at a root of g - 1), shares the factor a (sign 0 at the roots
+    # of a) or is random, almost always coprime to p; a nonzero q(root) of
+    # these small polynomials is far above 10^-40, so 80 digits decide the sign
     rng = random.Random(seed)
     a = random_int_poly(rng, rng.randint(1, 3), 6)
     p = a * random_int_poly(rng, rng.randint(1, 3), 6)
-    q = random_int_poly(rng, rng.randint(0, 4), 9)
+    q = random_rat_poly(rng, rng.randint(0, 8), 9)
     if rng.random() < 0.5:
         q = a * q
     roots = isolate_roots(p)
@@ -317,6 +318,21 @@ def test_sign_at_matches_sympy(seed):
     assert len(roots) == len(expect)
     q_expr = _sympy_poly(q).as_expr()
     for r, alpha in zip(roots, expect):
-        value = q_expr.subs(_X, alpha).evalf(50)
-        want = 0 if abs(value) < sympy.Float(10) ** -30 else (1 if value > 0 else -1)
+        value = q_expr.subs(_X, alpha).evalf(80)
+        want = 0 if abs(value) < sympy.Float(10) ** -40 else (1 if value > 0 else -1)
         assert sign_at(q, r) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_squarefree_matches_sympy(seed):
+    # a^2 * b always has a square factor, so `_squarefree` takes its gcd
+    # path; the result keeps the sign of c's leading coefficient
+    rng = random.Random(seed)
+    a = random_rat_poly(rng, rng.randint(1, 3), 6)
+    c = _to_int(a ** 2 * random_rat_poly(rng, rng.randint(0, 3), 6))
+    _, part = sympy.Poly(list(reversed(c)), _X).sqf_part().primitive()
+    want = [int(v) for v in reversed(part.all_coeffs())]
+    if (want[-1] > 0) != (c[-1] > 0):
+        want = [-v for v in want]
+    assert _squarefree(c) == want
