@@ -5,6 +5,10 @@ witnesses is deterministic, so verdicts there are `prime`/`composite`.
 Above 2**64 a Baillie-PSW combination (strong base-2 test plus a strong
 Lucas test with Selfridge parameters) is used and positives are honestly
 reported as `probable_prime`; no counterexample to BPSW is known.
+
+`find_multiplier` first clears every t with a prime q < 2,000 dividing
+1 + t*M (the sieve of Eratosthenes over arithmetic progressions), so
+only the survivors reach a primality test.
 """
 
 from __future__ import annotations
@@ -21,6 +25,18 @@ _SMALL_PRIMES = (
 )
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _DETERMINISTIC_LIMIT = 1 << 64
+_WINDOW = 4096  # values of |t| sieved at once by find_multiplier
+
+
+def _primes_below(n: int) -> tuple[int, ...]:
+    flags = bytearray([1]) * n
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return tuple(p for p in range(2, n) if flags[p])
+
+
+_SIEVE_PRIMES = _primes_below(2000)
 
 STATUS_PRIME = "prime"
 STATUS_COMPOSITE = "composite"
@@ -159,22 +175,44 @@ def find_multiplier(Ms, positive_required: bool, t_max: int) -> ProgressionHit:
     Without `positive_required` a value counts when |1 + t*M| is prime;
     with it, 1 + t*M itself must be a positive prime.  Raises
     BudgetExhausted if no multiplier up to t_max works.
+
+    |t| runs in windows of `_WINDOW` values, with one survivor flag per t
+    of each sign.  For each prime q < 2,000 not dividing M, the t with
+    t*M = -1 (mod q) are cleared, up to the first q >= |M| - 1: below it
+    |1 + t*M| >= |M| - 1 > q, so a cleared value is a proper multiple of
+    q (for M = 2 the guard keeps t = 1, whose value is the prime 3).
+    Only composites are cleared, so testing the survivors in scan order
+    finds the same first t with the same verdicts.
     """
     Ms = tuple(Ms)
     if not Ms or 0 in Ms:
         raise ValueError("need at least one M, each nonzero")
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
-    for a in range(1, t_max + 1):
-        for t in (a, -a):
-            verdicts = []
-            for M in Ms:
-                v = is_prime(1 + t * M)
-                if not v.is_prime or (positive_required and v.value <= 0):
+    for start in range(1, t_max + 1, _WINDOW):
+        n = min(_WINDOW, t_max + 1 - start)
+        pos, neg = bytearray([1]) * n, bytearray([1]) * n
+        for M in Ms:
+            for q in _SIEVE_PRIMES:
+                if q >= abs(M) - 1:
                     break
-                verdicts.append(v)
-            else:
-                return ProgressionHit(Ms, t, tuple(verdicts), positive_required)
+                if M % q:
+                    inv = pow(M, -1, q)  # t = -inv (mod q) for t > 0, +inv for t < 0
+                    for buf, r in ((pos, -inv), (neg, inv)):
+                        i = (r - start) % q
+                        buf[i::q] = bytes(len(range(i, n, q)))
+        for i in range(n):
+            for t, buf in ((start + i, pos), (-start - i, neg)):
+                if not buf[i]:
+                    continue
+                verdicts = []
+                for M in Ms:
+                    value = 1 + t * M
+                    if positive_required and value <= 0 or not (v := is_prime(value)).is_prime:
+                        break
+                    verdicts.append(v)
+                else:
+                    return ProgressionHit(Ms, t, tuple(verdicts), positive_required)
     raise BudgetExhausted(
         f"no multiplier with |t| <= {t_max} makes 1 + t*{' and 1 + t*'.join(map(str, Ms))} prime",
         frontier=t_max,

@@ -6,7 +6,9 @@ import math
 import random
 from fractions import Fraction
 
+from primepoly.errors import BudgetExhausted
 from primepoly.poly import RatPolynomial, make_poly
+from primepoly.primes import ProgressionHit, is_prime
 from primepoly.roots import isolate_roots
 
 
@@ -52,3 +54,23 @@ def sturm_integer_solutions(p: RatPolynomial, v) -> list[int]:
                 out.add(m)
             m += 1
     return sorted(out)
+
+
+def unsieved_find_multiplier(Ms, positive_required: bool, t_max: int) -> ProgressionHit:
+    """Reference for `find_multiplier` without its sieve: a primality test
+    on every t in the order 1, -1, 2, -2, ..., the sign checked after it."""
+    Ms = tuple(Ms)
+    for a in range(1, t_max + 1):
+        for t in (a, -a):
+            verdicts = []
+            for M in Ms:
+                v = is_prime(1 + t * M)
+                if not v.is_prime or (positive_required and v.value <= 0):
+                    break
+                verdicts.append(v)
+            else:
+                return ProgressionHit(Ms, t, tuple(verdicts), positive_required)
+    raise BudgetExhausted(
+        f"no multiplier with |t| <= {t_max} makes 1 + t*{' and 1 + t*'.join(map(str, Ms))} prime",
+        frontier=t_max,
+    )

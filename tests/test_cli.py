@@ -1,6 +1,7 @@
 """Golden tests of the CLI contract: report bytes (text and --json) and exit codes.
 
-The files under tests/golden/ hold the exact stdout of each command line.
+The files under tests/golden/ hold the exact stdout of each command line,
+and a `.stderr` file next to one holds its stderr where that is not empty.
 After a deliberate change of report format, rewrite them with
 
     PYTHONPATH=src python tests/test_cli.py
@@ -35,6 +36,8 @@ CASES = [
     ("construct_pplus_20", ["construct", "pplus", "--n", "20"], EXIT_OK),
     ("construct_nplus2_10", ["construct", "nplus2", "--n", "10"], EXIT_OK),
     ("construct_nplus2_budget", ["construct", "nplus2", "--n", "12", "--tmax", "2"], EXIT_BUDGET),
+    ("construct_nplus1_budget", ["construct", "nplus1", "--n", "20", "--tmax", "1"], EXIT_BUDGET),
+    ("construct_pplus_budget", ["construct", "pplus", "--n", "20", "--tmax", "2"], EXIT_BUDGET),
     ("exceptional_2_3", ["exceptional", "--degree", "2", "--bound", "3"], EXIT_OK),
     ("constant_50", ["constant", "--digits", "50"], EXIT_OK),
     ("lemmas_50_1", ["lemmas", "--trials", "50", "--seed", "1"], EXIT_OK),
@@ -62,10 +65,8 @@ def test_cli_golden(name, argv, code, as_json):
     assert got_code == code
     golden = GOLDEN / f"{name}.{'json' if as_json else 'txt'}"
     assert out == golden.read_text()
-    if code == EXIT_BAD_INPUT:
-        assert out == "" and err.startswith("error: bad polynomial '1,x'")
-    else:
-        assert err == ""
+    golden_err = golden.with_name(golden.name + ".stderr")
+    assert err == (golden_err.read_text() if golden_err.exists() else "")
 
 
 def test_cli_theorem_violation_exits_1(monkeypatch):
@@ -108,10 +109,12 @@ def _record() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for name, argv, code in CASES:
         for suffix, extra in (("txt", []), ("json", ["--json"])):
-            got_code, out, _ = _capture(argv + extra)
+            got_code, out, err = _capture(argv + extra)
             if got_code != code:
                 sys.exit(f"{name}: exit code {got_code}, expected {code}")
             (GOLDEN / f"{name}.{suffix}").write_text(out)
+            if err:
+                (GOLDEN / f"{name}.{suffix}.stderr").write_text(err)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import pytest
 
+from primepoly import primes
 from primepoly.census import prime_census
 from primepoly.constructions import (
     ConstructionCertificate,
@@ -14,6 +15,7 @@ from primepoly.constructions import (
 )
 from primepoly.errors import BudgetExhausted
 from primepoly.poly import evaluate, make_poly
+from primepoly.primes import is_prime
 
 
 def test_fixed_examples():
@@ -150,6 +152,21 @@ def test_search_n_plus_2_small_n():
     assert res3.anchors == (-1,)
     assert res3.multiplier_t == -6
     assert [v for v, _ in res3.induced] == [-5, -11, -17, -23]
+
+
+def test_search_n_plus_2_fixed_scans_and_their_work(monkeypatch):
+    # both hits lie beyond the first sieve window of 4,096 values of |t|
+    assert search_n_plus_2(36).multiplier_t == 44812
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(primes, "is_prime", counted)
+    assert search_n_plus_2(30).multiplier_t == -12923
+    # the unsieved scan makes 28,213 tests here, the sieved one 1,169
+    assert len(calls) < 2000
 
 
 def test_search_n_plus_2_budget_returns_frontier():

@@ -1,10 +1,14 @@
 import math
+import operator
 import random
 from itertools import islice
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import unsieved_find_multiplier
 from primepoly.constructions import quadratic_anchor_points
 from primepoly.errors import BudgetExhausted
 from primepoly.primes import (
@@ -103,6 +107,54 @@ def test_find_multiplier_minimality_certificate():
                 break
             values = [1 + t * M for M in Ms]
             assert not all(sympy.isprime(abs(v)) and (v > 0 or not positive) for v in values)
+
+
+def _scan_outcome(scan, Ms, positive, t_max):
+    try:
+        return scan(Ms, positive, t_max)
+    except BudgetExhausted as exc:
+        return "budget", str(exc), exc.frontier
+
+
+# |M| <= 5 lets 1 + t*M equal a sieving prime; |t| is sieved in windows of
+# 4,096 values, so t_max = 4,095 cuts the first one short and 4,097 leaves
+# a second window of one value
+_MULTIPLIERS = st.builds(
+    operator.mul,
+    st.sampled_from([1, -1]),
+    st.one_of(st.integers(1, 5), st.integers(1, 10 ** 6), st.integers(1, 10 ** 30)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(_MULTIPLIERS, min_size=1, max_size=4),
+    st.booleans(),
+    st.sampled_from([1, 2, 60, 4095, 4096, 4097]),
+)
+def test_find_multiplier_matches_unsieved_scan(Ms, positive, t_max):
+    # ProgressionHit equality covers t and every verdict's value, status and method
+    assert _scan_outcome(find_multiplier, Ms, positive, t_max) == _scan_outcome(
+        unsieved_find_multiplier, Ms, positive, t_max
+    )
+
+
+@pytest.mark.parametrize(
+    "Ms,t",
+    [
+        ([881038, -670472, -371679, -831773], 4096),
+        ([541902, -773301, -733783, -929647], -4096),
+        ([182246, -144096, -798712, -171480], 4097),
+        ([-618248, 513952, -994746, -722664], -4097),
+    ],
+)
+def test_find_multiplier_hit_at_window_edge(Ms, t):
+    # first hits on the last t of the first window and the first t of the second
+    assert find_multiplier(Ms, positive_required=False, t_max=abs(t)).t == t
+    for t_max in (4095, 4096, 4097):
+        assert _scan_outcome(find_multiplier, Ms, False, t_max) == _scan_outcome(
+            unsieved_find_multiplier, Ms, False, t_max
+        )
 
 
 def test_find_multiplier_budget_and_validation():
