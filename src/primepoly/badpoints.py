@@ -27,7 +27,7 @@ from .poly import (
     evaluate,
     make_poly,
 )
-from .roots import IsolatedRoot, count_real_roots, isolate_roots, sign_at
+from .roots import IsolatedRoot, _separate, count_real_roots, isolate_roots, sign_at
 
 TAG_ORDER = ("g+", "g-", "h+", "h-")
 
@@ -40,23 +40,6 @@ class BadPoint:
     @property
     def primary_type(self) -> str:
         return self.tags[0]
-
-
-def _separate_entries(entries: list[tuple[IsolatedRoot, str]]):
-    """Refine intervals of pairwise-distinct reals until totally ordered."""
-    changed = True
-    while changed:
-        changed = False
-        entries.sort(key=lambda e: (e[0].lo, e[0].hi))
-        for i in range(len(entries) - 1):
-            a, b = entries[i][0], entries[i + 1][0]
-            if a.is_exact and b.is_exact:
-                continue
-            if a.hi >= b.lo:
-                entries[i] = (a.refine(a.width / 2) if not a.is_exact else a, entries[i][1])
-                entries[i + 1] = (b.refine(b.width / 2) if not b.is_exact else b, entries[i + 1][1])
-                changed = True
-    entries.sort(key=lambda e: (e[0].lo, e[0].hi))
 
 
 def bad_points(g: RatPolynomial, h: RatPolynomial) -> list[BadPoint]:
@@ -74,8 +57,7 @@ def bad_points(g: RatPolynomial, h: RatPolynomial) -> list[BadPoint]:
         for root in isolate_roots(poly)
         if sign_at(f_minus_1, root) == 1
     ]
-    _separate_entries(kept)
-    return [BadPoint(root=root, tags=(tag,)) for root, tag in kept]
+    return [BadPoint(root=root, tags=(tag,)) for root, tag in _separate(kept)]
 
 
 @dataclass(frozen=True)
@@ -119,12 +101,8 @@ def block_report(g: RatPolynomial, h: RatPolynomial) -> BlockReport:
         j = i
         while j + 1 < k and types[j + 1] == types[i]:
             j += 1
-        blocks.append(Block(type=types[i], start=i, end=j, central=False))
+        blocks.append(Block(type=types[i], start=i, end=j, central=(i > 0 and j < k - 1)))
         i = j + 1
-    blocks = [
-        Block(b.type, b.start, b.end, central=(b.start > 0 and b.end < k - 1))
-        for b in blocks
-    ]
 
     droots_g = count_real_roots(derivative(g)) if g.degree >= 2 else 0
     droots_h = count_real_roots(derivative(h)) if h.degree >= 2 else 0

@@ -211,18 +211,19 @@ def solve_constant(digits: int = 10) -> ConstantSolution:
     width = min(Fraction(1, 10 ** (digits + 3)), Fraction(1, 10 ** 13))
     eps = width / 1000
     lo, hi = Fraction(1), Fraction(2)
+    rhs = _rhs_interval(eps)
 
     def compare(t: Fraction) -> int:
         """-1 if phi(t) < rhs, +1 if greater (refining until separated)."""
-        e = eps
+        e, (r_lo, r_hi) = eps, rhs
         while True:
             p_lo, p_hi = _phi_interval(t, e)
-            r_lo, r_hi = _rhs_interval(e)
             if p_hi < r_lo:
                 return -1
             if p_lo > r_hi:
                 return 1
             e /= 16
+            r_lo, r_hi = _rhs_interval(e)
 
     def decimals_agree(a: Fraction, b: Fraction) -> bool:
         return math.floor(a * 10 ** digits) == math.floor(b * 10 ** digits)
@@ -238,7 +239,7 @@ def solve_constant(digits: int = 10) -> ConstantSolution:
 
     mid = (lo + hi) / 2
     p_lo, p_hi = _phi_interval(mid, eps)
-    r_lo, r_hi = _rhs_interval(eps)
+    r_lo, r_hi = rhs
     residual = max(abs(p_hi - r_lo), abs(p_lo - r_hi))
     c_lo, c_hi = 1 + 1 / hi, 1 + 1 / lo
     return ConstantSolution(

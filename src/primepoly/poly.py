@@ -161,12 +161,6 @@ def scale_to_integer(p: RatPolynomial) -> tuple[RatPolynomial, int]:
     return RatPolynomial(tuple(c * d for c in p.coeffs)), d
 
 
-def integer_coeffs(p: RatPolynomial) -> list[int]:
-    """Coefficients of D*p as plain ints (D the least common denominator)."""
-    scaled, _ = scale_to_integer(p)
-    return [int(c) for c in scaled.coeffs]
-
-
 # ---------------------------------------------------------------------------
 # Binomial (falling-factorial) basis
 # ---------------------------------------------------------------------------

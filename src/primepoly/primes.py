@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, takewhile
 
 from .errors import BudgetExhausted
 
@@ -27,16 +27,6 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _DETERMINISTIC_LIMIT = 1 << 64
 _WINDOW = 4096  # values of |t| sieved at once by find_multiplier
 
-
-def _primes_below(n: int) -> tuple[int, ...]:
-    flags = bytearray([1]) * n
-    for p in range(2, math.isqrt(n - 1) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytes(len(range(p * p, n, p)))
-    return tuple(p for p in range(2, n) if flags[p])
-
-
-_SIEVE_PRIMES = _primes_below(2000)
 
 STATUS_PRIME = "prime"
 STATUS_COMPOSITE = "composite"
@@ -230,6 +220,9 @@ def primes_stream(start: int = 2):
         if _classify(n)[0] != STATUS_COMPOSITE:
             yield n
         n += 1
+
+
+_SIEVE_PRIMES = tuple(takewhile(lambda p: p < 2000, primes_stream()))
 
 
 def first_primes(count: int) -> list[int]:

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import RatPolynomial, eval_int_scaled, evaluate, integer_coeffs
+from .poly import RatPolynomial, eval_int_scaled, evaluate
 from .primes import primes_stream
 
 IntCoeffs = tuple[int, ...]
@@ -40,18 +40,14 @@ def _strip(c: list[int]) -> list[int]:
 
 def _primitive(c: list[int]) -> list[int]:
     c = _strip(list(c))
-    if not c:
-        return c
-    g = 0
-    for v in c:
-        g = math.gcd(g, v)
+    g = math.gcd(*c)
     return [v // g for v in c]
 
 
 def _to_int(p: RatPolynomial) -> list[int]:
-    if p.is_zero:
-        return []
-    return _primitive(integer_coeffs(p))
+    """Primitive integer coefficients of a positive multiple of p ([] for 0)."""
+    d = math.lcm(*(v.denominator for v in p.coeffs))
+    return _primitive([v.numerator * (d // v.denominator) for v in p.coeffs])
 
 
 def _deriv(c: list[int]) -> list[int]:
@@ -178,20 +174,21 @@ def _squarefree_mod(c: list[int], dc: list[int], q: int) -> bool:
     return len(_gcd_mod([v % q for v in c], _strip([v % q for v in dc]), q)) == 1
 
 
-def _squarefree(c: list[int]) -> list[int]:
+def _squarefree(c: list[int]) -> tuple[list[int], list[int], int]:
+    """(s, s', q) for nonzero c: s is the square-free primitive part of c
+    with the sign of lc(c), and q the first odd prime not dividing lc(s) with
+    s mod q square-free; one exists, as the bad primes divide lc(s) * disc(s)."""
     c = _primitive(c)
-    if len(c) <= 2:
-        return c
     dc = _deriv(c)
     q = next(q for q in primes_stream(3) if c[-1] % q)
-    if _squarefree_mod(c, dc, q):
-        return c  # a square factor would survive reduction mod q
+    if len(c) <= 2 or _squarefree_mod(c, dc, q):
+        return c, dc, q  # linear c is square-free; a square factor would survive mod q
     g = _primitive(_chain(c, dc)[-1])
-    if len(g) <= 1:
-        return c
-    if g[-1] < 0:
-        g = [-v for v in g]
-    return _exact_div(c, g)
+    if len(g) > 1:
+        c = _exact_div(c, g if g[-1] > 0 else [-v for v in g])
+        dc = _deriv(c)
+    q = next(q for q in primes_stream(3) if c[-1] % q and _squarefree_mod(c, dc, q))
+    return c, dc, q
 
 
 def _cauchy_bound(c: list[int]) -> int:
@@ -206,14 +203,6 @@ def _eval_mod(c: list[int], x: int, m: int) -> int:
     for v in reversed(c):
         acc = (acc * x + v) % m
     return acc
-
-
-def _lifting_prime(c: list[int], dc: list[int]) -> int:
-    """First odd prime q not dividing lc(c) with c mod q square-free (dc = c');
-    one exists for square-free c, as the bad primes divide lc(c) * disc(c)."""
-    for q in primes_stream(3):
-        if c[-1] % q and _squarefree_mod(c, dc, q):
-            return q
 
 
 # ---------------------------------------------------------------------------
@@ -288,17 +277,17 @@ def sturm_count(p: RatPolynomial, lo, hi) -> int:
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
         raise ValueError("need lo < hi")
-    c = _squarefree(_to_int(p))
-    return _count(_chain(c, _deriv(c)), lo, hi)
+    c, dc, _ = _squarefree(_to_int(p))
+    return _count(_chain(c, dc), lo, hi)
 
 
 def count_real_roots(p: RatPolynomial) -> int:
     """Number of distinct real roots of p over the whole real line."""
     if p.is_zero:
         raise ValueError("zero polynomial")
-    c = _squarefree(_to_int(p))
+    c, dc, _ = _squarefree(_to_int(p))
     bound = Fraction(_cauchy_bound(c))
-    return _count(_chain(c, _deriv(c)), -bound, bound)
+    return _count(_chain(c, dc), -bound, bound)
 
 
 def isolate_roots(p: RatPolynomial) -> list[IsolatedRoot]:
@@ -309,13 +298,13 @@ def isolate_roots(p: RatPolynomial) -> list[IsolatedRoot]:
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
-    c = _squarefree(_to_int(p))
+    c, dc, _ = _squarefree(_to_int(p))
     if len(c) <= 1:
         return []
     defining = tuple(c)
     if len(c) == 2:
         return [IsolatedRoot(defining, Fraction(-c[0], c[1]), Fraction(-c[0], c[1]))]
-    chain = _chain(c, _deriv(c))
+    chain = _chain(c, dc)
     bound = _cauchy_bound(c)
 
     def var(x: Fraction) -> int:
@@ -381,9 +370,7 @@ def integer_solutions(p: RatPolynomial, v) -> list[int]:
     """
     if not p.degree >= 1:
         raise ValueError("p must be nonconstant")
-    c = _squarefree(_to_int(p - Fraction(v)))
-    dc = _deriv(c)
-    q = _lifting_prime(c, dc)
+    c, dc, q = _squarefree(_to_int(p - Fraction(v)))
     limit = 2 * _cauchy_bound(c)
     out = []
     for r in range(q):
@@ -411,20 +398,25 @@ def sign_at(q: RatPolynomial, r: IsolatedRoot) -> int:
     return _count(_chain(p, _mul(_deriv(p), _to_int(q))), r.lo, r.hi)
 
 
-def _separate(roots: list[IsolatedRoot]) -> list[IsolatedRoot]:
-    """Refine a family of roots of distinct reals until pairwise disjoint."""
-    roots = sorted(roots, key=lambda r: (r.lo, r.hi))
+def _separate(entries: list[tuple[IsolatedRoot, object]]) -> list[tuple[IsolatedRoot, object]]:
+    """Refine (root, tag) pairs, the roots of distinct reals, until their
+    intervals are pairwise disjoint; ascending, each tag kept with its root."""
+
+    def key(e: tuple[IsolatedRoot, object]) -> tuple[Fraction, Fraction]:
+        return e[0].lo, e[0].hi
+
+    entries = sorted(entries, key=key)
     changed = True
     while changed:
         changed = False
-        for i in range(len(roots) - 1):
-            a, b = roots[i], roots[i + 1]
+        for i in range(len(entries) - 1):
+            (a, a_tag), (b, b_tag) = entries[i], entries[i + 1]
             if a.hi >= b.lo and not (a.is_exact and b.is_exact):
-                roots[i] = a.refine(a.width / 4) if not a.is_exact else a
-                roots[i + 1] = b.refine(b.width / 4) if not b.is_exact else b
+                entries[i] = a.refine(a.width / 4), a_tag
+                entries[i + 1] = b.refine(b.width / 4), b_tag
                 changed = True
-        roots.sort(key=lambda r: (r.lo, r.hi))
-    return roots
+        entries.sort(key=key)
+    return entries
 
 
 def sublevel_measure(p: RatPolynomial, K, tol) -> MeasureBracket:
@@ -442,7 +434,7 @@ def sublevel_measure(p: RatPolynomial, K, tol) -> MeasureBracket:
     boundary = isolate_roots(p - K) + isolate_roots(p + K)
     if not boundary:
         return MeasureBracket(Fraction(0), Fraction(0), tol)
-    boundary = _separate(boundary)
+    boundary = [r for r, _ in _separate([(r, None) for r in boundary])]
 
     def inside_between(i: int) -> bool:
         a, b = boundary[i], boundary[i + 1]

@@ -9,7 +9,7 @@ from primepoly.badpoints import (
     complex_counterexample,
 )
 from primepoly.poly import GaussianRational, QuadExtElement, evaluate, make_poly
-from primepoly.roots import sign_at
+from primepoly.roots import isolate_roots, sign_at
 
 from helpers import random_int_poly
 
@@ -54,6 +54,22 @@ def test_bad_points_merges_shared_real():
     for p in pts:
         assert sign_at(x2_minus_2, p.root) != 0   # not at +-sqrt(2)
         assert len(p.tags) == 1
+
+
+def test_bad_points_separates_overlapping_candidates_with_their_tags():
+    # g - 1 = 3x^2 - 3x - 4 and h - 1 = -3x^2 - 3x + 1 have their negative
+    # roots -0.758 and -1.264 in the same isolating interval (-3/2, -3/4);
+    # only refinement orders them, and each tag must follow its root
+    g, h = make_poly([-3, -3, 3]), make_poly([2, -3, -3])
+    first_g, first_h = isolate_roots(g - 1)[0], isolate_roots(h - 1)[0]
+    assert (first_g.lo, first_g.hi) == (first_h.lo, first_h.hi) == (F(-3, 2), F(-3, 4))
+    pts = bad_points(g, h)
+    assert [p.tags for p in pts] == [("h+",), ("g+",), ("h-",), ("g-",)]
+    at = {"g+": g - 1, "g-": g + 1, "h+": h - 1, "h-": h + 1}
+    for p in pts:
+        assert sign_at(at[p.primary_type], p.root) == 0
+    for a, b in zip(pts, pts[1:]):
+        assert a.root.hi < b.root.lo
 
 
 def test_block_report_quartic_pair():

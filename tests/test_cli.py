@@ -113,8 +113,11 @@ def _record() -> None:
             if got_code != code:
                 sys.exit(f"{name}: exit code {got_code}, expected {code}")
             (GOLDEN / f"{name}.{suffix}").write_text(out)
+            stderr = GOLDEN / f"{name}.{suffix}.stderr"
             if err:
-                (GOLDEN / f"{name}.{suffix}.stderr").write_text(err)
+                stderr.write_text(err)
+            else:
+                stderr.unlink(missing_ok=True)
 
 
 if __name__ == "__main__":

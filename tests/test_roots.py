@@ -11,7 +11,6 @@ from primepoly.poly import make_poly
 from primepoly.roots import (
     IsolatedRoot,
     _deriv,
-    _lifting_prime,
     _squarefree,
     _to_int,
     count_real_roots,
@@ -186,8 +185,8 @@ def test_integer_solutions_skips_primes_with_colliding_roots():
     # square-free part is not square-free modulo those primes
     p = make_poly([0, 1]) * make_poly([-105, 1]) * make_poly([1, 2])
     c = _to_int(p)
-    assert _lifting_prime(c, _deriv(c)) == 11
-    assert _squarefree(c) == c and _squarefree(_to_int(p ** 2)) == c
+    assert _squarefree(c) == (c, _deriv(c), 11)
+    assert _squarefree(_to_int(p ** 2)) == (c, _deriv(c), 11)
     assert integer_solutions(p, 0) == [0, 105] == sturm_integer_solutions(p, 0)
     assert integer_solutions(p ** 2 + 1, 1) == [0, 105]
 
@@ -335,4 +334,21 @@ def test_squarefree_matches_sympy(seed):
     want = [int(v) for v in reversed(part.all_coeffs())]
     if (want[-1] > 0) != (c[-1] > 0):
         want = [-v for v in want]
-    assert _squarefree(c) == want
+    assert _squarefree(c)[0] == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_squarefree_prime_is_first_not_dividing_lc_or_discriminant(seed):
+    # a^k * b with rational roots that often collide modulo small primes; for
+    # q not dividing lc(s), s mod q is square-free iff q does not divide
+    # disc(s) (sympy's Poly(..., modulus=q).is_sqf misjudges (x - 1)^3 mod 3)
+    rng = random.Random(seed)
+    a = random_rat_poly(rng, rng.randint(1, 3), 6)
+    b = make_poly([1])
+    for _ in range(rng.randint(0, 4)):
+        b = b * make_poly([rng.randint(-12, 12), rng.randint(1, 3)])
+    s, ds, q = _squarefree(_to_int(a ** rng.randint(2, 3) * b))
+    assert ds == _deriv(s)
+    disc = int(sympy.discriminant(sympy.Poly(list(reversed(s)), _X)))
+    assert q == next(p for p in sympy.primerange(3, 10 ** 6) if s[-1] % p and disc % p)
