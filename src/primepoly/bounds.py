@@ -261,15 +261,21 @@ def solve_constant(digits: int = 10) -> ConstantSolution:
 
 def _display_root(x, n: int) -> float:
     """x^(1/n) as a display float for rational x >= 0.  When x overflows a
-    float, x = m * 2^e with m in (1/2, 2) and the root is m^(1/n) * 2^(e/n),
-    finished by `math.ldexp`; inf when the root overflows too."""
+    float, x = m * 2^e with m in (1/2, 2), e = qn + r, and the root is
+    (m * 2^r)^(1/n) * 2^q, finished by `math.ldexp`; inf when the root
+    overflows too.  For r near 1024 m * 2^r itself overflows, and the root
+    is taken as m^(1/n) * 2^(r/n) instead (only there: it can differ in the
+    last bit)."""
     try:
         return float(x) ** (1.0 / n)
     except OverflowError:
         e = x.numerator.bit_length() - x.denominator.bit_length()
         q, r = divmod(e, n)
+        m = float(x / 2 ** e)
+        scaled = m * 2.0 ** r if r < 1024 else math.inf
+        root = scaled ** (1 / n) if scaled < math.inf else m ** (1 / n) * 2.0 ** (r / n)
         try:
-            return math.ldexp((float(x / 2 ** e) * 2.0 ** r) ** (1 / n), q)
+            return math.ldexp(root, q)
         except OverflowError:
             return math.inf
 

@@ -8,7 +8,8 @@ text with fixed key order, or a single JSON document under `--json`;
 identical command lines produce identical bytes.
 
 Exit codes: 0 success, 1 a theorem-backed property failed (a bug by
-definition), 2 malformed input, 3 search budget exhausted.
+definition), 2 malformed input, 3 a construction's search budget ran out
+(the report then names the anchors tried and the frontier |t| reached).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .bounds import (
 from .census import factored, level_census, prime_census
 from .constructions import (
     ConstructionCertificate,
-    SearchFrontier,
     build_n_plus_1,
     build_p_plus,
     fixed_example,
@@ -171,25 +171,23 @@ _FIXED_ALIASES = {
 def _cmd_construct(args) -> tuple[dict, int]:
     kind = args.kind
     if kind in _FIXED_ALIASES:
-        cert = fixed_example(_FIXED_ALIASES[kind])
-    elif kind in ("nplus1", "pplus", "nplus2") and args.n is None:
+        return _certificate_dict(fixed_example(_FIXED_ALIASES[kind])), EXIT_OK
+    if args.n is None:
         raise ValueError(f"construct {kind} requires --n")
-    elif kind == "nplus1":
-        cert = build_n_plus_1(args.n, t_max=args.tmax)
-    elif kind == "pplus":
-        cert = build_p_plus(args.n, t_max=args.tmax)
-    elif kind == "nplus2":
-        result = search_n_plus_2(args.n, b_scan_max=args.bmax, t_max=args.tmax)
-        if isinstance(result, SearchFrontier):
-            return {
-                "kind": "nplus2",
-                "outcome": "budget_exhausted",
-                "anchors_tried": list(result.anchors_tried),
-                "t_frontier": result.t_frontier,
-            }, EXIT_BUDGET
-        cert = result
-    else:
-        raise ValueError(f"unknown construction kind {kind!r}")
+    try:
+        if kind == "nplus1":
+            cert = build_n_plus_1(args.n, t_max=args.tmax)
+        elif kind == "pplus":
+            cert = build_p_plus(args.n, t_max=args.tmax)
+        else:
+            cert = search_n_plus_2(args.n, b_scan_max=args.bmax, t_max=args.tmax)
+    except BudgetExhausted as exc:
+        return {
+            "kind": kind,
+            "outcome": "budget_exhausted",
+            "anchors_tried": list(exc.anchors),
+            "t_frontier": exc.frontier,
+        }, EXIT_BUDGET
     return _certificate_dict(cert), EXIT_OK
 
 
@@ -229,6 +227,10 @@ def _cmd_constant(args) -> tuple[dict, int]:
 
 
 def _cmd_lemmas(args) -> tuple[dict, int]:
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
+    if args.kmax < 1:
+        raise ValueError("--kmax must be at least 1")
     rng = random.Random(args.seed)
     kmax, coord = args.kmax, args.coord
     violations: list[dict] = []
@@ -297,6 +299,8 @@ def _cmd_statement41(args) -> tuple[dict, int]:
     if args.random:
         if args.trials is None or args.seed is None:
             raise ValueError("--random requires --trials and --seed")
+        if args.trials < 1:
+            raise ValueError("--trials must be at least 1")
         rng = random.Random(args.seed)
         max_k = 0
         for _ in range(args.trials):
@@ -308,7 +312,7 @@ def _cmd_statement41(args) -> tuple[dict, int]:
         return {
             "trials": args.trials,
             "seed": args.seed,
-            "checked": max(args.trials, 0),
+            "checked": args.trials,
             "max_k": max_k,
             "violations": [],
             "pass": True,
@@ -420,9 +424,6 @@ def run(argv) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except BudgetExhausted as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except TheoremViolation as exc:
         print(f"THEOREM VIOLATION: {exc}", file=sys.stderr)
         return EXIT_VIOLATION

@@ -9,22 +9,32 @@ multiplier t makes f(1) and -f(-1) simultaneously prime.  The positive
 variant uses positive primes only and asks the value at 1 to be a
 positive prime.  The conditional n+2 search over one quadratic factor
 succeeds exactly when four specific progressions are simultaneously
-prime, so a miss within budget is reported as a frontier, not an error.
+prime.  All three scan one multiplier t with `_multiplier_poly`; when its
+budget runs out they raise BudgetExhausted carrying the anchors tried and
+the frontier |t| reached, an expected outcome rather than a fault.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from itertools import islice
+from typing import Optional
 
 from .census import Census, FactoredPolynomial, factored, prime_census
 from .errors import BudgetExhausted, TheoremViolation
-from .poly import RatPolynomial, X, evaluate, make_poly
+from .poly import X, evaluate, make_poly
 from .primes import find_multiplier, first_primes, is_prime, primes_stream
 
 H2 = make_poly([1, -3, 1])  # (x-1)(x-2) - 1, the quadratic with four unit values
 
-FIXED_KINDS = ("deg2", "deg3", "deg4_nplus4", "deg5_nplus3")
+# kind: (factors, claimed prime-value count)
+FIXED_EXAMPLES = {
+    "deg2": ((X, make_poly([-4, 1])), 4),
+    "deg3": ((H2, make_poly([-5, 1])), 5),
+    "deg4_nplus4": ((H2, make_poly([29, -11, 1])), 8),
+    "deg5_nplus3": ((H2, make_poly([-139, 83, -16, 1])), 8),  # H2 * (1 + (x-4)(x-5)(x-7))
+}
 
 
 @dataclass(frozen=True)
@@ -39,14 +49,6 @@ class ConstructionCertificate:
     claim: str                               # "P" or "Pplus"
     claimed: int
     census: Census
-
-
-@dataclass(frozen=True)
-class SearchFrontier:
-    """Negative (budget-bounded) outcome of the conditional n+2 search."""
-
-    anchors_tried: tuple[int, ...]
-    t_frontier: int
 
 
 def _certify(kind, f, anchors, hit_t, induced, claim, claimed) -> ConstructionCertificate:
@@ -64,21 +66,9 @@ def _certify(kind, f, anchors, hit_t, induced, claim, claimed) -> ConstructionCe
 
 def fixed_example(kind: str) -> ConstructionCertificate:
     """The four hard-coded extremal examples of degrees 2, 3, 4 and 5."""
-    if kind == "deg2":
-        factors = (X, make_poly([-4, 1]))
-        claimed = 4
-    elif kind == "deg3":
-        factors = (H2, make_poly([-5, 1]))
-        claimed = 5
-    elif kind == "deg4_nplus4":
-        factors = (H2, make_poly([29, -11, 1]))
-        claimed = 8
-    elif kind == "deg5_nplus3":
-        # second factor: 1 + (x-4)(x-5)(x-7)
-        factors = (H2, make_poly([-139, 83, -16, 1]))
-        claimed = 8
-    else:
-        raise ValueError(f"unknown fixed example {kind!r}; expected one of {FIXED_KINDS}")
+    if kind not in FIXED_EXAMPLES:
+        raise ValueError(f"unknown fixed example {kind!r}; expected one of {tuple(FIXED_EXAMPLES)}")
+    factors, claimed = FIXED_EXAMPLES[kind]
     return _certify(kind, factored(factors), (), None, (), "P", claimed)
 
 
@@ -121,41 +111,39 @@ def pairing_primes(n: int) -> list[int]:
     return out + tail
 
 
-def _anchor_product_poly(t: int, anchors) -> RatPolynomial:
-    g = make_poly([1])
-    for a in anchors:
-        g = g * make_poly([-a, 1])
-    return 1 + t * g
+def _multiplier_poly(anchors, points, positive: bool, t_max: int):
+    """The first hit of `find_multiplier` on M_i = prod(i - a) over the
+    anchors, one M_i per point i, and g = 1 + t*prod(x - a), so that
+    g(i) = 1 + t*M_i and g(a) = 1.  Raises BudgetExhausted with the
+    anchors and the frontier t_max when no |t| <= t_max works."""
+    Ms = [math.prod(i - a for a in anchors) for i in points]
+    try:
+        hit = find_multiplier(Ms, positive_required=positive, t_max=t_max)
+    except BudgetExhausted as exc:
+        raise BudgetExhausted(str(exc), frontier=t_max, anchors=anchors) from None
+    return hit, 1 + hit.t * math.prod(make_poly([-a, 1]) for a in anchors)
 
 
 def build_n_plus_1(n: int, t_max: int = 10 ** 6) -> ConstructionCertificate:
     """A degree-n polynomial x * (1 + t*(x-p_1)...(x-p_{n-1})) with at
     least n+1 prime values, unconditionally constructible for n >= 3."""
-    ps = pairing_primes(n)
-    pairing = check_pairing(ps)
-    if not pairing.equal:
+    ps = tuple(pairing_primes(n))
+    if not check_pairing(ps).equal:
         raise TheoremViolation("parity rule failed to balance the two products")
-    hit = find_multiplier([pairing.left], positive_required=False, t_max=t_max)
-    g = _anchor_product_poly(hit.t, ps)
-    f = factored((X, g))
+    hit, g = _multiplier_poly(ps, (1,), False, t_max)
     v = hit.verdicts[0]
     induced = ((v.value, v.status), (-v.value, v.status))  # f(1), f(-1)
-    return _certify("nplus1", f, tuple(ps), hit.t, induced, "P", n + 1)
+    return _certify("nplus1", factored((X, g)), ps, hit.t, induced, "P", n + 1)
 
 
 def build_p_plus(n: int, t_max: int = 10 ** 6) -> ConstructionCertificate:
     """A degree-n polynomial with exactly n positive prime values."""
     if n < 2:
         raise ValueError("need n >= 2")
-    ps = first_primes(n - 1)
-    M = 1
-    for p in ps:
-        M *= 1 - p
-    hit = find_multiplier([M], positive_required=True, t_max=t_max)
-    g = _anchor_product_poly(hit.t, ps)
-    f = factored((X, g))
+    ps = tuple(first_primes(n - 1))
+    hit, g = _multiplier_poly(ps, (1,), True, t_max)
     v = hit.verdicts[0]
-    cert = _certify("pplus", f, tuple(ps), hit.t, ((v.value, v.status),), "Pplus", n)
+    cert = _certify("pplus", factored((X, g)), ps, hit.t, ((v.value, v.status),), "Pplus", n)
     if cert.census.Pplus > n:
         raise TheoremViolation(
             f"Pplus={cert.census.Pplus} exceeds the degree-{n} ceiling"
@@ -174,35 +162,23 @@ def quadratic_anchor_points(limit: int):
                 yield b
 
 
-def search_n_plus_2(
-    n: int, b_scan_max: int = 200, t_max: int = 10 ** 6
-) -> Union[ConstructionCertificate, SearchFrontier]:
+def search_n_plus_2(n: int, b_scan_max: int = 200, t_max: int = 10 ** 6) -> ConstructionCertificate:
     """Best-effort search for a degree-n polynomial with n+2 prime values.
 
     Uses f = g * (x^2 - 3x + 1) with g = 1 + t*(x-b_1)...(x-b_{n-2});
     success needs |g(0)|, |g(1)|, |g(2)|, |g(3)| simultaneously prime,
     a prime-quadruple event, so running out of budget is a legitimate
-    outcome and is reported as a SearchFrontier.
+    outcome.  Raises BudgetExhausted with frontier 0 when fewer than n-2
+    anchors b have |b| <= b_scan_max, and with frontier t_max when no
+    multiplier is found.
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    bs: list[int] = []
-    for b in quadratic_anchor_points(b_scan_max):
-        bs.append(b)
-        if len(bs) == n - 2:
-            break
+    bs = tuple(islice(quadratic_anchor_points(b_scan_max), n - 2))
     if len(bs) < n - 2:
-        return SearchFrontier(anchors_tried=tuple(bs), t_frontier=0)
-    coeffs = []
-    for i in range(4):
-        prod = 1
-        for b in bs:
-            prod *= i - b
-        coeffs.append(prod)
-    try:
-        hit = find_multiplier(coeffs, positive_required=False, t_max=t_max)
-    except BudgetExhausted:
-        return SearchFrontier(anchors_tried=tuple(bs), t_frontier=t_max)
-    f = factored((_anchor_product_poly(hit.t, bs), H2))
+        raise BudgetExhausted(
+            f"only {len(bs)} of {n - 2} anchors have |b| <= {b_scan_max}", frontier=0, anchors=bs
+        )
+    hit, g = _multiplier_poly(bs, range(4), False, t_max)
     induced = tuple((v.value, v.status) for v in hit.verdicts)
-    return _certify("nplus2", f, tuple(bs), hit.t, induced, "P", n + 2)
+    return _certify("nplus2", factored((g, H2)), bs, hit.t, induced, "P", n + 2)

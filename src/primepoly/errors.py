@@ -2,11 +2,16 @@
 
 
 class BudgetExhausted(Exception):
-    """A bounded search ran out of budget before finding a hit."""
+    """A bounded search ran out of budget before finding a hit.
 
-    def __init__(self, message: str, frontier=None):
+    `frontier` is how far the search got (the last |t| scanned) and
+    `anchors` the integers it had pinned when it stopped.
+    """
+
+    def __init__(self, message: str, frontier=None, anchors=()):
         super().__init__(message)
         self.frontier = frontier
+        self.anchors = tuple(anchors)
 
 
 class TheoremViolation(Exception):

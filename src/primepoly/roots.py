@@ -262,7 +262,6 @@ class MeasureBracket:
 
     lower: Fraction
     upper: Fraction
-    tolerance: Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +432,7 @@ def sublevel_measure(p: RatPolynomial, K, tol) -> MeasureBracket:
         raise ValueError("K and tol must be positive")
     boundary = isolate_roots(p - K) + isolate_roots(p + K)
     if not boundary:
-        return MeasureBracket(Fraction(0), Fraction(0), tol)
+        return MeasureBracket(Fraction(0), Fraction(0))
     boundary = [r for r, _ in _separate([(r, None) for r in boundary])]
 
     def inside_between(i: int) -> bool:
@@ -443,7 +442,7 @@ def sublevel_measure(p: RatPolynomial, K, tol) -> MeasureBracket:
 
     contributing = [i for i in range(len(boundary) - 1) if inside_between(i)]
     if not contributing:
-        return MeasureBracket(Fraction(0), Fraction(0), tol)
+        return MeasureBracket(Fraction(0), Fraction(0))
     involved = sorted({i for i in contributing} | {i + 1 for i in contributing})
     target = tol / (2 * len(involved))
     for i in involved:
@@ -454,4 +453,4 @@ def sublevel_measure(p: RatPolynomial, K, tol) -> MeasureBracket:
         a, b = boundary[i], boundary[i + 1]
         lower += max(Fraction(0), b.lo - a.hi)
         upper += b.hi - a.lo
-    return MeasureBracket(lower, upper, tol)
+    return MeasureBracket(lower, upper)

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 
 from primepoly.bounds import (
@@ -15,7 +16,7 @@ from primepoly.bounds import (
     truncate_decimal,
     unbalanced_factorial_bound,
 )
-from primepoly.bounds import _ln_interval, _phi_interval, _rhs_interval
+from primepoly.bounds import _display_root, _ln_interval, _phi_interval, _rhs_interval
 from primepoly.poly import BinomialForm, from_binomial, make_poly
 
 from helpers import random_int_poly
@@ -145,6 +146,31 @@ def test_polya_random_suite():
         f = random_int_poly(rng, rng.randint(1, 6), 9)
         for K in (1, 2, 10):
             assert polya_measure_check(f, K).holds
+
+
+def test_display_root_of_floats_out_of_range():
+    # x = m * 2^e with e = q*n + r; r = e mod n reaches 1023 and beyond only for n >= 1024
+    assert _display_root(F(2 ** 1100 - 1), 1100) == 2.0
+    rng = random.Random(11)
+    cases = [(F(2 ** 1100 - 1), 1100), (F(3 * 2 ** 1022), 1024), (F(2 ** 3000 + 1, 3), 1500)]
+    for _ in range(300):
+        n = rng.choice([2, 3, 7, 1024, 1025, 2000, rng.randint(1, 3000)])
+        x = F(rng.getrandbits(rng.randint(1030, 6000)) | 1, rng.randint(1, 10 ** 6))
+        cases.append((x, n))
+    for x, n in cases:
+        got = _display_root(x, n)
+        with mpmath.workdps(40):
+            want = mpmath.root(mpmath.mpf(x.numerator) / x.denominator, n)
+        if want > mpmath.mpf(2) ** 1024:
+            assert got == math.inf
+            continue
+        assert math.isfinite(got)
+        assert abs(got - want) <= 4 * math.ulp(got)
+        # where m * 2^r fits a float the result is the one of that expression, bit for bit
+        e = x.numerator.bit_length() - x.denominator.bit_length()
+        q, r = divmod(e, n)
+        if r < 1024 and math.isfinite(scaled := float(x / 2 ** e) * 2.0 ** r):
+            assert got == math.ldexp(scaled ** (1 / n), q)
 
 
 def test_level_count_bound_examples():

@@ -38,14 +38,18 @@ CASES = [
     ("construct_nplus2_budget", ["construct", "nplus2", "--n", "12", "--tmax", "2"], EXIT_BUDGET),
     ("construct_nplus1_budget", ["construct", "nplus1", "--n", "20", "--tmax", "1"], EXIT_BUDGET),
     ("construct_pplus_budget", ["construct", "pplus", "--n", "20", "--tmax", "2"], EXIT_BUDGET),
+    ("construct_nplus2_shortfall", ["construct", "nplus2", "--n", "12", "--bmax", "3"], EXIT_BUDGET),
     ("exceptional_2_3", ["exceptional", "--degree", "2", "--bound", "3"], EXIT_OK),
     ("constant_50", ["constant", "--digits", "50"], EXIT_OK),
     ("lemmas_50_1", ["lemmas", "--trials", "50", "--seed", "1"], EXIT_OK),
+    ("lemmas_trials_negative", ["lemmas", "--trials", "-2", "--seed", "0"], EXIT_BAD_INPUT),
+    ("lemmas_kmax_0", ["lemmas", "--trials", "5", "--seed", "0", "--kmax", "0"], EXIT_BAD_INPUT),
     ("polya_integer", ["polya", "--poly=9,1,-6,-9,-6,-4,-3", "--K", "19"], EXIT_OK),
     ("polya_rational", ["polya", "--poly=1/3,0,-7/5,1/9", "--K", "5/2"], EXIT_OK),
     ("statement41_quartic", ["statement41", "--g=1,-3,1", "--h=29,-11,1"], EXIT_OK),
     ("statement41_irrational", ["statement41", "--g=-2,-4,3,1", "--h=-3,-2,2"], EXIT_OK),
     ("statement41_random", ["statement41", "--random", "--trials", "200", "--seed", "1"], EXIT_OK),
+    ("statement41_trials_negative", ["statement41", "--random", "--trials", "-3", "--seed", "1"], EXIT_BAD_INPUT),
     ("counterexample", ["counterexample"], EXIT_OK),
     ("bad_input", ["analyze", "--factors=1,x"], EXIT_BAD_INPUT),
 ]

@@ -4,7 +4,6 @@ from primepoly import primes
 from primepoly.census import prime_census
 from primepoly.constructions import (
     ConstructionCertificate,
-    SearchFrontier,
     build_n_plus_1,
     build_p_plus,
     check_pairing,
@@ -15,7 +14,7 @@ from primepoly.constructions import (
 )
 from primepoly.errors import BudgetExhausted
 from primepoly.poly import evaluate, make_poly
-from primepoly.primes import is_prime
+from primepoly.primes import first_primes, is_prime
 
 
 def test_fixed_examples():
@@ -101,6 +100,8 @@ def test_build_n_plus_1_anchor_values():
         assert evaluate(f, p) == p
     assert abs(evaluate(f, 1)) == abs(cert.induced[0][0])
     assert evaluate(f, 1) == -evaluate(f, -1)
+    (v, status), (w, status_w) = cert.induced
+    assert w == -v and status_w == status
 
 
 def test_build_p_plus_examples():
@@ -126,8 +127,15 @@ def test_build_p_plus_sandwich():
 
 
 def test_budget_exhaustion_propagates():
-    with pytest.raises(BudgetExhausted):
+    with pytest.raises(BudgetExhausted) as info:
         build_p_plus(6, t_max=2)
+    assert info.value.anchors == tuple(first_primes(5))
+    assert info.value.frontier == 2
+
+    with pytest.raises(BudgetExhausted) as info:
+        build_n_plus_1(20, t_max=1)
+    assert info.value.anchors == tuple(pairing_primes(20))
+    assert info.value.frontier == 1
 
 
 def test_quadratic_anchor_points():
@@ -169,8 +177,13 @@ def test_search_n_plus_2_fixed_scans_and_their_work(monkeypatch):
     assert len(calls) < 2000
 
 
-def test_search_n_plus_2_budget_returns_frontier():
-    result = search_n_plus_2(9, b_scan_max=60, t_max=1)
-    assert isinstance(result, SearchFrontier)
-    assert result.t_frontier == 1
-    assert len(result.anchors_tried) == 7
+def test_search_n_plus_2_budget_raises_frontier():
+    with pytest.raises(BudgetExhausted) as info:
+        search_n_plus_2(9, b_scan_max=60, t_max=1)
+    assert info.value.frontier == 1
+    assert info.value.anchors == tuple(quadratic_anchor_points(60))[:7]
+    # too few anchors: only -1, -2, -3 have |b| <= 3, and n = 12 needs ten
+    with pytest.raises(BudgetExhausted) as info:
+        search_n_plus_2(12, b_scan_max=3)
+    assert info.value.frontier == 0
+    assert info.value.anchors == (-1, -2, -3)
