@@ -177,7 +177,7 @@ def test_search_n_plus_2_fixed_scans_and_their_work(monkeypatch):
     assert len(calls) < 2000
 
 
-def test_search_n_plus_2_budget_raises_frontier():
+def test_search_n_plus_2_budget_returns_frontier():
     with pytest.raises(BudgetExhausted) as info:
         search_n_plus_2(9, b_scan_max=60, t_max=1)
     assert info.value.frontier == 1
