@@ -8,7 +8,10 @@ reported as `probable_prime`; no counterexample to BPSW is known.
 
 `find_multiplier` first clears every t with a prime q < 2,000 dividing
 1 + t*M (the sieve of Eratosthenes over arithmetic progressions), so
-only the survivors reach a primality test.
+only the survivors reach a primality test.  A survivor's values then
+pass one strong base-2 test each before any of them gets a full verdict:
+every prime passes it, so no hit is lost, and the verdicts come from
+`is_prime` as before.
 """
 
 from __future__ import annotations
@@ -173,36 +176,46 @@ def find_multiplier(Ms, positive_required: bool, t_max: int) -> ProgressionHit:
     q (for M = 2 the guard keeps t = 1, whose value is the prime 3).
     Only composites are cleared, so testing the survivors in scan order
     finds the same first t with the same verdicts.
+
+    A survivor's values, in the order of Ms, must each have |v| >= 2 and
+    pass the strong base-2 test before any reaches `is_prime`; the scan
+    moves on at the first that fails.  Every prime passes that test, so a
+    t it rejects has a composite, unit or zero value and is no hit; the
+    few composites it passes (strong pseudoprimes such as 2047) are
+    caught by `is_prime`, whose verdicts make up the hit.  Most t have a
+    composite next to a prime, so the Lucas part of BPSW runs on little
+    more than the hit's own values.
     """
     Ms = tuple(Ms)
     if not Ms or 0 in Ms:
         raise ValueError("need at least one M, each nonzero")
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
+    residues = [
+        (q, pow(M, -1, q))  # t = -inv (mod q) for t > 0, +inv for t < 0
+        for M in Ms
+        for q in takewhile(lambda q: q < abs(M) - 1, _SIEVE_PRIMES)
+        if M % q
+    ]
     for start in range(1, t_max + 1, _WINDOW):
         n = min(_WINDOW, t_max + 1 - start)
         pos, neg = bytearray([1]) * n, bytearray([1]) * n
-        for M in Ms:
-            for q in _SIEVE_PRIMES:
-                if q >= abs(M) - 1:
-                    break
-                if M % q:
-                    inv = pow(M, -1, q)  # t = -inv (mod q) for t > 0, +inv for t < 0
-                    for buf, r in ((pos, -inv), (neg, inv)):
-                        i = (r - start) % q
-                        buf[i::q] = bytes(len(range(i, n, q)))
+        for q, inv in residues:
+            for buf, r in ((pos, -inv), (neg, inv)):
+                i = (r - start) % q
+                buf[i::q] = bytes(len(range(i, n, q)))
         for i in range(n):
             for t, buf in ((start + i, pos), (-start - i, neg)):
                 if not buf[i]:
                     continue
-                verdicts = []
-                for M in Ms:
-                    value = 1 + t * M
-                    if positive_required and value <= 0 or not (v := is_prime(value)).is_prime:
-                        break
-                    verdicts.append(v)
-                else:
-                    return ProgressionHit(Ms, t, tuple(verdicts), positive_required)
+                values = [1 + t * M for M in Ms]
+                if positive_required and min(values) <= 0:
+                    continue
+                if not all(abs(v) >= 2 and _strong_probable_prime(abs(v), 2) for v in values):
+                    continue
+                verdicts = tuple(map(is_prime, values))
+                if all(v.is_prime for v in verdicts):
+                    return ProgressionHit(Ms, t, verdicts, positive_required)
     raise BudgetExhausted(
         f"no multiplier with |t| <= {t_max} makes 1 + t*{' and 1 + t*'.join(map(str, Ms))} prime",
         frontier=t_max,

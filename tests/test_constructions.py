@@ -1,6 +1,6 @@
 import pytest
 
-from primepoly import primes
+from primepoly import constructions, primes
 from primepoly.census import prime_census
 from primepoly.constructions import (
     ConstructionCertificate,
@@ -163,18 +163,46 @@ def test_search_n_plus_2_small_n():
 
 
 def test_search_n_plus_2_fixed_scans_and_their_work(monkeypatch):
+    # count, inside the multiplier scan only, the base-2 screens made
+    # outside `is_prime` and the values that reach `is_prime`
+    screens, verdicts, depth = [], [], {"scan": 0, "is_prime": 0}
+    strong, scan = primes._strong_probable_prime, constructions.find_multiplier
+
+    def counted_strong(n, base):
+        if depth["scan"] and not depth["is_prime"]:
+            screens.append((n, base))
+        return strong(n, base)
+
+    def counted_is_prime(n):
+        if depth["scan"]:
+            verdicts.append(n)
+        depth["is_prime"] += 1
+        try:
+            return is_prime(n)
+        finally:
+            depth["is_prime"] -= 1
+
+    def counted_scan(*args, **kwargs):
+        depth["scan"] += 1
+        try:
+            return scan(*args, **kwargs)
+        finally:
+            depth["scan"] -= 1
+
+    monkeypatch.setattr(primes, "_strong_probable_prime", counted_strong)
+    monkeypatch.setattr(primes, "is_prime", counted_is_prime)
+    monkeypatch.setattr(constructions, "find_multiplier", counted_scan)
     # both hits lie beyond the first sieve window of 4,096 values of |t|
-    assert search_n_plus_2(36).multiplier_t == 44812
-    calls = []
-
-    def counted(n):
-        calls.append(n)
-        return is_prime(n)
-
-    monkeypatch.setattr(primes, "is_prime", counted)
-    assert search_n_plus_2(30).multiplier_t == -12923
-    # the unsieved scan makes 28,213 tests here, the sieved one 1,169
-    assert len(calls) < 2000
+    for n, t in ((36, 44812), (30, -12923)):
+        screens.clear()
+        verdicts.clear()
+        cert = search_n_plus_2(n)
+        assert cert.multiplier_t == t
+        # only the hit's four values get a full primality verdict
+        assert verdicts == [v for v, _ in cert.induced]
+    assert {base for _, base in screens} == {2}
+    # the unsieved scan makes 28,213 tests here, the sieved one 1,169 screens
+    assert len(screens) < 2000
 
 
 def test_search_n_plus_2_budget_returns_frontier():

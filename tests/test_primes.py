@@ -5,16 +5,19 @@ from itertools import islice
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import unsieved_find_multiplier
+from primepoly import primes
 from primepoly.constructions import quadratic_anchor_points
 from primepoly.errors import BudgetExhausted
 from primepoly.primes import (
     STATUS_COMPOSITE,
     STATUS_PRIME,
     STATUS_PROBABLE,
+    ProgressionHit,
+    _strong_probable_prime,
     find_multiplier,
     first_primes,
     is_prime,
@@ -155,6 +158,63 @@ def test_find_multiplier_hit_at_window_edge(Ms, t):
         assert _scan_outcome(find_multiplier, Ms, False, t_max) == _scan_outcome(
             unsieved_find_multiplier, Ms, False, t_max
         )
+
+
+# the screen sees 1 + t*M; with M = v - 1 and t_max = 1 the scan tests v
+# at t = 1 (never 1 itself, which needs t*M = 0) and then 2 - v at t = -1
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.integers(-2, 3),
+        st.integers(-(97 ** 2), 97 ** 2),
+        st.integers(-(2 ** 64), 2 ** 64),
+        st.integers(2 ** 64, 2 ** 80),
+        st.integers(2 ** 64, 2 ** 80).map(operator.neg),
+        st.sampled_from([2 ** 89 - 1, -(2 ** 61 - 1), 2 ** 64 + 13, 2 ** 64 - 59, 97 ** 2 + 2]),
+    ).filter(lambda v: v != 1)
+)
+@example(0)
+@example(-1)
+@example(2)
+@example(-2)
+def test_multiplier_screen_never_rejects_a_prime(v):
+    outcome = _scan_outcome(find_multiplier, [v - 1], False, 1)
+    is_hit = isinstance(outcome, ProgressionHit) and outcome.t == 1
+    assert is_hit == sympy.isprime(abs(v))
+    if is_hit:
+        assert outcome.verdicts == (is_prime(v),)
+
+
+_STRONG_PSEUDOPRIMES_BASE_2 = (2047, 3277, 4033, 4681, 8321, 1093 ** 2, 3511 ** 2)
+
+
+@pytest.mark.parametrize("n", _STRONG_PSEUDOPRIMES_BASE_2)
+def test_strong_pseudoprimes_pass_the_screen_and_fail_is_prime(n):
+    assert _strong_probable_prime(n, 2) and not sympy.isprime(n)
+    assert is_prime(n).status == STATUS_COMPOSITE
+    assert is_prime(-n).status == STATUS_COMPOSITE
+
+
+def test_find_multiplier_past_a_pseudoprime_and_a_zero(monkeypatch):
+    reached = []
+
+    def counted(value):
+        reached.append(value)
+        return is_prime(value)
+
+    monkeypatch.setattr(primes, "is_prime", counted)
+    # 3511**2 = 1 + 1*M has no factor below 2,000: it survives the sieve
+    # and the screen, and only is_prime moves the scan on to t = -7
+    Ms = [3511 ** 2 - 1]
+    hit = find_multiplier(Ms, False, 100)
+    assert hit.t == -7
+    assert reached == [3511 ** 2, 1 - 7 * Ms[0]]
+    assert hit == unsieved_find_multiplier(Ms, False, 100)
+    # t = 1 gives -1 and t = -1 gives 0, neither of which may reach the
+    # strong test; t = 2 gives 3 and -3
+    hit = find_multiplier([1, -2], False, 10)
+    assert hit.t == 2
+    assert hit == unsieved_find_multiplier([1, -2], False, 10)
 
 
 def test_find_multiplier_budget_and_validation():
