@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .census import LevelCensus, level_census
-from .errors import TheoremViolation
-from .poly import BinomialForm, RatPolynomial, from_binomial, to_binomial
+from .poly import RatPolynomial, to_binomial
 from .roots import MeasureBracket, sublevel_measure
 
 # ---------------------------------------------------------------------------
@@ -325,28 +324,3 @@ def level_count_bound(f: RatPolynomial, S) -> LevelBoundCheck:
         holds = excess ** n <= 4 ** n * K * math.factorial(n)
     bound = n + 4.0 * _display_root(K * math.factorial(n), n)
     return LevelBoundCheck(census=cen, K=K, bound=bound, holds=holds)
-
-
-@dataclass(frozen=True)
-class BinomialFamily:
-    f: RatPolynomial
-    S: tuple[int, int]
-    census: LevelCensus
-
-
-def binomial_level_family(n: int, a: int, b: int) -> BinomialFamily:
-    """The even-degree family a*C(x,n) + b whose level count over
-    S = {b, a+b} reaches n+2 (witnesses 0..n-1, n, and -1)."""
-    if n < 2 or n % 2 != 0:
-        raise ValueError("n must be an even integer >= 2")
-    if a == 0:
-        raise ValueError("a must be nonzero")
-    coeffs = [Fraction(b)] + [Fraction(0)] * (n - 1) + [Fraction(a)]
-    f = from_binomial(BinomialForm(tuple(coeffs)))
-    S = (b, a + b)
-    cen = level_census(f, S)
-    if cen.count < n + 2:
-        raise TheoremViolation(
-            f"binomial family count {cen.count} below the guaranteed {n + 2}"
-        )
-    return BinomialFamily(f=f, S=S, census=cen)

@@ -1,64 +1,34 @@
 """The five polynomials with more unit values than their degree.
 
 Up to sign, reflection and integer translation, the only integer
-polynomials f with E(f) > deg f are the five listed in
-`dorwart_ore_list` (classified by Dorwart and Ore).  This module decides
-membership in that equivalence class by exact coefficient pinning and
-re-derives the classification at desk scale by exhaustive enumeration
-over bounded coefficient boxes.
+polynomials f with E(f) > deg f are the five in `_LIST_DATA` (Dorwart
+and Ore).  `equivalent_to_list` decides membership in that class by
+exact coefficient pinning.  `search_exceptional` re-derives the
+classification in a coefficient box from the window lemma: if
+E(f) > deg f, both unit fibers are nonempty (each has at most deg f
+points), and m - m' divides f(m) - f(m') = 2 for m in E+ and m' in E-,
+so every unit point lies in {a, ..., a+4} with a the least one.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .census import UnitFibers, unit_fibers
 from .errors import TheoremViolation
-from .poly import RatPolynomial, compose_affine, make_poly
-from .roots import integer_solutions
-
-
-@dataclass(frozen=True)
-class ListEntry:
-    index: int
-    polynomial: RatPolynomial
-    degree: int
-    expected_E: int
-    fibers: UnitFibers
-
+from .poly import ZERO, RatPolynomial, compose_affine, make_poly
 
 _LIST_DATA = (
-    # (index, ascending coefficients, E)
-    (1, (1, 3, -4, 1), 4),   # x(x-1)(x-3) + 1
-    (2, (1, -3, 1), 4),      # (x-1)(x-2) - 1
-    (3, (1, -4, 2), 3),      # 2x(x-2) + 1
-    (4, (-1, 2), 2),         # 2x - 1
-    (5, (-1, 1), 2),         # x - 1
+    # (index, ascending coefficients)
+    (1, (1, 3, -4, 1)),   # x(x-1)(x-3) + 1, E = 4
+    (2, (1, -3, 1)),      # (x-1)(x-2) - 1, E = 4
+    (3, (1, -4, 2)),      # 2x(x-2) + 1, E = 3
+    (4, (-1, 2)),         # 2x - 1, E = 2
+    (5, (-1, 1)),         # x - 1, E = 2
 )
-
-
-def dorwart_ore_list() -> tuple[ListEntry, ...]:
-    """The five exceptional polynomials, fibers re-verified on the spot."""
-    entries = []
-    for index, coeffs, expected in _LIST_DATA:
-        p = make_poly(coeffs)
-        fibers = unit_fibers(p)
-        if fibers.E != expected:
-            raise TheoremViolation(
-                f"list entry {index} has E={fibers.E}, expected {expected}"
-            )
-        entries.append(
-            ListEntry(
-                index=index,
-                polynomial=p,
-                degree=int(p.degree),
-                expected_E=expected,
-                fibers=fibers,
-            )
-        )
-    return tuple(entries)
 
 
 @dataclass(frozen=True)
@@ -82,7 +52,7 @@ def equivalent_to_list(f: RatPolynomial) -> Optional[Equivalence]:
     if f.degree not in (1, 2, 3):
         raise ValueError("only degrees 1 to 3 can be list-equivalent")
     n = int(f.degree)
-    for index, coeffs, _ in _LIST_DATA:
+    for index, coeffs in _LIST_DATA:
         h = make_poly(coeffs)
         if h.degree != n:
             continue
@@ -117,68 +87,61 @@ class SearchReport:
     hits: tuple[ExceptionalHit, ...]
 
 
-def search_exceptional(degree: int, coeff_bound: int) -> SearchReport:
-    """Enumerate integer polynomials of the given degree with coefficients
-    in [-coeff_bound, coeff_bound] and collect every f with E(f) > degree.
+def _interpolate(points: tuple[int, ...], values: tuple[int, ...]) -> RatPolynomial:
+    """The Lagrange interpolant of degree < len(points) through the pairs."""
+    h = ZERO
+    for t, v in zip(points, values):
+        term = make_poly([v])
+        for s in points:
+            if s != t:
+                term = term * make_poly([Fraction(-s, t - s), Fraction(1, t - s)])
+        h = h + term
+    return h
 
-    Degrees 1-3 attach the list equivalence of each hit (its absence
-    would disprove the classification, hence TheoremViolation); degree 4
-    is allowed for spot checks, where any hit at all is a violation.
+
+def search_exceptional(degree: int, coeff_bound: int) -> SearchReport:
+    """Every f of the given degree with integer coefficients in [-B, B]
+    (B = coeff_bound) and E(f) > degree, in the order (lead, c0, c1, ...).
+    `scanned` is the box size 2B(2B+1)^degree.
+
+    Each such f is h(x - a), with a its least unit point and h the exact
+    interpolant of +1/-1 values on degree + 1 points of {0, ..., 4}, 0
+    among them; h has integer coefficients and exact degree (one sign
+    throughout gives a constant).  Cauchy's bound on f - 1 and f + 1,
+    whose coefficients below the lead are at most B + 1 in absolute
+    value, gives |a| <= B + 1.  Degree 4 has no h: its lead would be the
+    4th difference over 4! = 24, and the 4th difference of +1/-1 values
+    is at most 1 + 4 + 6 + 4 + 1 = 16 in absolute value.
+
+    `unit_fibers` rechecks every hit: E <= degree, any degree-4 hit and a
+    hit outside the list classes raise TheoremViolation.
     """
     if degree < 1 or degree > 4:
         raise ValueError("degree must be between 1 and 4")
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be positive")
-    span = range(-coeff_bound, coeff_bound + 1)
+    found = set()
+    for rest in itertools.combinations(range(1, 5), degree):
+        for signs in itertools.product((1, -1), repeat=degree + 1):
+            h = _interpolate((0,) + rest, signs)
+            if h.degree != degree or any(c.denominator != 1 for c in h.coeffs):
+                continue
+            for a in range(-coeff_bound - 1, coeff_bound + 2):
+                f = compose_affine(h, 1, 1, -a)
+                if all(abs(c) <= coeff_bound for c in f.coeffs):
+                    found.add(f)
     hits = []
-    scanned = 0
-    for lead in span:
-        if lead == 0:
-            continue
-        for rest in itertools.product(span, repeat=degree):
-            coeffs = list(rest) + [lead]
-            scanned += 1
-            # parity screen: |f(m)| = 1 needs f(m) odd, and f(m) mod 2
-            # only depends on m mod 2
-            if coeffs[0] % 2 == 0 and sum(coeffs) % 2 == 0:
-                continue
-            f = make_poly(coeffs)
-            eplus = integer_solutions(f, 1)
-            if not eplus:
-                continue  # f = -1 has at most `degree` solutions, so E <= degree
-            eminus = integer_solutions(f, -1)
-            E = len(eplus) + len(eminus)
-            if E <= degree:
-                continue
-            fibers = UnitFibers(eplus=tuple(eplus), eminus=tuple(eminus))
-            if degree >= 4:
-                raise TheoremViolation(
-                    f"degree-{degree} polynomial {f} has E={E} > degree"
-                )
-            eq = equivalent_to_list(f)
-            if eq is None:
-                raise TheoremViolation(
-                    f"exceptional polynomial {f} (E={E}) is not list-equivalent"
-                )
-            hits.append(ExceptionalHit(polynomial=f, E=E, fibers=fibers, equivalence=eq))
-    return SearchReport(
-        degree=degree, coeff_bound=coeff_bound, scanned=scanned, hits=tuple(hits)
-    )
-
-
-def list_equivalent_candidates(degree: int, coeff_bound: int) -> list[RatPolynomial]:
-    """All polynomials in the coefficient box that are list-equivalent;
-    the oracle for the completeness direction of the search."""
-    out = set()
-    shift_limit = 3 * coeff_bound + 6
-    for index, coeffs, _ in _LIST_DATA:
-        h = make_poly(coeffs)
-        if h.degree != degree:
-            continue
-        for sigma in (1, -1):
-            for tau in (1, -1):
-                for a in range(-shift_limit, shift_limit + 1):
-                    cand = compose_affine(h, sigma, tau, a)
-                    if all(abs(c) <= coeff_bound for c in cand.coeffs):
-                        out.add(cand)
-    return sorted(out, key=lambda p: tuple(p.coeffs))
+    for f in sorted(found, key=lambda p: (p.coeffs[-1],) + p.coeffs[:-1]):
+        fibers = unit_fibers(f)
+        if fibers.E <= degree:
+            raise TheoremViolation(f"interpolated polynomial {f} has E={fibers.E} <= degree")
+        if degree >= 4:
+            raise TheoremViolation(f"degree-{degree} polynomial {f} has E={fibers.E} > degree")
+        eq = equivalent_to_list(f)
+        if eq is None:
+            raise TheoremViolation(
+                f"exceptional polynomial {f} (E={fibers.E}) is not list-equivalent"
+            )
+        hits.append(ExceptionalHit(polynomial=f, E=fibers.E, fibers=fibers, equivalence=eq))
+    scanned = 2 * coeff_bound * (2 * coeff_bound + 1) ** degree
+    return SearchReport(degree=degree, coeff_bound=coeff_bound, scanned=scanned, hits=tuple(hits))

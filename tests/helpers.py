@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
-from primepoly.errors import BudgetExhausted
-from primepoly.poly import RatPolynomial, make_poly
+from primepoly.census import UnitFibers
+from primepoly.errors import BudgetExhausted, TheoremViolation
+from primepoly.exceptional import _LIST_DATA, ExceptionalHit, SearchReport, equivalent_to_list
+from primepoly.poly import RatPolynomial, compose_affine, make_poly
 from primepoly.primes import ProgressionHit, is_prime
-from primepoly.roots import isolate_roots
+from primepoly.roots import integer_solutions, isolate_roots
 
 
 def random_int_poly(rng: random.Random, degree: int, bound: int) -> RatPolynomial:
@@ -74,3 +77,55 @@ def unsieved_find_multiplier(Ms, positive_required: bool, t_max: int) -> Progres
         f"no multiplier with |t| <= {t_max} makes 1 + t*{' and 1 + t*'.join(map(str, Ms))} prime",
         frontier=t_max,
     )
+
+
+def brute_search_exceptional(degree: int, coeff_bound: int) -> SearchReport:
+    """Reference for `search_exceptional`: scan every polynomial of the
+    coefficient box, lead outermost, and solve f = 1 and f = -1 for each
+    one that passes a parity screen."""
+    span = range(-coeff_bound, coeff_bound + 1)
+    hits = []
+    scanned = 0
+    for lead in span:
+        if lead == 0:
+            continue
+        for rest in itertools.product(span, repeat=degree):
+            coeffs = list(rest) + [lead]
+            scanned += 1
+            # |f(m)| = 1 needs f(m) odd, and f(m) mod 2 only depends on m mod 2
+            if coeffs[0] % 2 == 0 and sum(coeffs) % 2 == 0:
+                continue
+            f = make_poly(coeffs)
+            eplus = integer_solutions(f, 1)
+            if not eplus:
+                continue  # f = -1 has at most `degree` solutions, so E <= degree
+            eminus = integer_solutions(f, -1)
+            E = len(eplus) + len(eminus)
+            if E <= degree:
+                continue
+            if degree >= 4:
+                raise TheoremViolation(f"degree-{degree} polynomial {f} has E={E} > degree")
+            eq = equivalent_to_list(f)
+            if eq is None:
+                raise TheoremViolation(f"exceptional polynomial {f} (E={E}) is not list-equivalent")
+            fibers = UnitFibers(eplus=tuple(eplus), eminus=tuple(eminus))
+            hits.append(ExceptionalHit(polynomial=f, E=E, fibers=fibers, equivalence=eq))
+    return SearchReport(degree=degree, coeff_bound=coeff_bound, scanned=scanned, hits=tuple(hits))
+
+
+def list_equivalent_candidates(degree: int, coeff_bound: int) -> list[RatPolynomial]:
+    """All polynomials in the coefficient box that are list-equivalent;
+    the oracle for the completeness direction of the search."""
+    out = set()
+    shift_limit = 3 * coeff_bound + 6
+    for _, coeffs in _LIST_DATA:
+        h = make_poly(coeffs)
+        if h.degree != degree:
+            continue
+        for sigma in (1, -1):
+            for tau in (1, -1):
+                for a in range(-shift_limit, shift_limit + 1):
+                    cand = compose_affine(h, sigma, tau, a)
+                    if all(abs(c) <= coeff_bound for c in cand.coeffs):
+                        out.add(cand)
+    return sorted(out, key=lambda p: tuple(p.coeffs))

@@ -6,7 +6,6 @@ import mpmath
 import pytest
 
 from primepoly.bounds import (
-    binomial_level_family,
     cross_difference_bound,
     factorial_lower_bound,
     level_count_bound,
@@ -17,6 +16,7 @@ from primepoly.bounds import (
     unbalanced_factorial_bound,
 )
 from primepoly.bounds import _display_root, _ln_interval, _phi_interval, _rhs_interval
+from primepoly.census import level_census
 from primepoly.poly import BinomialForm, from_binomial, make_poly
 
 from helpers import random_int_poly
@@ -199,22 +199,15 @@ def test_level_count_bound_random_integer_valued():
 
 
 def test_binomial_family_examples():
-    fam = binomial_level_family(2, 1, 0)
-    assert fam.S == (0, 1)
-    assert fam.census.count == 4 and fam.census.witnesses == (-1, 0, 1, 2)
+    # a*C(x, n) + b over S = {b, a+b}: witnesses 0..n-1, n and -1, so the
+    # level count reaches n + 2 for every even n
+    def family(n, a, b):
+        f = from_binomial(BinomialForm((F(b),) + (F(0),) * (n - 1) + (F(a),)))
+        return level_census(f, (b, a + b))
 
-    fam = binomial_level_family(4, 1, 0)
-    assert fam.census.count >= 6
-    assert {-1, 0, 1, 2, 3, 4} <= set(fam.census.witnesses)
-
-    fam = binomial_level_family(2, 3, 5)
-    assert fam.S == (5, 8) and fam.census.count >= 4
-
+    cen = family(2, 1, 0)
+    assert cen.count == 4 and cen.witnesses == (-1, 0, 1, 2)
+    assert {-1, 0, 1, 2, 3, 4} <= set(family(4, 1, 0).witnesses)
     for n in (2, 4, 6, 8, 10):
-        fam = binomial_level_family(n, 1, 0)
-        assert fam.census.count >= n + 2
-
-    with pytest.raises(ValueError):
-        binomial_level_family(3, 1, 0)
-    with pytest.raises(ValueError):
-        binomial_level_family(4, 0, 1)
+        for a, b in ((1, 0), (3, 5)):
+            assert family(n, a, b).count >= n + 2

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from primepoly import cli
+from primepoly import cli, exceptional
 from primepoly.cli import EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_OK, EXIT_VIOLATION, run
 from primepoly.errors import TheoremViolation
 
@@ -28,6 +28,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = [
     ("analyze", ["analyze", "--factors=1,-3,1;-1,2"], EXIT_OK),
     ("levels", ["levels", "--poly=1,-3,1", "--set=-1,1,5,11"], EXIT_OK),
+    ("levels_binom", ["levels", "--poly=binom:3,0,0,0,2", "--set=3,5"], EXIT_OK),
     ("construct_deg2", ["construct", "deg2"], EXIT_OK),
     ("construct_deg3", ["construct", "deg3"], EXIT_OK),
     ("construct_deg4", ["construct", "deg4"], EXIT_OK),
@@ -40,6 +41,8 @@ CASES = [
     ("construct_pplus_budget", ["construct", "pplus", "--n", "20", "--tmax", "2"], EXIT_BUDGET),
     ("construct_nplus2_shortfall", ["construct", "nplus2", "--n", "12", "--bmax", "3"], EXIT_BUDGET),
     ("exceptional_2_3", ["exceptional", "--degree", "2", "--bound", "3"], EXIT_OK),
+    ("exceptional_3_5", ["exceptional", "--degree", "3", "--bound", "5"], EXIT_OK),
+    ("exceptional_4_2", ["exceptional", "--degree", "4", "--bound", "2"], EXIT_OK),
     ("constant_50", ["constant", "--digits", "50"], EXIT_OK),
     ("lemmas_50_1", ["lemmas", "--trials", "50", "--seed", "1"], EXIT_OK),
     ("lemmas_trials_negative", ["lemmas", "--trials", "-2", "--seed", "0"], EXIT_BAD_INPUT),
@@ -82,6 +85,14 @@ def test_cli_theorem_violation_exits_1(monkeypatch):
     code, out, err = _capture(["counterexample"])
     assert code == EXIT_VIOLATION
     assert out == "" and err == "THEOREM VIOLATION: injected\n"
+
+
+def test_cli_exceptional_unmatched_hit_exits_1(monkeypatch):
+    monkeypatch.setattr(exceptional, "equivalent_to_list", lambda f: None)
+    code, out, err = _capture(["exceptional", "--degree", "2", "--bound", "3"])
+    assert code == EXIT_VIOLATION
+    assert out == "" and err.startswith("THEOREM VIOLATION: exceptional polynomial ")
+    assert err.endswith(" is not list-equivalent\n")
 
 
 def test_cli_lemmas_large_kmax_has_no_traceback():

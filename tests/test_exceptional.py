@@ -3,25 +3,31 @@ import random
 import pytest
 
 from primepoly.census import unit_fibers
-from primepoly.exceptional import (
-    dorwart_ore_list,
-    equivalent_to_list,
-    list_equivalent_candidates,
-    search_exceptional,
-)
+from primepoly.exceptional import _LIST_DATA, equivalent_to_list, search_exceptional
 from primepoly.poly import compose_affine, make_poly
+
+from helpers import brute_search_exceptional, list_equivalent_candidates
+
+LIST = {index: make_poly(coeffs) for index, coeffs in _LIST_DATA}
 
 
 def test_list_entries_and_fibers():
-    entries = dorwart_ore_list()
-    assert [e.expected_E for e in entries] == [4, 4, 3, 2, 2]
-    assert [e.degree for e in entries] == [3, 2, 2, 1, 1]
-    by_index = {e.index: e for e in entries}
-    assert by_index[1].fibers.eplus == (0, 1, 3)
-    assert by_index[1].fibers.eminus == (2,)
-    assert by_index[3].fibers.eplus == (0, 2)
-    assert by_index[3].fibers.eminus == (1,)
-    assert by_index[2].fibers.E == 4
+    assert sorted(LIST) == [1, 2, 3, 4, 5]
+    fibers = {index: unit_fibers(p) for index, p in LIST.items()}
+    assert [fibers[i].E for i in range(1, 6)] == [4, 4, 3, 2, 2]
+    assert [LIST[i].degree for i in range(1, 6)] == [3, 2, 2, 1, 1]
+    assert fibers[1].eplus == (0, 1, 3)
+    assert fibers[1].eminus == (2,)
+    assert fibers[3].eplus == (0, 2)
+    assert fibers[3].eminus == (1,)
+    assert fibers[2].E == 4
+    # every entry is exceptional, and the search at bound 5 reaches
+    # exactly the entries of its degree
+    for degree, indices in ((1, {4, 5}), (2, {2, 3}), (3, {1})):
+        hits = search_exceptional(degree, 5).hits
+        assert {h.equivalence.index for h in hits} == indices
+        for i in indices:
+            assert LIST[i] in {h.polynomial for h in hits}
 
 
 def test_equivalent_to_list_examples():
@@ -38,18 +44,14 @@ def test_equivalent_to_list_examples():
 
 def test_equivalence_round_trip_random():
     rng = random.Random(31)
-    entries = dorwart_ore_list()
     for _ in range(120):
-        entry = rng.choice(entries)
+        entry = LIST[rng.randint(1, 5)]
         sigma, tau = rng.choice([1, -1]), rng.choice([1, -1])
         a = rng.randint(-50, 50)
-        image = compose_affine(entry.polynomial, sigma, tau, a)
+        image = compose_affine(entry, sigma, tau, a)
         eq = equivalent_to_list(image)
         assert eq is not None
-        rebuilt = compose_affine(
-            dorwart_ore_list()[eq.index - 1].polynomial, eq.sigma, eq.tau, eq.a
-        )
-        assert rebuilt == image
+        assert compose_affine(LIST[eq.index], eq.sigma, eq.tau, eq.a) == image
 
 
 def test_unit_count_invariant_under_transform_group():
@@ -95,6 +97,13 @@ def test_search_is_complete_for_list_equivalents():
         for cand in list_equivalent_candidates(degree, bound):
             assert cand in hit_polys
         assert len(hit_polys) == len(list_equivalent_candidates(degree, bound))
+
+
+@pytest.mark.parametrize(
+    "degree,bound", [(d, b) for d in (1, 2, 3) for b in range(1, 6)] + [(4, 1), (4, 2)]
+)
+def test_search_matches_box_scan(degree, bound):
+    assert search_exceptional(degree, bound) == brute_search_exceptional(degree, bound)
 
 
 def test_search_degree_3_small_bound_may_be_empty():
