@@ -43,18 +43,16 @@ class BadPoint:
 
 
 def bad_points(g: RatPolynomial, h: RatPolynomial) -> list[BadPoint]:
-    """Ascending bad points of the pair (g, h).
-
-    A real where two of g - 1, g + 1, h - 1, h + 1 vanish has f = +-1 and
-    fails the f > 1 filter, so the kept roots are pairwise distinct reals.
-    """
+    """Ascending bad points of the pair (g, h), with no product formed: at a
+    root of g - s (s = +-1), f - 1 = s*h - 1, and symmetrically for h.  A real
+    where two of g - 1, g + 1, h - 1, h + 1 vanish has f = +-1 and fails the
+    f > 1 filter, so the kept roots are pairwise distinct reals."""
     if not (g.degree >= 1 and h.degree >= 1):
         raise ValueError("both factors must be nonconstant")
-    f_minus_1 = g * h - 1
     kept = [
         (root, tag)
-        for tag, poly in zip(TAG_ORDER, (g - 1, g + 1, h - 1, h + 1))
-        for root in isolate_roots(poly)
+        for tag, unit, f_minus_1 in zip(TAG_ORDER, (g - 1, g + 1, h - 1, h + 1), (h - 1, -h - 1, g - 1, -g - 1))
+        for root in isolate_roots(unit)
         if sign_at(f_minus_1, root) == 1
     ]
     return [BadPoint(root=root, tags=(tag,)) for root, tag in _separate(kept)]

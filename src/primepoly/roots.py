@@ -4,15 +4,17 @@ Real roots come from Sturm sequences: rational polynomials are cleared to
 primitive integer coefficient lists, one signed remainder sequence
 `_chain(a, b)` uses primitive pseudo-remainders (no coefficient blowup, no
 floating point), and interval endpoints stay dyadic because every
-subdivision is a bisection.  They give counts of distinct real roots on an
-interval, root isolation with on-demand refinement, and two-sided brackets
-for the Lebesgue measure of {x : |p(x)| <= K}.  The exact sign of a
+subdivision is a bisection.  `_sturm(c)`, the chain of c and c' divided by
+gcd(c, c'), gives counts of distinct real roots on an interval, root
+isolation with on-demand refinement, and two-sided brackets for the
+Lebesgue measure of {x : |p(x)| <= K}.  The exact sign of a
 polynomial at an isolated algebraic point comes from one Sturm-Tarski query
 on the isolating interval, not from refining it.
 
 Complete integer solution sets of p(x) = v need no real roots: they come
 from p-adic lifting (Loos, "Computing rational zeros of integral polynomials
-by p-adic expansion", SIAM J. Comput. 1983), see `integer_solutions`.
+by p-adic expansion", SIAM J. Comput. 1983) from a prime at which every root
+of p - v is simple, see `integer_solutions`.
 """
 
 from __future__ import annotations
@@ -125,12 +127,12 @@ def _var_at(chain: list[list[int]], num: int, den: int) -> int:
 
 
 def _count(chain: list[list[int]], lo: Fraction, hi: Fraction) -> int:
-    """V(lo) - V(hi), lo < hi.  For _chain(c, c') it counts the distinct roots
-    in (lo, hi] of a square-free c, endpoints roots or not (at a simple root
-    x0, c takes the sign of c' just right of x0, so V(x0) = V(x0+)), and
-    without a root at lo or hi the distinct roots in (lo, hi) of any c.  For
-    _chain(p, p'q), neither end a root of p, it is the Tarski query: the sum
-    of sign q(x) over the roots x of p in (lo, hi) (Sturm-Tarski theorem)."""
+    """V(lo) - V(hi), lo < hi.  For _sturm(c) it counts the distinct roots of
+    c in (lo, hi], endpoints roots or not: at a root x0 of the head s the
+    second entry is nonzero and s has its sign just right of x0, so
+    V(x0) = V(x0+).  For _chain(p, p'q), p square-free and neither end a
+    root of p, it is the Tarski query: the sum of sign q(x) over the roots x
+    of p in (lo, hi) (Sturm-Tarski theorem)."""
     return _var_at(chain, lo.numerator, lo.denominator) - _var_at(chain, hi.numerator, hi.denominator)
 
 
@@ -143,8 +145,8 @@ def _mul(a: list[int], b: list[int]) -> list[int]:
 
 
 def _exact_div(a: list[int], b: list[int]) -> list[int]:
-    """Exact quotient a / b of primitive a and b with b | a; it lies in Z[x]
-    and is primitive by Gauss's lemma."""
+    """Exact quotient a / b for primitive b with b | a; it lies in Z[x] by
+    Gauss's lemma."""
     a = list(a)
     q = [0] * (len(a) - len(b) + 1)
     for shift in reversed(range(len(q))):
@@ -154,41 +156,16 @@ def _exact_div(a: list[int], b: list[int]) -> list[int]:
     return q
 
 
-def _gcd_mod(a: list[int], b: list[int], q: int) -> list[int]:
-    """A gcd of a and b in GF(q)[x], q prime (inputs reduced mod q)."""
-    while b:
-        inv = pow(b[-1], -1, q)
-        a = list(a)
-        while len(a) >= len(b):
-            coef = a[-1] * inv % q
-            shift = len(a) - len(b)
-            for i, bv in enumerate(b):
-                a[shift + i] = (a[shift + i] - coef * bv) % q
-            _strip(a)
-        a, b = b, a
-    return a
-
-
-def _squarefree_mod(c: list[int], dc: list[int], q: int) -> bool:
-    """Whether c mod q is square-free, for a prime q not dividing lc(c) (dc = c')."""
-    return len(_gcd_mod([v % q for v in c], _strip([v % q for v in dc]), q)) == 1
-
-
-def _squarefree(c: list[int]) -> tuple[list[int], list[int], int]:
-    """(s, s', q) for nonzero c: s is the square-free primitive part of c
-    with the sign of lc(c), and q the first odd prime not dividing lc(s) with
-    s mod q square-free; one exists, as the bad primes divide lc(s) * disc(s)."""
-    c = _primitive(c)
-    dc = _deriv(c)
-    q = next(q for q in primes_stream(3) if c[-1] % q)
-    if len(c) <= 2 or _squarefree_mod(c, dc, q):
-        return c, dc, q  # linear c is square-free; a square factor would survive mod q
-    g = _primitive(_chain(c, dc)[-1])
-    if len(g) > 1:
-        c = _exact_div(c, g if g[-1] > 0 else [-v for v in g])
-        dc = _deriv(c)
-    q = next(q for q in primes_stream(3) if c[-1] % q and _squarefree_mod(c, dc, q))
-    return c, dc, q
+def _sturm(c: list[int]) -> list[list[int]]:
+    """_chain(c, c') of primitive c, each entry divided exactly by the last
+    one, g = gcd(c, c') made primitive with a positive lead: a Sturm sequence
+    of its head, the square-free part of c with the sign of lc(c)
+    (Basu, Pollack and Roy, Algorithms in Real Algebraic Geometry, ch. 2)."""
+    chain = _chain(c, _deriv(c))
+    g = _primitive(chain[-1])
+    if g[-1] < 0:
+        g = [-v for v in g]
+    return [_exact_div(e, g) for e in chain]
 
 
 def _cauchy_bound(c: list[int]) -> int:
@@ -276,17 +253,16 @@ def sturm_count(p: RatPolynomial, lo, hi) -> int:
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
         raise ValueError("need lo < hi")
-    c, dc, _ = _squarefree(_to_int(p))
-    return _count(_chain(c, dc), lo, hi)
+    return _count(_sturm(_to_int(p)), lo, hi)
 
 
 def count_real_roots(p: RatPolynomial) -> int:
     """Number of distinct real roots of p over the whole real line."""
     if p.is_zero:
         raise ValueError("zero polynomial")
-    c, dc, _ = _squarefree(_to_int(p))
-    bound = Fraction(_cauchy_bound(c))
-    return _count(_chain(c, dc), -bound, bound)
+    chain = _sturm(_to_int(p))
+    bound = Fraction(_cauchy_bound(chain[0]))
+    return _count(chain, -bound, bound)
 
 
 def isolate_roots(p: RatPolynomial) -> list[IsolatedRoot]:
@@ -297,13 +273,13 @@ def isolate_roots(p: RatPolynomial) -> list[IsolatedRoot]:
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
-    c, dc, _ = _squarefree(_to_int(p))
+    chain = _sturm(_to_int(p))
+    c = chain[0]
     if len(c) <= 1:
         return []
     defining = tuple(c)
     if len(c) == 2:
         return [IsolatedRoot(defining, Fraction(-c[0], c[1]), Fraction(-c[0], c[1]))]
-    chain = _chain(c, dc)
     bound = _cauchy_bound(c)
 
     def var(x: Fraction) -> int:
@@ -358,23 +334,32 @@ def _refine_new(defining: IntCoeffs, lo: Fraction, hi: Fraction, width: Fraction
 def integer_solutions(p: RatPolynomial, v) -> list[int]:
     """All integers m with p(m) = v, ascending, by p-adic lifting (Loos 1983).
 
-    Let c be the square-free primitive part of p - v and q the first odd
-    prime not dividing lc(c) with c mod q square-free.  Each root of c mod q
-    is lifted by Newton steps r <- r - c(r)/c'(r) mod q^(2^k) until the
-    modulus exceeds 2B, with B = _cauchy_bound(c), and its symmetric residue
-    is kept if c vanishes there exactly.  Complete: an integer root z is a
-    simple root mod q, so its lift is unique and is z mod q^(2^k), and
-    |z| < B makes the symmetric residue z itself.  Nothing isolates real
-    roots or enumerates divisors, so huge coefficients are harmless.
+    Let c be the primitive part of p - v and q the first odd prime not
+    dividing lc(c) at which every root r of c mod q is simple, c'(r) != 0
+    mod q (c mod q need not be square-free).  Each r is lifted by Newton
+    steps r <- r - c(r)/c'(r) mod q^(2^k) until the modulus exceeds 2B,
+    B = _cauchy_bound(c), and its symmetric residue is kept if c vanishes
+    there exactly.  Complete: an integer root z is a simple root mod q, so
+    its lift is unique and is z mod q^(2^k), which is z as |z| < B.  The
+    search ends: a repeated root is a multiple root mod every q, so at the
+    first prime that fails c becomes its square-free part _sturm(c)[0], and
+    after that only the finitely many primes dividing lc(c) * disc(c) fail.
     """
     if not p.degree >= 1:
         raise ValueError("p must be nonconstant")
-    c, dc, q = _squarefree(_to_int(p - Fraction(v)))
+    c = _to_int(p - Fraction(v))
+    dc, reduced = _deriv(c), False
+    for q in primes_stream(3):
+        if c[-1] % q:
+            roots = [r for r in range(q) if _eval_mod(c, r, q) == 0]
+            if all(_eval_mod(dc, r, q) for r in roots):
+                break
+            if not reduced:
+                c, reduced = _sturm(c)[0], True
+                dc = _deriv(c)
     limit = 2 * _cauchy_bound(c)
     out = []
-    for r in range(q):
-        if _eval_mod(c, r, q):
-            continue
+    for r in roots:
         m = q
         while m <= limit:
             m *= m

@@ -7,12 +7,13 @@ import math
 import random
 from fractions import Fraction
 
+from primepoly.badpoints import TAG_ORDER, BadPoint
 from primepoly.census import UnitFibers
 from primepoly.errors import BudgetExhausted, TheoremViolation
 from primepoly.exceptional import _LIST_DATA, ExceptionalHit, SearchReport, equivalent_to_list
 from primepoly.poly import RatPolynomial, compose_affine, make_poly
 from primepoly.primes import ProgressionHit, is_prime
-from primepoly.roots import integer_solutions, isolate_roots
+from primepoly.roots import _separate, integer_solutions, isolate_roots, sign_at
 
 
 def random_int_poly(rng: random.Random, degree: int, bound: int) -> RatPolynomial:
@@ -57,6 +58,19 @@ def sturm_integer_solutions(p: RatPolynomial, v) -> list[int]:
                 out.add(m)
             m += 1
     return sorted(out)
+
+
+def product_bad_points(g: RatPolynomial, h: RatPolynomial) -> list[BadPoint]:
+    """Reference for `bad_points`: keep each root of g -+ 1 and h -+ 1 where
+    the product f = g*h exceeds 1, tested on f - 1 itself."""
+    f_minus_1 = g * h - 1
+    kept = [
+        (root, tag)
+        for tag, poly in zip(TAG_ORDER, (g - 1, g + 1, h - 1, h + 1))
+        for root in isolate_roots(poly)
+        if sign_at(f_minus_1, root) == 1
+    ]
+    return [BadPoint(root=root, tags=(tag,)) for root, tag in _separate(kept)]
 
 
 def unsieved_find_multiplier(Ms, positive_required: bool, t_max: int) -> ProgressionHit:

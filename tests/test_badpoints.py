@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primepoly.badpoints import (
     bad_points,
@@ -11,7 +13,7 @@ from primepoly.badpoints import (
 from primepoly.poly import GaussianRational, QuadExtElement, evaluate, make_poly
 from primepoly.roots import isolate_roots, sign_at
 
-from helpers import random_int_poly
+from helpers import product_bad_points, random_int_poly, random_rat_poly
 
 H2 = make_poly([1, -3, 1])
 
@@ -70,6 +72,16 @@ def test_bad_points_separates_overlapping_candidates_with_their_tags():
         assert sign_at(at[p.primary_type], p.root) == 0
     for a, b in zip(pts, pts[1:]):
         assert a.root.hi < b.root.lo
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from(["random", "h=g", "h=-g", "h=g+2"]))
+def test_bad_points_match_product_filter(seed, shape):
+    # h = g, -g and g + 2 put both factors at +-1 on the same reals
+    rng = random.Random(seed)
+    g = random_rat_poly(rng, rng.randint(1, 4), 5)
+    h = {"random": random_rat_poly(rng, rng.randint(1, 4), 5), "h=g": g, "h=-g": -g, "h=g+2": g + 2}[shape]
+    assert bad_points(g, h) == product_bad_points(g, h)
 
 
 def test_block_report_quartic_pair():

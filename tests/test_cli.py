@@ -29,6 +29,7 @@ CASES = [
     ("analyze", ["analyze", "--factors=1,-3,1;-1,2"], EXIT_OK),
     ("levels", ["levels", "--poly=1,-3,1", "--set=-1,1,5,11"], EXIT_OK),
     ("levels_binom", ["levels", "--poly=binom:3,0,0,0,2", "--set=3,5"], EXIT_OK),
+    ("levels_double_root", ["levels", "--poly=-4,12,-9,-2,3", "--set=-1,0,1,4"], EXIT_OK),
     ("construct_deg2", ["construct", "deg2"], EXIT_OK),
     ("construct_deg3", ["construct", "deg3"], EXIT_OK),
     ("construct_deg4", ["construct", "deg4"], EXIT_OK),
@@ -50,8 +51,10 @@ CASES = [
     ("lemmas_coord_2", ["lemmas", "--trials", "5", "--seed", "0", "--coord", "2"], EXIT_BAD_INPUT),
     ("polya_integer", ["polya", "--poly=9,1,-6,-9,-6,-4,-3", "--K", "19"], EXIT_OK),
     ("polya_rational", ["polya", "--poly=1/3,0,-7/5,1/9", "--K", "5/2"], EXIT_OK),
+    ("polya_double_root", ["polya", "--poly=1,-2,1", "--K", "3"], EXIT_OK),
     ("statement41_quartic", ["statement41", "--g=1,-3,1", "--h=29,-11,1"], EXIT_OK),
     ("statement41_irrational", ["statement41", "--g=-2,-4,3,1", "--h=-3,-2,2"], EXIT_OK),
+    ("statement41_shared_units", ["statement41", "--g=-1,0,1", "--h=-1,0,1"], EXIT_OK),
     ("statement41_random", ["statement41", "--random", "--trials", "200", "--seed", "1"], EXIT_OK),
     ("statement41_trials_negative", ["statement41", "--random", "--trials", "-3", "--seed", "1"], EXIT_BAD_INPUT),
     ("counterexample", ["counterexample"], EXIT_OK),

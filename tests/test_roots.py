@@ -3,15 +3,17 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from primepoly import roots
 from primepoly.constructions import build_n_plus_1
 from primepoly.poly import make_poly
 from primepoly.roots import (
     IsolatedRoot,
+    _chain,
     _deriv,
-    _squarefree,
+    _sturm,
     _to_int,
     count_real_roots,
     integer_solutions,
@@ -181,12 +183,9 @@ def test_integer_solutions_match_sturm_on_n_plus_1_fibers(n):
 
 
 def test_integer_solutions_skips_primes_with_colliding_roots():
-    # roots 0, 105 and -1/2: 0 and 105 collide mod 3, 5 and 7, so the
-    # square-free part is not square-free modulo those primes
+    # roots 0, 105 and -1/2: 0 and 105 collide mod 3, 5 and 7, so 0 is a
+    # multiple root modulo those primes and the lift starts at 11
     p = make_poly([0, 1]) * make_poly([-105, 1]) * make_poly([1, 2])
-    c = _to_int(p)
-    assert _squarefree(c) == (c, _deriv(c), 11)
-    assert _squarefree(_to_int(p ** 2)) == (c, _deriv(c), 11)
     assert integer_solutions(p, 0) == [0, 105] == sturm_integer_solutions(p, 0)
     assert integer_solutions(p ** 2 + 1, 1) == [0, 105]
 
@@ -284,8 +283,16 @@ def _factored_with_endpoints(draw):
     return p, min(lo, hi), max(lo, hi)
 
 
+_X1_SQ_X3 = make_poly([-1, 1]) ** 2 * make_poly([-3, 1])
+
+
 @settings(max_examples=200, deadline=None)
 @given(_factored_with_endpoints())
+@example((_X1_SQ_X3, F(0), F(1)))  # 1: the repeated root 1 as the right end
+@example((_X1_SQ_X3, F(1), F(3)))  # 1: the repeated root as the left end
+@example((_X1_SQ_X3, F(1), F(2)))  # 0
+@example((make_poly([-1, 1]) ** 3, F(0), F(1)))  # its chain ends at 3 (x - 1)^2
+@example((make_poly([1, 1]) ** 2 * make_poly([-2, 0, 1]) ** 2, F(-1), F(2)))
 def test_sturm_count_half_open_matches_sympy(case):
     p, lo, hi = case
     lo_s, hi_s = sympy.Rational(lo.numerator, lo.denominator), sympy.Rational(hi.numerator, hi.denominator)
@@ -324,9 +331,9 @@ def test_sign_at_matches_sympy(seed):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2 ** 32))
-def test_squarefree_matches_sympy(seed):
-    # a^2 * b always has a square factor, so `_squarefree` takes its gcd
-    # path; the result keeps the sign of c's leading coefficient
+def test_sturm_head_matches_sympy(seed):
+    # a^2 * b always has a square factor, so the head of `_sturm` is a proper
+    # quotient; it keeps the sign of c's leading coefficient
     rng = random.Random(seed)
     a = random_rat_poly(rng, rng.randint(1, 3), 6)
     c = _to_int(a ** 2 * random_rat_poly(rng, rng.randint(0, 3), 6))
@@ -334,21 +341,49 @@ def test_squarefree_matches_sympy(seed):
     want = [int(v) for v in reversed(part.all_coeffs())]
     if (want[-1] > 0) != (c[-1] > 0):
         want = [-v for v in want]
-    assert _squarefree(c)[0] == want
+    assert _sturm(c)[0] == want
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2 ** 32))
-def test_squarefree_prime_is_first_not_dividing_lc_or_discriminant(seed):
-    # a^k * b with rational roots that often collide modulo small primes; for
-    # q not dividing lc(s), s mod q is square-free iff q does not divide
-    # disc(s) (sympy's Poly(..., modulus=q).is_sqf misjudges (x - 1)^3 mod 3)
+@given(st.integers(0, 2 ** 32), st.integers(-20, 20), st.integers(2, 3), st.integers(-3, 3))
+def test_integer_solutions_with_repeated_integer_root_match_sympy(seed, z, j, v):
+    # (x - z)^j is a multiple root of c mod every prime, so the lifting
+    # prime is found only after c is replaced by its square-free part
     rng = random.Random(seed)
     a = random_rat_poly(rng, rng.randint(1, 3), 6)
     b = make_poly([1])
-    for _ in range(rng.randint(0, 4)):
+    for _ in range(rng.randint(0, 3)):
         b = b * make_poly([rng.randint(-12, 12), rng.randint(1, 3)])
-    s, ds, q = _squarefree(_to_int(a ** rng.randint(2, 3) * b))
-    assert ds == _deriv(s)
-    disc = int(sympy.discriminant(sympy.Poly(list(reversed(s)), _X)))
-    assert q == next(p for p in sympy.primerange(3, 10 ** 6) if s[-1] % p and disc % p)
+    p = a ** rng.randint(1, 3) * b * make_poly([-z, 1]) ** j + v
+    assert integer_solutions(p, v) == _sympy_integer_roots(p, v)
+
+
+def test_integer_solutions_first_prime_without_reduction(monkeypatch):
+    # x (x^2 + 1)^2 has the one root 0 mod 3, and it is simple there, so 3
+    # lifts although the polynomial has a repeated factor
+    def no_reduction(c):
+        raise AssertionError("reduced to the square-free part")
+
+    monkeypatch.setattr(roots, "_sturm", no_reduction)
+    assert integer_solutions(make_poly([0, 1]) * make_poly([1, 0, 1]) ** 2, 0) == [0]
+
+
+def test_sturm_divides_by_a_primitive_gcd():
+    # (x - 1)^3: the chain stops at c' = 3 (x - 1)^2, which is not primitive
+    c = _to_int(make_poly([-1, 1]) ** 3)
+    assert _chain(c, _deriv(c)) == [c, [3, -6, 3]]
+    assert _sturm(c) == [[-1, 1], [3]]
+    assert _sturm([1, 0, -1]) == [[1, 0, -1], [0, -2], [-1]]  # square-free: divided by 1
+
+
+def test_real_root_routines_search_no_prime(monkeypatch):
+    def no_primes(start=2):
+        raise AssertionError("prime search")
+
+    monkeypatch.setattr(roots, "primes_stream", no_primes)
+    p = make_poly([-1, 1]) ** 2 * make_poly([-2, 0, 1])
+    assert sturm_count(p, 0, 2) == 2
+    assert count_real_roots(p) == 3
+    found = isolate_roots(p)
+    assert len(found) == 3
+    assert [sign_at(make_poly([0, 1]), r) for r in found] == [-1, 1, 1]
