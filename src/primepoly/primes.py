@@ -6,19 +6,27 @@ Above 2**64 a Baillie-PSW combination (strong base-2 test plus a strong
 Lucas test with Selfridge parameters) is used and positives are honestly
 reported as `probable_prime`; no counterexample to BPSW is known.
 
-`find_multiplier` first clears every t with a prime q < 2,000 dividing
-1 + t*M (the sieve of Eratosthenes over arithmetic progressions), so
-only the survivors reach a primality test.  A survivor's values then
-pass one strong base-2 test each before any of them gets a full verdict:
-every prime passes it, so no hit is lost, and the verdicts come from
-`is_prime` as before.
+`find_multiplier` sieves |t| in windows that grow with the scan: each
+window clears every t with a small prime q dividing 1 + t*M (the sieve
+of Eratosthenes over arithmetic progressions), and a longer window
+sieves deeper, because the screens a sieving prime saves grow with the
+window's survivors while its cost per window stays fixed.  A survivor's
+values then pass one strong base-2 test each before any of them gets a
+full verdict: every prime passes it, so no hit is lost, and the
+verdicts come from `is_prime` as before.
+
+The small primes come from one sieve of Eratosthenes at import
+(`_SIEVE_PRIMES`); `primes_stream` yields from that table and tests
+each integer past its end.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice, takewhile
+from itertools import compress, islice
 
 from .errors import BudgetExhausted
 
@@ -28,7 +36,25 @@ _SMALL_PRIMES = (
 )
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _DETERMINISTIC_LIMIT = 1 << 64
-_WINDOW = 4096  # values of |t| sieved at once by find_multiplier
+# the windows of |t| in find_multiplier (`_windows`); _SIEVE_LIMIT is the
+# sieve bound of the longest window and the end of _SIEVE_PRIMES
+_FIRST_WINDOW = 256
+_WINDOW_GROWTH = 8
+_MAX_WINDOW = 1 << 15
+_SIEVE_LIMIT = 20480
+
+
+def _sieve_primes(limit: int) -> tuple[int, ...]:
+    """Primes below limit, by the sieve of Eratosthenes."""
+    flags = bytearray([1]) * limit
+    flags[:2] = bytes(2)
+    for p in range(2, math.isqrt(limit - 1) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    return tuple(i for i, flag in enumerate(flags) if flag)
+
+
+_SIEVE_PRIMES = _sieve_primes(_SIEVE_LIMIT)
 
 
 STATUS_PRIME = "prime"
@@ -161,6 +187,17 @@ class ProgressionHit:
     positive_required: bool
 
 
+def _windows(t_max: int):
+    """(first |t|, length, sieve bound) of each window of `find_multiplier`
+    up to |t| = t_max; the last window is cut at t_max, and its bound is
+    that of its full length."""
+    start, n = 1, _FIRST_WINDOW
+    while start <= t_max:
+        yield start, min(n, t_max + 1 - start), n * _SIEVE_LIMIT // _MAX_WINDOW
+        start += n
+        n = min(n * _WINDOW_GROWTH, _MAX_WINDOW)
+
+
 def find_multiplier(Ms, positive_required: bool, t_max: int) -> ProgressionHit:
     """Scan t = 1, -1, 2, -2, ... up to |t| = t_max for a t making 1 + t*M
     prime for every M in Ms at once.
@@ -169,13 +206,29 @@ def find_multiplier(Ms, positive_required: bool, t_max: int) -> ProgressionHit:
     with it, 1 + t*M itself must be a positive prime.  Raises
     BudgetExhausted if no multiplier up to t_max works.
 
-    |t| runs in windows of `_WINDOW` values, with one survivor flag per t
-    of each sign.  For each prime q < 2,000 not dividing M, the t with
-    t*M = -1 (mod q) are cleared, up to the first q >= |M| - 1: below it
-    |1 + t*M| >= |M| - 1 > q, so a cleared value is a proper multiple of
-    q (for M = 2 the guard keeps t = 1, whose value is the prime 3).
-    Only composites are cleared, so testing the survivors in scan order
-    finds the same first t with the same verdicts.
+    |t| runs in the windows of `_windows`, with one survivor flag per t of
+    each sign.  For each prime q below the window's sieve bound and not
+    dividing M, the t with t*M = -1 (mod q) are cleared, up to the first
+    q >= |M| - 1: below it |1 + t*M| >= |M| - 1 > q, so a cleared value
+    is a proper multiple of q (for M = 2 the guard keeps t = 1, whose
+    value is the prime 3).  Only composites are cleared, so testing the
+    survivors in scan order finds the same first t with the same
+    verdicts, whatever the windows and their bounds.
+
+    The windows are 256, 2,048, 16,384 and then 32,768 values long, and a
+    window of n values sieves with the primes below 5n/8 (160 up to
+    20,480).  A screen is one modular exponentiation on a 150-250-bit
+    value, 60-150 us on a 2-vCPU x86 machine with Python 3.11, while one
+    more sieving prime q costs each window two slice assignments, about
+    3 us, and each call one `pow(M, -1, q)` per M, about 1 us.  Among the
+    S survivors of a window, q clears about S/q per M, so it pays for
+    itself while S/q is above a few hundredths: depth pays in proportion
+    to S, and S grows with the window's length, so the bound does too.
+    The short first window keeps a scan that hits early (the `nplus1` and
+    `pplus` scans of n <= 40 end at |t| <= 53) as cheap as it can be; the
+    long ones serve the n+2 scans, which run to |t| in the tens of
+    thousands.  The residues of the primes a window adds are computed
+    once, when the bound first reaches them.
 
     A survivor's values, in the order of Ms, must each have |v| >= 2 and
     pass the strong base-2 test before any reaches `is_prime`; the scan
@@ -191,20 +244,22 @@ def find_multiplier(Ms, positive_required: bool, t_max: int) -> ProgressionHit:
         raise ValueError("need at least one M, each nonzero")
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
-    residues = [
-        (q, pow(M, -1, q))  # t = -inv (mod q) for t > 0, +inv for t < 0
-        for M in Ms
-        for q in takewhile(lambda q: q < abs(M) - 1, _SIEVE_PRIMES)
-        if M % q
-    ]
-    for start in range(1, t_max + 1, _WINDOW):
-        n = min(_WINDOW, t_max + 1 - start)
+    residues, depth = [], 0  # the sieve so far: the first `depth` of _SIEVE_PRIMES
+    for start, n, bound in _windows(t_max):
+        added = _SIEVE_PRIMES[depth : bisect_left(_SIEVE_PRIMES, bound)]
+        depth += len(added)
+        residues += [
+            (q, pow(M, -1, q))  # t = -inv (mod q) for t > 0, +inv for t < 0
+            for M in Ms
+            for q in added
+            if q < abs(M) - 1 and M % q
+        ]
         pos, neg = bytearray([1]) * n, bytearray([1]) * n
         for q, inv in residues:
             for buf, r in ((pos, -inv), (neg, inv)):
                 i = (r - start) % q
                 buf[i::q] = bytes(len(range(i, n, q)))
-        for i in range(n):
+        for i in compress(range(n), map(operator.or_, pos, neg)):
             for t, buf in ((start + i, pos), (-start - i, neg)):
                 if not buf[i]:
                     continue
@@ -223,19 +278,18 @@ def find_multiplier(Ms, positive_required: bool, t_max: int) -> ProgressionHit:
 
 
 def primes_stream(start: int = 2):
-    """Yield primes >= start in increasing order.
+    """Yield primes >= start in increasing order: from `_SIEVE_PRIMES`, and
+    past its end by testing each integer.
 
     Candidates go to `_classify` directly: `is_prime` is the entry point for
     testing values, and a scan for small primes is not one.
     """
-    n = max(2, start)
+    yield from islice(_SIEVE_PRIMES, bisect_left(_SIEVE_PRIMES, start), None)
+    n = max(_SIEVE_LIMIT, start)
     while True:
         if _classify(n)[0] != STATUS_COMPOSITE:
             yield n
         n += 1
-
-
-_SIEVE_PRIMES = tuple(takewhile(lambda p: p < 2000, primes_stream()))
 
 
 def first_primes(count: int) -> list[int]:

@@ -192,17 +192,19 @@ def test_search_n_plus_2_fixed_scans_and_their_work(monkeypatch):
     monkeypatch.setattr(primes, "_strong_probable_prime", counted_strong)
     monkeypatch.setattr(primes, "is_prime", counted_is_prime)
     monkeypatch.setattr(constructions, "find_multiplier", counted_scan)
-    # both hits lie beyond the first sieve window of 4,096 values of |t|
-    for n, t in ((36, 44812), (30, -12923)):
+    # both hits lie in the deep windows of the scan (|t| > 2,304); the
+    # sieve of primes below 2,000 in windows of 4,096 made 4,135 screens at
+    # n = 36 and 1,169 at n = 30 (the unsieved scan 28,213 tests at n = 30),
+    # the windows that grow with |t| make 1,983 and 798
+    for n, t, max_screens in ((36, 44812, 2000), (30, -12923, 800)):
         screens.clear()
         verdicts.clear()
         cert = search_n_plus_2(n)
         assert cert.multiplier_t == t
         # only the hit's four values get a full primality verdict
         assert verdicts == [v for v, _ in cert.induced]
-    assert {base for _, base in screens} == {2}
-    # the unsieved scan makes 28,213 tests here, the sieved one 1,169 screens
-    assert len(screens) < 2000
+        assert {base for _, base in screens} == {2}
+        assert len(screens) < max_screens
 
 
 def test_search_n_plus_2_budget_returns_frontier():

@@ -119,9 +119,19 @@ def _scan_outcome(scan, Ms, positive, t_max):
         return "budget", str(exc), exc.frontier
 
 
-# |M| <= 5 lets 1 + t*M equal a sieving prime; |t| is sieved in windows of
-# 4,096 values, so t_max = 4,095 cuts the first one short and 4,097 leaves
-# a second window of one value
+# |t| is sieved in the windows of `primes._windows`, each sieving deeper
+# than the one before until the bound stops rising; the edges are the first
+# and last t of each of the first three windows and each t where the sieve
+# bound rises, so a t_max at an edge ends a window exactly or leaves the
+# next one a single value
+_WINDOWS = list(islice(primes._windows(1 << 30), 6))
+_WINDOW_EDGES = sorted(
+    {edge for start, n, _ in _WINDOWS[:3] for edge in (start, start + n - 1)}
+    | {start for (start, _, bound), (_, _, before) in zip(_WINDOWS[1:], _WINDOWS) if bound > before}
+)
+
+# |M| <= 5 lets 1 + t*M equal a sieving prime; 4,095-4,097 were the edges
+# of the fixed windows of 4,096 values that the growing windows replaced
 _MULTIPLIERS = st.builds(
     operator.mul,
     st.sampled_from([1, -1]),
@@ -133,7 +143,7 @@ _MULTIPLIERS = st.builds(
 @given(
     st.lists(_MULTIPLIERS, min_size=1, max_size=4),
     st.booleans(),
-    st.sampled_from([1, 2, 60, 4095, 4096, 4097]),
+    st.sampled_from(sorted({1, 2, 60, 4095, 4096, 4097, *_WINDOW_EDGES})),
 )
 def test_find_multiplier_matches_unsieved_scan(Ms, positive, t_max):
     # ProgressionHit equality covers t and every verdict's value, status and method
@@ -157,6 +167,49 @@ def test_find_multiplier_hit_at_window_edge(Ms, t):
     for t_max in (4095, 4096, 4097):
         assert _scan_outcome(find_multiplier, Ms, False, t_max) == _scan_outcome(
             unsieved_find_multiplier, Ms, False, t_max
+        )
+
+
+def _first_hit_at(t: int) -> tuple[list[int], ProgressionHit]:
+    """Six Ms of 12-13 digits whose first hit in the scan order is t, and
+    that hit: each 1 + t*M is prime, and the Ms are drawn again until the
+    unsieved scan finds no earlier hit."""
+    rng = random.Random(t)
+    while True:
+        Ms = []
+        while len(Ms) < 6:
+            M = rng.choice([1, -1]) * rng.randrange(10 ** 11, 10 ** 13)
+            if sympy.isprime(abs(1 + t * M)):
+                Ms.append(M)
+        hit = unsieved_find_multiplier(Ms, False, abs(t))
+        if hit.t == t:
+            return Ms, hit
+
+
+def test_windows_tile_the_scan_and_deepen():
+    for t_max in (1, 255, 256, 257, 2304, 2305, 60000):
+        windows = list(primes._windows(t_max))
+        ends = [start + n for start, n, _ in windows]
+        assert [start for start, _, _ in windows] == [1] + ends[:-1] and ends[-1] == t_max + 1
+    # the first window is no longer and no deeper than the fixed sieve it
+    # replaced (4,096 values, q < 2,000), so a scan that hits early pays
+    # no more; the bound then rises to the end of the prime table
+    bounds = [bound for _, _, bound in _WINDOWS]
+    assert _WINDOWS[0][1] <= 4096 and bounds[0] <= 2000
+    assert bounds == sorted(bounds) and bounds[-1] == primes._SIEVE_LIMIT
+
+
+@pytest.mark.parametrize("t", [sign * edge for edge in _WINDOW_EDGES for sign in (1, -1)])
+def test_find_multiplier_hit_at_schedule_edge(t):
+    # |M| > 20,480, so every sieving prime of every window clears values;
+    # the hit is also the unsieved scan's at t_max = |t| + 1, as t comes
+    # before every t' with |t'| = |t| + 1
+    Ms, hit = _first_hit_at(t)
+    assert find_multiplier(Ms, False, abs(t)) == hit
+    assert find_multiplier(Ms, False, abs(t) + 1) == hit
+    if abs(t) > 1:
+        assert _scan_outcome(find_multiplier, Ms, False, abs(t) - 1) == _scan_outcome(
+            unsieved_find_multiplier, Ms, False, abs(t) - 1
         )
 
 
@@ -236,3 +289,16 @@ def test_first_primes():
     assert first_primes(3) == [2, 3, 5]
     with pytest.raises(ValueError):
         first_primes(0)
+
+
+def test_prime_table_and_stream_match_sympy():
+    # primes_stream yields from the import-time table, then tests each
+    # integer past its end
+    table, end = primes._SIEVE_PRIMES, primes._SIEVE_LIMIT
+    assert table == tuple(sympy.primerange(end))
+    reference = list(sympy.primerange(end + 2000))
+    for start in (-5, 0, 2, 3, table[-1] - 1, table[-1], table[-1] + 1, end - 1, end, end + 1, end + 1000):
+        expected = [p for p in reference if p >= start][:40]
+        assert list(islice(primes.primes_stream(start), 40)) == expected
+    for count in (1, len(table) - 1, len(table), len(table) + 1, len(table) + 40):
+        assert first_primes(count) == reference[:count]
