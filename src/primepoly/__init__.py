@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .errors import BudgetExhausted, TheoremViolation
 from .poly import (
-    BinomialForm,
     GaussianRational,
     QuadExtElement,
     RatPolynomial,
@@ -16,7 +15,6 @@ from .poly import (
     make_poly,
     parse_poly,
     scale_to_integer,
-    to_binomial,
 )
 from .primes import PrimalityVerdict, ProgressionHit, find_multiplier, first_primes, is_prime
 from .roots import (
@@ -33,7 +31,6 @@ from .roots import (
 __all__ = [
     "BudgetExhausted",
     "TheoremViolation",
-    "BinomialForm",
     "GaussianRational",
     "QuadExtElement",
     "RatPolynomial",
@@ -45,7 +42,6 @@ __all__ = [
     "make_poly",
     "parse_poly",
     "scale_to_integer",
-    "to_binomial",
     "PrimalityVerdict",
     "ProgressionHit",
     "find_multiplier",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .census import LevelCensus, level_census
-from .poly import RatPolynomial, to_binomial
+from .poly import RatPolynomial, is_integer_valued
 from .roots import MeasureBracket, sublevel_measure
 
 # ---------------------------------------------------------------------------
@@ -312,7 +312,7 @@ def level_count_bound(f: RatPolynomial, S) -> LevelBoundCheck:
 
     For K = 0 (S = {0}) the bound degenerates to n, the root count.
     """
-    if not to_binomial(f).is_integer_valued:
+    if not is_integer_valued(f):
         raise ValueError("f must be integer-valued")
     cen = level_census(f, S)
     n = int(f.degree)

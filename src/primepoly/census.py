@@ -111,8 +111,7 @@ def prime_census(f: FactoredPolynomial) -> Census:
     fibers = tuple(unit_fibers(g) for g in f.factors)
     candidates = sorted({m for fib in fibers for m in fib.eplus + fib.eminus})
 
-    scaled, denom = scale_to_integer(f.product)
-    int_coeffs = [int(c) for c in scaled.coeffs]
+    int_coeffs, denom = scale_to_integer(f.product)
 
     witnesses = []
     pplus = 0

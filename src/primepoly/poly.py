@@ -1,10 +1,12 @@
 """Exact dense polynomial arithmetic over the rationals.
 
 Polynomials are stored densely by ascending degree with `Fraction`
-coefficients.  Besides ring arithmetic the module provides the binomial
-(falling-factorial) basis with its integer-valuedness test, denominator
-clearing, affine substitution, and exact evaluation over the rationals
-and the quadratic extensions Q(sqrt(d)), the Gaussian rationals among them.
+coefficients.  Besides ring arithmetic the module provides the one
+denominator-clearing routine `scale_to_integer`, the binomial
+(falling-factorial) basis, the integer-valuedness test by the values
+p(0), ..., p(deg p), affine substitution, and exact evaluation over the
+rationals and the quadratic extensions Q(sqrt(d)), the Gaussian rationals
+among them.
 """
 
 from __future__ import annotations
@@ -149,32 +151,16 @@ def compose_affine(p: RatPolynomial, sigma: int, tau: int, a: int) -> RatPolynom
     return sigma * result
 
 
-def scale_to_integer(p: RatPolynomial) -> tuple[RatPolynomial, int]:
-    """Return (D*p, D) where D is the least common denominator of p.
-
-    D*p has integer coefficients and D is minimal positive with that
-    property.  Rejects the zero polynomial.
-    """
-    if p.is_zero:
-        raise ValueError("zero polynomial has no canonical integer scaling")
-    d = math.lcm(*(c.denominator for c in p.coeffs))
-    return RatPolynomial(tuple(c * d for c in p.coeffs)), d
+def scale_to_integer(p: RatPolynomial) -> tuple[list[int], int]:
+    """Return (c, d): d is the least common denominator of p's coefficients
+    and c the ascending integer coefficients of d*p; ([], 1) for p = 0."""
+    d = math.lcm(*(v.denominator for v in p.coeffs))
+    return [v.numerator * (d // v.denominator) for v in p.coeffs], d
 
 
 # ---------------------------------------------------------------------------
 # Binomial (falling-factorial) basis
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BinomialForm:
-    """Coefficients c_k of f(x) = sum c_k * C(x, k)."""
-
-    coeffs: tuple[Fraction, ...]
-
-    @property
-    def is_integer_valued(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
 
 
 def binomial_basis_poly(k: int) -> RatPolynomial:
@@ -185,36 +171,21 @@ def binomial_basis_poly(k: int) -> RatPolynomial:
     return RatPolynomial(tuple(c / math.factorial(k) for c in p.coeffs))
 
 
-def to_binomial(p: RatPolynomial) -> BinomialForm:
-    """Exact change of basis from powers of x to C(x, k).
-
-    Solves the triangular system given by the values p(0), ..., p(n):
-    p(m) = sum_{k<=m} c_k C(m, k), so c_m = p(m) - sum_{k<m} c_k C(m, k).
-    """
-    if p.is_zero:
-        return BinomialForm(())
-    n = len(p.coeffs) - 1
-    cs: list[Fraction] = []
-    for m in range(n + 1):
-        acc = evaluate(p, m)
-        for k in range(m):
-            acc -= cs[k] * math.comb(m, k)
-        cs.append(acc)
-    return BinomialForm(tuple(cs))
-
-
-def from_binomial(b: BinomialForm) -> RatPolynomial:
-    """Inverse of `to_binomial`."""
+def from_binomial(coeffs: Sequence[RationalLike]) -> RatPolynomial:
+    """The polynomial sum c_k * C(x, k) of ascending coefficients c_k."""
     result = ZERO
-    for k, c in enumerate(b.coeffs):
+    for k, c in enumerate(coeffs):
         if c != 0:
             result = result + c * binomial_basis_poly(k)
     return result
 
 
 def is_integer_valued(p: RatPolynomial) -> bool:
-    """True iff p maps every integer to an integer."""
-    return to_binomial(p).is_integer_valued
+    """True iff p maps every integer to an integer: the binomial-basis
+    coefficients of p are the finite differences of p(0), ..., p(deg p)
+    (Polya), so they are integers exactly when these values are."""
+    c, d = scale_to_integer(p)
+    return all(eval_int_scaled(c, m) % d == 0 for m in range(len(c)))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +323,7 @@ def parse_poly(text: str) -> RatPolynomial:
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad polynomial {text!r}: {exc}") from None
     if binom:
-        return from_binomial(BinomialForm(coeffs))
+        return from_binomial(coeffs)
     return RatPolynomial(coeffs)
 
 

@@ -30,11 +30,6 @@ from itertools import compress, islice
 
 from .errors import BudgetExhausted
 
-_SMALL_PRIMES = (
-    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
-    71, 73, 79, 83, 89, 97,
-)
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _DETERMINISTIC_LIMIT = 1 << 64
 # the windows of |t| in find_multiplier (`_windows`); _SIEVE_LIMIT is the
 # sieve bound of the longest window and the end of _SIEVE_PRIMES
@@ -55,6 +50,8 @@ def _sieve_primes(limit: int) -> tuple[int, ...]:
 
 
 _SIEVE_PRIMES = _sieve_primes(_SIEVE_LIMIT)
+_SMALL_PRIMES = _SIEVE_PRIMES[:25]  # trial division: the primes below 100
+_MR_WITNESSES = _SIEVE_PRIMES[:12]  # 2, ..., 37: deterministic below 2**64
 
 
 STATUS_PRIME = "prime"

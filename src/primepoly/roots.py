@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import RatPolynomial, eval_int_scaled, evaluate
+from .poly import RatPolynomial, eval_int_scaled, evaluate, scale_to_integer
 from .primes import primes_stream
 
 IntCoeffs = tuple[int, ...]
@@ -48,8 +48,7 @@ def _primitive(c: list[int]) -> list[int]:
 
 def _to_int(p: RatPolynomial) -> list[int]:
     """Primitive integer coefficients of a positive multiple of p ([] for 0)."""
-    d = math.lcm(*(v.denominator for v in p.coeffs))
-    return _primitive([v.numerator * (d // v.denominator) for v in p.coeffs])
+    return _primitive(scale_to_integer(p)[0])
 
 
 def _deriv(c: list[int]) -> list[int]:

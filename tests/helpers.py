@@ -34,6 +34,17 @@ def random_rat_poly(rng: random.Random, degree: int, bound: int) -> RatPolynomia
     return make_poly([rat() for _ in range(degree)] + [lead])
 
 
+def binomial_coefficients(p: RatPolynomial) -> list[Fraction]:
+    """Reference for `is_integer_valued`: the coefficients c_k of
+    p = sum c_k C(x, k), by the triangular system of the values p(0), ...,
+    p(n): p(m) = sum_{k<=m} c_k C(m, k), so c_m = p(m) - sum_{k<m} c_k C(m, k).
+    p is integer-valued iff every c_k is an integer."""
+    cs: list[Fraction] = []
+    for m in range(len(p.coeffs)):
+        cs.append(p(m) - sum(c * math.comb(m, k) for k, c in enumerate(cs)))
+    return cs
+
+
 def brute_integer_solutions(p: RatPolynomial, v, limit: int) -> list[int]:
     """Oracle: scan |m| <= limit for p(m) = v."""
     target = Fraction(v)

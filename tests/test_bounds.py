@@ -17,7 +17,7 @@ from primepoly.bounds import (
 )
 from primepoly.bounds import _display_root, _ln_interval, _phi_interval, _rhs_interval
 from primepoly.census import level_census
-from primepoly.poly import BinomialForm, from_binomial, make_poly
+from primepoly.poly import from_binomial, make_poly
 
 from helpers import random_int_poly
 
@@ -193,7 +193,7 @@ def test_level_count_bound_random_integer_valued():
     for _ in range(60):
         deg = rng.randint(1, 6)
         coeffs = [rng.randint(-9, 9) for _ in range(deg)] + [rng.choice([1, -1, 2, -2, 3])]
-        f = from_binomial(BinomialForm(tuple(F(c) for c in coeffs)))
+        f = from_binomial(coeffs)
         S = {rng.randint(-10, 10) for _ in range(rng.randint(1, 5))}
         assert level_count_bound(f, S).holds
 
@@ -202,7 +202,7 @@ def test_binomial_family_examples():
     # a*C(x, n) + b over S = {b, a+b}: witnesses 0..n-1, n and -1, so the
     # level count reaches n + 2 for every even n
     def family(n, a, b):
-        f = from_binomial(BinomialForm((F(b),) + (F(0),) * (n - 1) + (F(a),)))
+        f = from_binomial([b] + [0] * (n - 1) + [a])
         return level_census(f, (b, a + b))
 
     cen = family(2, 1, 0)

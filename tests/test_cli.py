@@ -59,6 +59,8 @@ CASES = [
     ("statement41_trials_negative", ["statement41", "--random", "--trials", "-3", "--seed", "1"], EXIT_BAD_INPUT),
     ("counterexample", ["counterexample"], EXIT_OK),
     ("bad_input", ["analyze", "--factors=1,x"], EXIT_BAD_INPUT),
+    ("analyze_binom_denominator", ["analyze", "--factors=binom:2,0,-1;binom:1,-2"], EXIT_OK),
+    ("analyze_not_integer_valued", ["analyze", "--factors=0,1/2;0,2"], EXIT_BAD_INPUT),
 ]
 
 

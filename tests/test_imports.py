@@ -2,7 +2,7 @@
 and every module-level private name is referenced somewhere in primepoly.
 
 `__init__.py` is skipped by the import check: it imports names only to
-re-export them.
+re-export them, so its `__all__` must list exactly the names it imports.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+import primepoly
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "primepoly"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -57,3 +59,13 @@ def test_no_dead_private_names():
     defined = [(module, name) for module, tree in trees.items() for name in _private_definitions(tree)]
     assert defined
     assert [(module, name) for module, name in defined if name not in referenced] == []
+
+
+def test_all_lists_exactly_the_reexported_names():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = {
+        a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names
+    }
+    assert len(primepoly.__all__) == len(set(primepoly.__all__))
+    assert set(primepoly.__all__) == imported
+    assert all(hasattr(primepoly, name) for name in primepoly.__all__)

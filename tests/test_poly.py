@@ -4,7 +4,6 @@ from fractions import Fraction as F
 import pytest
 
 from primepoly.poly import (
-    BinomialForm,
     GaussianRational,
     QuadExtElement,
     RatPolynomial,
@@ -18,10 +17,9 @@ from primepoly.poly import (
     make_poly,
     parse_poly,
     scale_to_integer,
-    to_binomial,
 )
 
-from helpers import random_rat_poly
+from helpers import binomial_coefficients, random_rat_poly
 
 H2 = make_poly([1, -3, 1])
 
@@ -94,19 +92,20 @@ def test_quad_ext_sign():
         QuadExtElement(1, 1, -1).sign()  # the Gaussian rationals are not ordered
 
 
-def test_to_binomial_examples():
+def test_binomial_basis_examples():
     half = make_poly([0, F(-1, 2), F(1, 2)])  # x(x-1)/2
-    b = to_binomial(half)
-    assert b.coeffs == (F(0), F(0), F(1))
-    assert b.is_integer_valued
-
-    b = to_binomial(make_poly([0, F(1, 2)]))  # x/2
-    assert b.coeffs == (F(0), F(1, 2))
-    assert not b.is_integer_valued
-
-    b = to_binomial(H2)
-    assert b.coeffs == (F(1), F(-2), F(2))
-    assert b.is_integer_valued
+    x_half = make_poly([0, F(1, 2)])
+    for p, coeffs, integer_valued in (
+        (half, [0, 0, 1], True),
+        (x_half, [0, F(1, 2)], False),
+        (H2, [1, -2, 2], True),
+        (make_poly([]), [], True),
+        (make_poly([3]), [3], True),
+        (make_poly([F(1, 2)]), [F(1, 2)], False),
+    ):
+        assert from_binomial(coeffs) == p
+        assert binomial_coefficients(p) == coeffs
+        assert is_integer_valued(p) == integer_valued
     # independent identity: x^2 = 2*C(x,2) + C(x,1)
     cx2 = make_poly([0, F(-1, 2), F(1, 2)])
     cx1 = make_poly([0, 1])
@@ -117,30 +116,57 @@ def test_binomial_round_trip_random():
     rng = random.Random(101)
     for _ in range(60):
         p = random_rat_poly(rng, rng.randint(0, 8), 9)
-        assert from_binomial(to_binomial(p)) == p
+        coeffs = binomial_coefficients(p)
+        assert from_binomial(coeffs) == p
+        assert binomial_coefficients(from_binomial(coeffs)) == coeffs
+
+
+def _integer_valued_by_oracles(p) -> bool:
+    """Integer-valuedness by the binomial-basis oracle, checked against a
+    scan of the values on [-12, 12]."""
+    by_basis = all(c.denominator == 1 for c in binomial_coefficients(p))
+    by_scan = all(evaluate(p, m).denominator == 1 for m in range(-12, 13))
+    assert by_basis == by_scan
+    return by_basis
 
 
 def test_integer_valued_three_way_agreement():
     rng = random.Random(202)
     for _ in range(40):
         p = random_rat_poly(rng, rng.randint(1, 6), 6)
-        by_basis = is_integer_valued(p)
         deg = int(p.degree)
         by_values = all(evaluate(p, m).denominator == 1 for m in range(0, deg + 1))
-        by_all = all(evaluate(p, m).denominator == 1 for m in range(-12, 13))
-        assert by_basis == by_values == by_all
+        assert is_integer_valued(p) == by_values == _integer_valued_by_oracles(p)
+
+
+def test_integer_valued_from_binomial_integer_coefficients():
+    rng = random.Random(212)
+    for _ in range(40):
+        deg = rng.randint(1, 8)
+        coeffs = [rng.randint(-9, 9) for _ in range(deg)] + [rng.choice([1, -1, 2, 3])]
+        p = from_binomial(coeffs)
+        assert is_integer_valued(p) and _integer_valued_by_oracles(p)
+
+
+def test_integer_valued_near_miss_half_binomial():
+    # C(x, n)/2 vanishes at 0, ..., n-1 and equals 1/2 at n: every value
+    # check but the last one passes
+    for n in range(1, 7):
+        coeffs = [0] * n + [F(1, 2)]
+        p = from_binomial(coeffs)
+        assert not is_integer_valued(p) and not _integer_valued_by_oracles(p)
+        assert is_integer_valued(2 * p)
 
 
 def test_scale_to_integer():
     half = make_poly([0, F(-1, 2), F(1, 2)])
-    scaled, d = scale_to_integer(half)
-    assert d == 2 and scaled == make_poly([0, -1, 1])
-    scaled, d = scale_to_integer(H2)
-    assert d == 1 and scaled == H2
-    scaled, d = scale_to_integer(make_poly([F(1, 6), F(1, 3)]))
-    assert d == 6 and scaled == make_poly([1, 2])
-    with pytest.raises(ValueError):
-        scale_to_integer(make_poly([]))
+    assert scale_to_integer(half) == ([0, -1, 1], 2)
+    assert scale_to_integer(H2) == ([1, -3, 1], 1)
+    assert scale_to_integer(make_poly([F(1, 6), F(1, 3)])) == ([1, 2], 6)
+    assert scale_to_integer(make_poly([F(-3, 4), 0, F(5, 6)])) == ([-9, 0, 10], 12)
+    assert scale_to_integer(make_poly([])) == ([], 1)
+    c, _ = scale_to_integer(make_poly([F(1, 3), 2]))
+    assert all(type(v) is int for v in c)
 
 
 def test_scale_bound_for_integer_valued():
@@ -148,8 +174,8 @@ def test_scale_bound_for_integer_valued():
     rng = random.Random(303)
     for _ in range(30):
         deg = rng.randint(1, 6)
-        coeffs = [F(rng.randint(-9, 9)) for _ in range(deg)] + [F(rng.choice([1, 2, 3]))]
-        p = from_binomial(BinomialForm(tuple(coeffs)))
+        coeffs = [rng.randint(-9, 9) for _ in range(deg)] + [rng.choice([1, 2, 3])]
+        p = from_binomial(coeffs)
         _, d = scale_to_integer(p)
         assert math.factorial(int(p.degree)) % d == 0
 
@@ -192,8 +218,7 @@ def test_cross_representation_evaluation_agreement():
     rng = random.Random(606)
     for _ in range(25):
         p = random_rat_poly(rng, rng.randint(1, 6), 8)
-        scaled, d = scale_to_integer(p)
-        ints = [int(c) for c in scaled.coeffs]
+        ints, d = scale_to_integer(p)
         for m in range(-20, 21):
             direct = evaluate(p, m)
             via_int = F(sum(c * m ** i for i, c in enumerate(ints)), d)

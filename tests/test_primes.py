@@ -54,6 +54,15 @@ def test_mersenne_and_carmichael():
     assert is_prime(3215031751).status == STATUS_COMPOSITE
 
 
+def test_strong_pseudoprime_to_the_first_eleven_bases():
+    # 149491 * 747451 * 34233211 passes the strong test to every base
+    # 2, ..., 31 and fails only at 37, the twelfth witness
+    n = 3825123056546413051
+    assert all(_strong_probable_prime(n, a) for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31))
+    assert not _strong_probable_prime(n, 37)
+    assert is_prime(n).status == STATUS_COMPOSITE
+
+
 def test_status_above_deterministic_range():
     p = 2 ** 89 - 1  # Mersenne prime
     v = is_prime(p)
