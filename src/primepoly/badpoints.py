@@ -19,15 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import TheoremViolation
-from .poly import (
-    GaussianRational,
-    QuadExtElement,
-    RatPolynomial,
-    derivative,
-    evaluate,
-    make_poly,
-)
-from .roots import IsolatedRoot, _separate, count_real_roots, isolate_roots, sign_at
+from .poly import GaussianRational, QuadExtElement, RatPolynomial, evaluate, make_poly, scale_to_integer
+from .roots import IsolatedRoot, _count_roots, _deriv, _isolate, _plus, _primitive, _separate, _sign_at
 
 TAG_ORDER = ("g+", "g-", "h+", "h-")
 
@@ -46,14 +39,18 @@ def bad_points(g: RatPolynomial, h: RatPolynomial) -> list[BadPoint]:
     """Ascending bad points of the pair (g, h), with no product formed: at a
     root of g - s (s = +-1), f - 1 = s*h - 1, and symmetrically for h.  A real
     where two of g - 1, g + 1, h - 1, h + 1 vanish has f = +-1 and fails the
-    f > 1 filter, so the kept roots are pairwise distinct reals."""
+    f > 1 filter, so the kept roots are pairwise distinct reals.  g and h are
+    cleared once; every polynomial asked about is an integer list."""
     if not (g.degree >= 1 and h.degree >= 1):
         raise ValueError("both factors must be nonconstant")
+    (cg, dg), (ch, dh) = scale_to_integer(g), scale_to_integer(h)
+    g_minus, g_plus, h_minus, h_plus = _plus(cg, -dg), _plus(cg, dg), _plus(ch, -dh), _plus(ch, dh)
+    f_minus_1 = (h_minus, [-v for v in h_plus], g_minus, [-v for v in g_plus])
     kept = [
         (root, tag)
-        for tag, unit, f_minus_1 in zip(TAG_ORDER, (g - 1, g + 1, h - 1, h + 1), (h - 1, -h - 1, g - 1, -g - 1))
-        for root in isolate_roots(unit)
-        if sign_at(f_minus_1, root) == 1
+        for tag, unit, q in zip(TAG_ORDER, (g_minus, g_plus, h_minus, h_plus), f_minus_1)
+        for root in _isolate(unit)
+        if _sign_at(q, root) == 1
     ]
     return [BadPoint(root=root, tags=(tag,)) for root, tag in _separate(kept)]
 
@@ -102,8 +99,9 @@ def block_report(g: RatPolynomial, h: RatPolynomial) -> BlockReport:
         blocks.append(Block(type=types[i], start=i, end=j, central=(i > 0 and j < k - 1)))
         i = j + 1
 
-    droots_g = count_real_roots(derivative(g)) if g.degree >= 2 else 0
-    droots_h = count_real_roots(derivative(h)) if h.degree >= 2 else 0
+    droots_g, droots_h = (
+        _count_roots(_primitive(_deriv(scale_to_integer(p)[0]))) if p.degree >= 2 else 0 for p in (g, h)
+    )
     if droots_g + droots_h < k - 2:
         raise TheoremViolation(
             f"derivative root counts {droots_g}+{droots_h} below k-2 = {k - 2}"

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .poly import RatPolynomial, eval_int_scaled, is_integer_valued, scale_to_integer
 from .primes import is_prime
-from .roots import integer_solutions
+from .roots import _integer_roots, _plus, integer_solutions
 
 
 @dataclass(frozen=True)
@@ -151,8 +151,9 @@ def level_census(f: RatPolynomial, S) -> LevelCensus:
         raise ValueError("S must be nonempty")
     if not f.degree >= 1:
         raise ValueError("f must be nonconstant")
+    c, d = scale_to_integer(f)
     hits: set[int] = set()
     for s in targets:
-        hits.update(integer_solutions(f, s))
+        hits.update(_integer_roots(_plus(c, -s * d)))
     witnesses = tuple(sorted(hits))
     return LevelCensus(count=len(witnesses), witnesses=witnesses, targets=targets)

@@ -121,7 +121,10 @@ def _multiplier_poly(anchors, points, positive: bool, t_max: int):
         hit = find_multiplier(Ms, positive_required=positive, t_max=t_max)
     except BudgetExhausted as exc:
         raise BudgetExhausted(str(exc), frontier=t_max, anchors=anchors) from None
-    return hit, 1 + hit.t * math.prod(make_poly([-a, 1]) for a in anchors)
+    c = [1]  # prod(x - a), ascending integer coefficients
+    for a in anchors:
+        c = [u - a * v for u, v in zip([0] + c, c + [0])]
+    return hit, make_poly([1 + hit.t * c[0]] + [hit.t * v for v in c[1:]])
 
 
 def build_n_plus_1(n: int, t_max: int = 10 ** 6) -> ConstructionCertificate:

@@ -3,13 +3,15 @@
 Real roots come from Sturm sequences: rational polynomials are cleared to
 primitive integer coefficient lists, one signed remainder sequence
 `_chain(a, b)` uses primitive pseudo-remainders (no coefficient blowup, no
-floating point), and interval endpoints stay dyadic because every
-subdivision is a bisection.  `_sturm(c)`, the chain of c and c' divided by
-gcd(c, c'), gives counts of distinct real roots on an interval, root
-isolation with on-demand refinement, and two-sided brackets for the
-Lebesgue measure of {x : |p(x)| <= K}.  The exact sign of a
+floating point), and every subdivision is a bisection, so an interval
+endpoint is carried as two integers, k over 2^e, and becomes a `Fraction`
+only where an `IsolatedRoot` leaves the routine.  `_sturm(c)`, the chain of
+c and c' divided by gcd(c, c'), gives counts of distinct real roots on an
+interval, root isolation with on-demand refinement, and two-sided brackets
+for the Lebesgue measure of {x : |p(x)| <= K}.  The exact sign of a
 polynomial at an isolated algebraic point comes from one Sturm-Tarski query
-on the isolating interval, not from refining it.
+on the isolating interval, not from refining it.  Each public routine clears
+its `RatPolynomial` and calls a private one on primitive integer lists.
 
 Complete integer solution sets of p(x) = v need no real roots: they come
 from p-adic lifting (Loos, "Computing rational zeros of integral polynomials
@@ -44,6 +46,11 @@ def _primitive(c: list[int]) -> list[int]:
     c = _strip(list(c))
     g = math.gcd(*c)
     return [v // g for v in c]
+
+
+def _plus(c: list[int], k: int) -> list[int]:
+    """Primitive integer coefficients of c + k, for nonconstant c."""
+    return _primitive([c[0] + k] + c[1:])
 
 
 def _to_int(p: RatPolynomial) -> list[int]:
@@ -121,8 +128,12 @@ def _variations(signs: list[int]) -> int:
     return count
 
 
+def _signs(chain: list[list[int]], num: int, den: int) -> list[int]:
+    return [_sign(_eval_scaled_frac(c, num, den)) for c in chain]
+
+
 def _var_at(chain: list[list[int]], num: int, den: int) -> int:
-    return _variations([_sign(_eval_scaled_frac(c, num, den)) for c in chain])
+    return _variations(_signs(chain, num, den))
 
 
 def _count(chain: list[list[int]], lo: Fraction, hi: Fraction) -> int:
@@ -162,6 +173,8 @@ def _sturm(c: list[int]) -> list[list[int]]:
     (Basu, Pollack and Roy, Algorithms in Real Algebraic Geometry, ch. 2)."""
     chain = _chain(c, _deriv(c))
     g = _primitive(chain[-1])
+    if len(g) == 1:  # c is square-free: g = 1
+        return chain
     if g[-1] < 0:
         g = [-v for v in g]
     return [_exact_div(e, g) for e in chain]
@@ -186,6 +199,24 @@ def _eval_mod(c: list[int], x: int, m: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _bisect(c: IntCoeffs, lo: int, hi: int, den: int, width: Fraction) -> tuple[int, int, int]:
+    """Bisect (lo/den, hi/den), which holds one root of c, until it is at
+    most `width` wide, all in integers over a common denominator.  Returns
+    the final (lo, hi, den), with lo == hi when a midpoint is the root."""
+    s_lo = _sign(_eval_scaled_frac(c, lo, den))
+    wn, wd = width.numerator, width.denominator
+    while (hi - lo) * wd > wn * den:
+        mid, den = lo + hi, 2 * den
+        s_mid = _sign(_eval_scaled_frac(c, mid, den))
+        if s_mid == 0:
+            return mid, mid, den
+        if s_mid == s_lo:
+            lo, hi = mid, 2 * hi
+        else:
+            lo, hi = 2 * lo, mid
+    return lo, hi, den
+
+
 @dataclass(frozen=True)
 class IsolatedRoot:
     """A real algebraic number: a square-free defining polynomial, as its
@@ -193,7 +224,9 @@ class IsolatedRoot:
     containing exactly one of its roots.
 
     A rational root is stored exactly as a degenerate interval lo == hi;
-    otherwise neither endpoint is a root.
+    otherwise neither endpoint is a root.  Isolation and refinement carry
+    the endpoints as integers over a common denominator, k / 2^e for the
+    intervals `isolate_roots` makes; they become `Fraction`s only here.
     """
 
     defining: IntCoeffs
@@ -212,19 +245,10 @@ class IsolatedRoot:
         """Bisect until the interval is at most `width` wide (or exact)."""
         if self.is_exact:
             return self
-        c = self.defining
-        lo, hi = self.lo, self.hi
-        s_lo = _sign(_eval_scaled_frac(c, lo.numerator, lo.denominator))
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            s_mid = _sign(_eval_scaled_frac(c, mid.numerator, mid.denominator))
-            if s_mid == 0:
-                return IsolatedRoot(c, mid, mid)
-            if s_mid == s_lo:
-                lo = mid
-            else:
-                hi = mid
-        return IsolatedRoot(c, lo, hi)
+        (a, b), (c, d) = self.lo.as_integer_ratio(), self.hi.as_integer_ratio()
+        den = math.lcm(b, d)
+        lo, hi, den = _bisect(self.defining, a * (den // b), c * (den // d), den, Fraction(width))
+        return IsolatedRoot(self.defining, Fraction(lo, den), Fraction(hi, den))
 
     def __str__(self) -> str:
         if self.is_exact:
@@ -259,7 +283,11 @@ def count_real_roots(p: RatPolynomial) -> int:
     """Number of distinct real roots of p over the whole real line."""
     if p.is_zero:
         raise ValueError("zero polynomial")
-    chain = _sturm(_to_int(p))
+    return _count_roots(_to_int(p))
+
+
+def _count_roots(c: list[int]) -> int:
+    chain = _sturm(c)
     bound = Fraction(_cauchy_bound(chain[0]))
     return _count(chain, -bound, bound)
 
@@ -272,7 +300,14 @@ def isolate_roots(p: RatPolynomial) -> list[IsolatedRoot]:
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
-    chain = _sturm(_to_int(p))
+    return _isolate(_to_int(p))
+
+
+def _isolate(c: list[int]) -> list[IsolatedRoot]:
+    """`isolate_roots` of the primitive integer list c.  The stack holds
+    (lo, hi, e, V(lo), V(hi)) for the interval (lo/2^e, hi/2^e]; its
+    midpoint is lo + hi at exponent e + 1."""
+    chain = _sturm(c)
     c = chain[0]
     if len(c) <= 1:
         return []
@@ -281,72 +316,76 @@ def isolate_roots(p: RatPolynomial) -> list[IsolatedRoot]:
         return [IsolatedRoot(defining, Fraction(-c[0], c[1]), Fraction(-c[0], c[1]))]
     bound = _cauchy_bound(c)
 
-    def var(x: Fraction) -> int:
-        return _var_at(chain, x.numerator, x.denominator)
-
     found: list[IsolatedRoot] = []
-    stack = [(Fraction(-bound), Fraction(bound), var(Fraction(-bound)), var(Fraction(bound)))]
+    stack = [(-bound, bound, 0, _var_at(chain, -bound, 1), _var_at(chain, bound, 1))]
     while stack:
-        lo, hi, vlo, vhi = stack.pop()
+        lo, hi, e, vlo, vhi = stack.pop()
         n = vlo - vhi
         if n == 0:
             continue
         if n == 1:
-            found.append(_refine_new(defining, lo, hi, Fraction(1)))
+            found.append(_refine_new(defining, lo, hi, 1 << e))
             continue
-        mid = (lo + hi) / 2
-        if _eval_scaled_frac(c, mid.numerator, mid.denominator) == 0:
-            delta = (hi - lo) / 4
-            while True:
-                a, b = mid - delta, mid + delta
-                if (
-                    _eval_scaled_frac(c, a.numerator, a.denominator) != 0
-                    and _eval_scaled_frac(c, b.numerator, b.denominator) != 0
-                    and var(a) - var(b) == 1
-                ):
-                    break
-                delta /= 2
-            found.append(IsolatedRoot(defining, mid, mid))
-            stack.append((lo, a, vlo, var(a)))
-            stack.append((b, hi, var(b), vhi))
-        else:
-            vmid = var(mid)
-            stack.append((lo, mid, vlo, vmid))
-            stack.append((mid, hi, vmid, vhi))
+        mid = lo + hi
+        signs = _signs(chain, mid, 1 << (e + 1))
+        if signs[0]:
+            vmid = _variations(signs)
+            stack.append((2 * lo, mid, e + 1, vlo, vmid))
+            stack.append((mid, 2 * hi, e + 1, vmid, vhi))
+            continue
+        # mid is a root: shrink the window m +- delta (over 2^f, delta a
+        # quarter of the interval at first) by raising f until neither end
+        # is a root and it holds only this root
+        m, delta, f = 2 * mid, hi - lo, e + 2
+        while True:
+            a, b = m - delta, m + delta
+            sa, sb = _signs(chain, a, 1 << f), _signs(chain, b, 1 << f)
+            if sa[0] and sb[0] and _variations(sa) - _variations(sb) == 1:
+                break
+            m, f = 2 * m, f + 1
+        root = Fraction(mid, 1 << (e + 1))
+        found.append(IsolatedRoot(defining, root, root))
+        stack.append((lo << (f - e), a, f, vlo, _variations(sa)))
+        stack.append((b, hi << (f - e), f, _variations(sb), vhi))
     found.sort(key=lambda r: (r.lo, r.hi))
     return found
 
 
-def _refine_new(defining: IntCoeffs, lo: Fraction, hi: Fraction, width: Fraction) -> IsolatedRoot:
-    root = IsolatedRoot(defining, lo, hi).refine(width)
-    if not root.is_exact:
+def _refine_new(defining: IntCoeffs, lo: int, hi: int, den: int) -> IsolatedRoot:
+    lo, hi, den = _bisect(defining, lo, hi, den, Fraction(1))
+    if lo != hi:
         # snap integer roots to exact form; non-integer rational roots of
         # degree >= 2 keep their interval (nothing downstream needs more)
-        m = math.floor(root.lo) + 1
-        while m < root.hi:
+        m = lo // den + 1
+        while m * den < hi:
             if eval_int_scaled(defining, m) == 0:
                 return IsolatedRoot(defining, Fraction(m), Fraction(m))
             m += 1
-    return root
+    return IsolatedRoot(defining, Fraction(lo, den), Fraction(hi, den))
 
 
 def integer_solutions(p: RatPolynomial, v) -> list[int]:
-    """All integers m with p(m) = v, ascending, by p-adic lifting (Loos 1983).
-
-    Let c be the primitive part of p - v and q the first odd prime not
-    dividing lc(c) at which every root r of c mod q is simple, c'(r) != 0
-    mod q (c mod q need not be square-free).  Each r is lifted by Newton
-    steps r <- r - c(r)/c'(r) mod q^(2^k) until the modulus exceeds 2B,
-    B = _cauchy_bound(c), and its symmetric residue is kept if c vanishes
-    there exactly.  Complete: an integer root z is a simple root mod q, so
-    its lift is unique and is z mod q^(2^k), which is z as |z| < B.  The
-    search ends: a repeated root is a multiple root mod every q, so at the
-    first prime that fails c becomes its square-free part _sturm(c)[0], and
-    after that only the finitely many primes dividing lc(c) * disc(c) fail.
-    """
+    """All integers m with p(m) = v, ascending (see `_integer_roots`)."""
     if not p.degree >= 1:
         raise ValueError("p must be nonconstant")
-    c = _to_int(p - Fraction(v))
+    return _integer_roots(_to_int(p - Fraction(v)))
+
+
+def _integer_roots(c: list[int]) -> list[int]:
+    """The integer roots of the nonconstant primitive list c, ascending, by
+    p-adic lifting (Loos 1983).
+
+    Let q be the first odd prime not dividing lc(c) at which every root r
+    of c mod q is simple, c'(r) != 0 mod q (c mod q need not be
+    square-free).  Each r is lifted by Newton steps r <- r - c(r)/c'(r) mod
+    q^(2^k) until the modulus exceeds 2B, B = _cauchy_bound(c), and its
+    symmetric residue is kept if c vanishes there exactly.  Complete: an
+    integer root z is a simple root mod q, so its lift is unique and is
+    z mod q^(2^k), which is z as |z| < B.  The search ends: a repeated root
+    is a multiple root mod every q, so at the first prime that fails c
+    becomes its square-free part _sturm(c)[0], and after that only the
+    finitely many primes dividing lc(c) * disc(c) fail.
+    """
     dc, reduced = _deriv(c), False
     for q in primes_stream(3):
         if c[-1] % q:
@@ -372,13 +411,17 @@ def integer_solutions(p: RatPolynomial, v) -> list[int]:
 
 def sign_at(q: RatPolynomial, r: IsolatedRoot) -> int:
     """Exact sign of q at the algebraic point r (0 iff q vanishes there)."""
-    if q.is_zero:
+    return _sign_at(_to_int(q), r)
+
+
+def _sign_at(cq: list[int], r: IsolatedRoot) -> int:
+    """`sign_at` for the integer coefficients cq of a positive multiple of q."""
+    if not cq:
         return 0
     if r.is_exact:
-        val = evaluate(q, r.lo)
-        return (val > 0) - (val < 0)
+        return _sign(_eval_scaled_frac(cq, r.lo.numerator, r.lo.denominator))
     p = list(r.defining)
-    return _count(_chain(p, _mul(_deriv(p), _to_int(q))), r.lo, r.hi)
+    return _count(_chain(p, _mul(_deriv(p), cq)), r.lo, r.hi)
 
 
 def _separate(entries: list[tuple[IsolatedRoot, object]]) -> list[tuple[IsolatedRoot, object]]:

@@ -11,9 +11,21 @@ from primepoly.badpoints import TAG_ORDER, BadPoint
 from primepoly.census import UnitFibers
 from primepoly.errors import BudgetExhausted, TheoremViolation
 from primepoly.exceptional import _LIST_DATA, ExceptionalHit, SearchReport, equivalent_to_list
-from primepoly.poly import RatPolynomial, compose_affine, make_poly
+from primepoly.poly import RatPolynomial, compose_affine, eval_int_scaled, make_poly
 from primepoly.primes import ProgressionHit, is_prime
-from primepoly.roots import _separate, integer_solutions, isolate_roots, sign_at
+from primepoly.roots import (
+    IsolatedRoot,
+    _cauchy_bound,
+    _eval_scaled_frac,
+    _separate,
+    _sign,
+    _sturm,
+    _to_int,
+    _var_at,
+    integer_solutions,
+    isolate_roots,
+    sign_at,
+)
 
 
 def random_int_poly(rng: random.Random, degree: int, bound: int) -> RatPolynomial:
@@ -69,6 +81,85 @@ def sturm_integer_solutions(p: RatPolynomial, v) -> list[int]:
                 out.add(m)
             m += 1
     return sorted(out)
+
+
+def fraction_refine(root: IsolatedRoot, width: Fraction) -> IsolatedRoot:
+    """Reference for `IsolatedRoot.refine`: bisection on `Fraction` endpoints."""
+    if root.is_exact:
+        return root
+    c = root.defining
+    lo, hi = root.lo, root.hi
+    s_lo = _sign(_eval_scaled_frac(c, lo.numerator, lo.denominator))
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        s_mid = _sign(_eval_scaled_frac(c, mid.numerator, mid.denominator))
+        if s_mid == 0:
+            return IsolatedRoot(c, mid, mid)
+        if s_mid == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return IsolatedRoot(c, lo, hi)
+
+
+def _fraction_refine_new(defining, lo: Fraction, hi: Fraction, width: Fraction) -> IsolatedRoot:
+    root = fraction_refine(IsolatedRoot(defining, lo, hi), width)
+    if not root.is_exact:
+        m = math.floor(root.lo) + 1
+        while m < root.hi:
+            if eval_int_scaled(defining, m) == 0:
+                return IsolatedRoot(defining, Fraction(m), Fraction(m))
+            m += 1
+    return root
+
+
+def fraction_isolate_roots(p: RatPolynomial) -> list[IsolatedRoot]:
+    """Reference for `isolate_roots`: the same Sturm bisection with every
+    endpoint a `Fraction`, the zero-at-midpoint window and the integer snap
+    written on `Fraction`s."""
+    chain = _sturm(_to_int(p))
+    c = chain[0]
+    if len(c) <= 1:
+        return []
+    defining = tuple(c)
+    if len(c) == 2:
+        return [IsolatedRoot(defining, Fraction(-c[0], c[1]), Fraction(-c[0], c[1]))]
+    bound = _cauchy_bound(c)
+
+    def var(x: Fraction) -> int:
+        return _var_at(chain, x.numerator, x.denominator)
+
+    found: list[IsolatedRoot] = []
+    stack = [(Fraction(-bound), Fraction(bound), var(Fraction(-bound)), var(Fraction(bound)))]
+    while stack:
+        lo, hi, vlo, vhi = stack.pop()
+        n = vlo - vhi
+        if n == 0:
+            continue
+        if n == 1:
+            found.append(_fraction_refine_new(defining, lo, hi, Fraction(1)))
+            continue
+        mid = (lo + hi) / 2
+        if _eval_scaled_frac(c, mid.numerator, mid.denominator) == 0:
+            delta = (hi - lo) / 4
+            while True:
+                a, b = mid - delta, mid + delta
+                if (
+                    _eval_scaled_frac(c, a.numerator, a.denominator) != 0
+                    and _eval_scaled_frac(c, b.numerator, b.denominator) != 0
+                    and var(a) - var(b) == 1
+                ):
+                    break
+                delta /= 2
+            found.append(IsolatedRoot(defining, mid, mid))
+            stack.append((lo, a, vlo, var(a)))
+            stack.append((b, hi, var(b), vhi))
+        else:
+            vmid = var(mid)
+            stack.append((lo, mid, vlo, vmid))
+            stack.append((mid, hi, vmid, vhi))
+    found.sort(key=lambda r: (r.lo, r.hi))
+    return found
 
 
 def product_bad_points(g: RatPolynomial, h: RatPolynomial) -> list[BadPoint]:

@@ -10,7 +10,7 @@ from primepoly.badpoints import (
     block_report,
     complex_counterexample,
 )
-from primepoly.poly import GaussianRational, QuadExtElement, evaluate, make_poly
+from primepoly.poly import GaussianRational, QuadExtElement, RatPolynomial, evaluate, make_poly
 from primepoly.roots import isolate_roots, sign_at
 
 from helpers import product_bad_points, random_int_poly, random_rat_poly
@@ -82,6 +82,30 @@ def test_bad_points_match_product_filter(seed, shape):
     g = random_rat_poly(rng, rng.randint(1, 4), 5)
     h = {"random": random_rat_poly(rng, rng.randint(1, 4), 5), "h=g": g, "h=-g": -g, "h=g+2": g + 2}[shape]
     assert bad_points(g, h) == product_bad_points(g, h)
+
+
+def test_bad_points_match_product_filter_with_denominators():
+    # the counterexample pair g = x^3/3 - x + 1, h = (2/9)(x - 2)^2 + 1:
+    # g = 1 at 0 and +-sqrt(3), h = 1 at 2, f > 1 at all four
+    cx = complex_counterexample()
+    assert len(bad_points(cx.g, cx.h)) == 4
+    for g, h in ((cx.g, cx.h), (cx.h, cx.g), (cx.g, -cx.h), (-cx.g, cx.h * F(3, 2))):
+        assert bad_points(g, h) == product_bad_points(g, h)
+
+
+def test_bad_points_builds_no_rational_polynomial(monkeypatch):
+    calls = []
+    for name in ("__add__", "__neg__"):
+        def counted(*args, _original=getattr(RatPolynomial, name), _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(RatPolynomial, name, counted)
+    g, h = make_poly([F(-3, 2), -3, 3]), make_poly([2, F(-3, 5), -3])
+    assert len(bad_points(g, h)) == 4
+    assert calls == []
+    g - 1
+    assert calls == ["__neg__", "__add__"]  # the counter sees the arithmetic
 
 
 def test_block_report_quartic_pair():

@@ -23,7 +23,14 @@ from primepoly.roots import (
     sublevel_measure,
 )
 
-from helpers import brute_integer_solutions, random_int_poly, random_rat_poly, sturm_integer_solutions
+from helpers import (
+    brute_integer_solutions,
+    fraction_isolate_roots,
+    fraction_refine,
+    random_int_poly,
+    random_rat_poly,
+    sturm_integer_solutions,
+)
 
 H2 = make_poly([1, -3, 1])
 
@@ -95,6 +102,50 @@ def test_refine_keeps_invariants():
     for end in (fine.lo, fine.hi):
         den = end.denominator
         assert den & (den - 1) == 0
+
+
+def test_refine_non_dyadic_endpoints_matches_fraction_bisection():
+    # a hand-made interval over 6: bisection runs over a common denominator
+    sqrt2 = IsolatedRoot((-2, 0, 1), F(4, 3), F(3, 2))
+    for w in (F(1, 7), F(1, 3), F(1, 1000), F(1)):
+        assert sqrt2.refine(w) == fraction_refine(sqrt2, w)
+    fine = sqrt2.refine(F(1, 7))
+    assert fine.hi - fine.lo <= F(1, 7) and fine.lo ** 2 < 2 < fine.hi ** 2
+    # the first midpoint 17/12 is the root of (12x - 17)(x^2 + 1)
+    r = IsolatedRoot((-17, 12, -17, 12), F(4, 3), F(3, 2))
+    assert r.refine(F(1, 100)) == fraction_refine(r, F(1, 100)) == IsolatedRoot(r.defining, F(17, 12), F(17, 12))
+
+
+_dyadic = st.builds(lambda k, e: F(k, 2 ** e), st.integers(-64, 64), st.integers(0, 6))
+
+
+@st.composite
+def _mixed_root_products(draw):
+    """A product of linear factors over integer, dyadic and non-dyadic
+    rational roots, some repeated, times a small random factor: midpoints
+    land on roots, and integer roots end inside width-1 intervals."""
+    roots = draw(st.lists(st.one_of(st.integers(-20, 20).map(F), _dyadic, _rationals), min_size=1, max_size=6))
+    roots += draw(st.lists(st.sampled_from(roots), max_size=3))
+    p = make_poly(draw(st.lists(st.integers(-6, 6), max_size=3)) + [draw(_nonzero)])
+    for r in roots:
+        p = p * make_poly([-r, 1])
+    return p
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _mixed_root_products(),
+    st.lists(st.fractions(min_value=F(1, 10 ** 6), max_value=2, max_denominator=10 ** 6), min_size=1, max_size=3),
+)
+@example(make_poly([0, -1, 0, 1]), [F(1, 8)])             # 0 is the first midpoint
+@example(make_poly([-3, 1]) * make_poly([-1, 0, 2]), [F(1, 3)])  # 3 sits inside (5/2, 7/2)
+@example(make_poly([-1, 1]) ** 2 * make_poly([1, 1]) * make_poly([-5, 4]), [F(1, 5)])
+def test_isolate_roots_matches_fraction_bisection(p, widths):
+    got = isolate_roots(p)
+    assert [(r.defining, r.lo, r.hi) for r in got] == [(r.defining, r.lo, r.hi) for r in fraction_isolate_roots(p)]
+    for r in got:
+        for w in widths:
+            assert r.refine(w) == fraction_refine(r, w)
 
 
 def test_integer_solutions_examples():
