@@ -15,8 +15,8 @@ bad point therefore carries exactly one tag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import TheoremViolation
 from .poly import GaussianRational, QuadExtElement, RatPolynomial, evaluate, make_poly, scale_to_integer
@@ -25,8 +25,7 @@ from .roots import IsolatedRoot, _count_roots, _deriv, _isolate, _plus, _primiti
 TAG_ORDER = ("g+", "g-", "h+", "h-")
 
 
-@dataclass(frozen=True)
-class BadPoint:
+class BadPoint(NamedTuple):
     root: IsolatedRoot
     tags: tuple[str, ...]   # one tag from TAG_ORDER (two tags would force f = +-1)
 
@@ -55,29 +54,24 @@ def bad_points(g: RatPolynomial, h: RatPolynomial) -> list[BadPoint]:
     return [BadPoint(root=root, tags=(tag,)) for root, tag in _separate(kept)]
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     type: str
     start: int              # index into the point sequence
     end: int                # inclusive
     central: bool
 
 
-@dataclass(frozen=True)
-class BlockReport:
-    points: tuple[BadPoint, ...]
-    types: tuple[str, ...]  # primary type per point
-    blocks: tuple[Block, ...]
+class BlockReport(NamedTuple):
     k: int
+    degree: int
+    types: str              # primary type per point, as "[g+ h- ...]"
+    points: tuple[BadPoint, ...]
+    blocks: tuple[Block, ...]
     block_count: int
     equal_type_pairs: int   # k - block_count
     central_blocks: int
     derivative_roots_g: int
     derivative_roots_h: int
-    degree: int
-
-    def type_sequence(self) -> str:
-        return "[" + " ".join(self.types) + "]"
 
 
 def block_report(g: RatPolynomial, h: RatPolynomial) -> BlockReport:
@@ -107,21 +101,20 @@ def block_report(g: RatPolynomial, h: RatPolynomial) -> BlockReport:
             f"derivative root counts {droots_g}+{droots_h} below k-2 = {k - 2}"
         )
     return BlockReport(
-        points=tuple(pts),
-        types=types,
-        blocks=tuple(blocks),
         k=k,
+        degree=degree,
+        types="[" + " ".join(types) + "]",
+        points=tuple(pts),
+        blocks=tuple(blocks),
         block_count=len(blocks),
         equal_type_pairs=k - len(blocks),
         central_blocks=sum(1 for b in blocks if b.central),
         derivative_roots_g=droots_g,
         derivative_roots_h=droots_h,
-        degree=degree,
     )
 
 
-@dataclass(frozen=True)
-class ComplexCounterexample:
+class ComplexCounterexample(NamedTuple):
     """Exact data for the degree-5 complex pair with six bad points."""
 
     g: RatPolynomial

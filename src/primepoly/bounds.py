@@ -11,8 +11,8 @@ ever decides an outcome.  Floats appear only as display values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .census import LevelCensus, level_census
 from .poly import RatPolynomial, is_integer_valued
@@ -23,8 +23,7 @@ from .roots import MeasureBracket, sublevel_measure
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SetPairData:
+class SetPairData(NamedTuple):
     """Exact difference products of two disjoint integer sets.
 
     U and V are the internal difference products of a and b, D the cross
@@ -68,8 +67,7 @@ def set_pair_data(a, b) -> SetPairData:
     )
 
 
-@dataclass(frozen=True)
-class CrossBoundCheck:
+class CrossBoundCheck(NamedTuple):
     data: SetPairData
     bound: Fraction         # U*V*(4/9)^k
     holds: bool
@@ -95,8 +93,7 @@ def _factorial_product(upto: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class FactorialBoundCheck:
+class FactorialBoundCheck(NamedTuple):
     data: SetPairData
     bound_power: Fraction   # the bound raised to the comparison power
     power: int              # that power
@@ -183,8 +180,7 @@ def truncate_decimal(x: Fraction, digits: int) -> str:
     return f"{sign}{scaled // 10 ** digits}.{scaled % 10 ** digits:0{digits}d}"
 
 
-@dataclass(frozen=True)
-class ConstantSolution:
+class ConstantSolution(NamedTuple):
     """Bracketed solution t of t*(2 ln t + 1/2) = 2 ln 2 - 1/2 and the
     derived constant c = 1 + 1/t."""
 
@@ -279,8 +275,7 @@ def _display_root(x, n: int) -> float:
             return math.inf
 
 
-@dataclass(frozen=True)
-class PolyaCheck:
+class PolyaCheck(NamedTuple):
     bracket: MeasureBracket
     bound: float            # display value of 4*(K/|lead|)^(1/n)
     holds: bool
@@ -298,8 +293,7 @@ def polya_measure_check(f: RatPolynomial, K, tol=Fraction(1, 100)) -> PolyaCheck
     return PolyaCheck(bracket=bracket, bound=4.0 * _display_root(ratio, n), holds=holds)
 
 
-@dataclass(frozen=True)
-class LevelBoundCheck:
+class LevelBoundCheck(NamedTuple):
     census: LevelCensus
     K: int
     bound: float            # display value of n + 4*(K*n!)^(1/n)
@@ -316,7 +310,7 @@ def level_count_bound(f: RatPolynomial, S) -> LevelBoundCheck:
         raise ValueError("f must be integer-valued")
     cen = level_census(f, S)
     n = int(f.degree)
-    K = max(abs(s) for s in cen.targets)
+    K = max(abs(s) for s in cen.set)
     excess = cen.count - n
     if excess <= 0:
         holds = True

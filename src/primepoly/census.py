@@ -13,86 +13,70 @@ Pplus restricts to f(m) a positive prime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple, Optional
 
 from .poly import RatPolynomial, eval_int_scaled, is_integer_valued, scale_to_integer
 from .primes import is_prime
 from .roots import _integer_roots, _plus, integer_solutions
 
 
-@dataclass(frozen=True)
-class FactoredPolynomial:
+class FactoredPolynomial(NamedTuple):
     """A polynomial given as an ordered product of nonconstant factors."""
 
     factors: tuple[RatPolynomial, ...]
-    product: RatPolynomial = field(init=False)
-
-    def __post_init__(self):
-        if not self.factors:
-            raise ValueError("need at least one factor")
-        product = RatPolynomial((Fraction(1),))
-        for g in self.factors:
-            if not g.degree >= 1:
-                raise ValueError("every factor must be nonconstant")
-            product = product * g
-        object.__setattr__(self, "product", product)
-
-    @property
-    def degree(self) -> int:
-        return int(self.product.degree)
+    product: RatPolynomial
+    degree: int
 
 
 def factored(factors) -> FactoredPolynomial:
-    """Build a FactoredPolynomial from a sequence of factors."""
-    return FactoredPolynomial(tuple(factors))
+    """Build a FactoredPolynomial from a sequence of nonconstant factors."""
+    factors = tuple(factors)
+    if not factors:
+        raise ValueError("need at least one factor")
+    product = RatPolynomial((Fraction(1),))
+    for g in factors:
+        if not g.degree >= 1:
+            raise ValueError("every factor must be nonconstant")
+        product = product * g
+    return FactoredPolynomial(factors, product, int(product.degree))
 
 
-@dataclass(frozen=True)
-class UnitFibers:
-    """Integers where a polynomial takes the value +1 resp. -1."""
+class UnitFibers(NamedTuple):
+    """Integers where a polynomial takes the value +1 resp. -1, E of them;
+    `factor` is the factor's index within a census, None outside one."""
 
+    factor: Optional[int]
     eplus: tuple[int, ...]
     eminus: tuple[int, ...]
-
-    @property
-    def E(self) -> int:
-        return len(self.eplus) + len(self.eminus)
+    E: int
 
 
 def unit_fibers(g: RatPolynomial) -> UnitFibers:
     """Exact fibers g^-1(+1) and g^-1(-1) over the integers."""
     if not g.degree >= 1:
         raise ValueError("g must be nonconstant")
-    return UnitFibers(
-        eplus=tuple(integer_solutions(g, 1)),
-        eminus=tuple(integer_solutions(g, -1)),
-    )
+    eplus, eminus = tuple(integer_solutions(g, 1)), tuple(integer_solutions(g, -1))
+    return UnitFibers(None, eplus, eminus, len(eplus) + len(eminus))
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """One certified prime value: f(m) = value, |value| prime."""
 
     m: int
     value: int
-    unit_factors: tuple[int, ...]   # indices of factors with |g_i(m)| = 1
     status: str                     # primality status of |value|
+    unit_factors: tuple[int, ...]   # indices of factors with |g_i(m)| = 1
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(NamedTuple):
     """Certified prime-value counts with their exhaustiveness evidence."""
 
     P: int
     Pplus: int
+    fiber_bound: int                # sum of the factors' E; P never exceeds it
     witnesses: tuple[Witness, ...]
     fibers: tuple[UnitFibers, ...]  # one per factor, the candidate certificate
-
-    @property
-    def fiber_bound(self) -> int:
-        """Sum of the factors' unit-fiber sizes; P never exceeds it."""
-        return sum(f.E for f in self.fibers)
 
 
 def prime_census(f: FactoredPolynomial) -> Census:
@@ -108,7 +92,7 @@ def prime_census(f: FactoredPolynomial) -> Census:
         if not is_integer_valued(g):
             raise ValueError("every factor must be integer-valued for a certified census")
 
-    fibers = tuple(unit_fibers(g) for g in f.factors)
+    fibers = tuple(unit_fibers(g)._replace(factor=i) for i, g in enumerate(f.factors))
     candidates = sorted({m for fib in fibers for m in fib.eplus + fib.eminus})
 
     int_coeffs, denom = scale_to_integer(f.product)
@@ -124,24 +108,24 @@ def prime_census(f: FactoredPolynomial) -> Census:
         if not verdict.is_prime:
             continue
         units = tuple(i for i, fib in enumerate(fibers) if m in fib.eplus or m in fib.eminus)
-        witnesses.append(Witness(m=m, value=value, unit_factors=units, status=verdict.status))
+        witnesses.append(Witness(m, value, verdict.status, units))
         if value > 0:
             pplus += 1
     return Census(
         P=len(witnesses),
         Pplus=pplus,
+        fiber_bound=sum(fib.E for fib in fibers),
         witnesses=tuple(witnesses),
         fibers=fibers,
     )
 
 
-@dataclass(frozen=True)
-class LevelCensus:
-    """Count of integers m with f(m) in a finite target set."""
+class LevelCensus(NamedTuple):
+    """Count of integers m with f(m) in the finite target set."""
 
+    set: tuple[int, ...]
     count: int
     witnesses: tuple[int, ...]
-    targets: tuple[int, ...]
 
 
 def level_census(f: RatPolynomial, S) -> LevelCensus:
@@ -156,4 +140,4 @@ def level_census(f: RatPolynomial, S) -> LevelCensus:
     for s in targets:
         hits.update(_integer_roots(_plus(c, -s * d)))
     witnesses = tuple(sorted(hits))
-    return LevelCensus(count=len(witnesses), witnesses=witnesses, targets=targets)
+    return LevelCensus(targets, len(witnesses), witnesses)

@@ -7,6 +7,13 @@ basis).  Factors are separated by `;`.  Reports are plain `key: value`
 text with fixed key order, or a single JSON document under `--json`;
 identical command lines produce identical bytes.
 
+Report schema: `command` and `version`, then the command's echoed
+inputs, then the fields of its result record in their order (a nested
+record becomes a mapping of its fields, a tuple a list).  Polynomials are
+written as above, rationals as `p/q`, isolated roots as `=r` or
+`(lo,hi)`, and a key named `value` always holds a decimal string, since
+prime values outgrow JSON numbers.  `_report` is the one serializer.
+
 Exit codes: 0 success, 1 a theorem-backed property failed (a bug by
 definition), 2 malformed input, 3 a construction's search budget ran out
 (the report then names the anchors tried and the frontier |t| reached).
@@ -31,16 +38,11 @@ from .bounds import (
     unbalanced_factorial_bound,
 )
 from .census import factored, level_census, prime_census
-from .constructions import (
-    ConstructionCertificate,
-    build_n_plus_1,
-    build_p_plus,
-    fixed_example,
-    search_n_plus_2,
-)
+from .constructions import build_n_plus_1, build_p_plus, fixed_example, search_n_plus_2
 from .errors import BudgetExhausted, TheoremViolation
 from .exceptional import search_exceptional
-from .poly import format_poly, make_poly, parse_poly
+from .poly import QuadExtElement, RatPolynomial, make_poly, parse_poly
+from .roots import IsolatedRoot
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -84,6 +86,25 @@ def _render_text(obj, indent: int = 0) -> list[str]:
     return lines
 
 
+def _report(obj):
+    """The report form of a result: None, bools, ints and strings stay as
+    they are (tested first: they are most of the nodes), an exact number,
+    polynomial or root becomes its text, a record a mapping of its fields,
+    a tuple or list a list, and a `value` key a decimal string.
+    (IsolatedRoot is a record too, so the text forms are tried first.)"""
+    if obj is None or isinstance(obj, (int, str)):
+        return obj
+    if isinstance(obj, (Fraction, RatPolynomial, QuadExtElement, IsolatedRoot)):
+        return str(obj)
+    if hasattr(obj, "_asdict"):
+        obj = obj._asdict()
+    if isinstance(obj, dict):
+        return {key: str(v) if key == "value" else _report(v) for key, v in obj.items()}
+    if isinstance(obj, (tuple, list)):
+        return [_report(v) for v in obj]
+    return obj
+
+
 def _emit(report: dict, as_json: bool) -> None:
     if as_json:
         print(json.dumps(report, indent=2))
@@ -91,73 +112,20 @@ def _emit(report: dict, as_json: bool) -> None:
         print("\n".join(_render_text(report)))
 
 
-def _census_dict(census) -> dict:
-    return {
-        "P": census.P,
-        "Pplus": census.Pplus,
-        "fiber_bound": census.fiber_bound,
-        "witnesses": [
-            {
-                "m": w.m,
-                "value": str(w.value),
-                "status": w.status,
-                "unit_factors": list(w.unit_factors),
-            }
-            for w in census.witnesses
-        ],
-        "fibers": [
-            {
-                "factor": i,
-                "eplus": list(f.eplus),
-                "eminus": list(f.eminus),
-                "E": f.E,
-            }
-            for i, f in enumerate(census.fibers)
-        ],
-    }
-
-
-def _certificate_dict(cert: ConstructionCertificate) -> dict:
-    return {
-        "kind": cert.kind,
-        "factors": [format_poly(g) for g in cert.f.factors],
-        "product": format_poly(cert.f.product),
-        "degree": cert.f.degree,
-        "anchors": list(cert.anchors),
-        "multiplier_t": cert.multiplier_t,
-        "induced": [{"value": str(v), "status": s} for v, s in cert.induced],
-        "claim": cert.claim,
-        "claimed": cert.claimed,
-        "census": _census_dict(cert.census),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each returns (report dict, exit code); `run` adds
-# the command and version keys in front of the report
+# the command and version keys in front of the report and serializes it
 # ---------------------------------------------------------------------------
 
 
 def _cmd_analyze(args) -> tuple[dict, int]:
-    factors = _parse_factors(args.factors)
-    census = prime_census(factored(factors))
-    return {
-        "factors": [format_poly(g) for g in factors],
-        "degree": int(sum(g.degree for g in factors)),
-        **_census_dict(census),
-    }, EXIT_OK
+    f = factored(_parse_factors(args.factors))
+    return {"factors": f.factors, "degree": f.degree, **prime_census(f)._asdict()}, EXIT_OK
 
 
 def _cmd_levels(args) -> tuple[dict, int]:
     poly = parse_poly(args.poly)
-    targets = _parse_int_set(args.set)
-    cen = level_census(poly, targets)
-    return {
-        "poly": format_poly(poly),
-        "set": list(cen.targets),
-        "count": cen.count,
-        "witnesses": list(cen.witnesses),
-    }, EXIT_OK
+    return {"poly": poly, **level_census(poly, _parse_int_set(args.set))._asdict()}, EXIT_OK
 
 
 _FIXED_ALIASES = {
@@ -171,7 +139,7 @@ _FIXED_ALIASES = {
 def _cmd_construct(args) -> tuple[dict, int]:
     kind = args.kind
     if kind in _FIXED_ALIASES:
-        return _certificate_dict(fixed_example(_FIXED_ALIASES[kind])), EXIT_OK
+        return fixed_example(_FIXED_ALIASES[kind])._asdict(), EXIT_OK
     if args.n is None:
         raise ValueError(f"construct {kind} requires --n")
     try:
@@ -185,35 +153,14 @@ def _cmd_construct(args) -> tuple[dict, int]:
         return {
             "kind": kind,
             "outcome": "budget_exhausted",
-            "anchors_tried": list(exc.anchors),
+            "anchors_tried": exc.anchors,
             "t_frontier": exc.frontier,
         }, EXIT_BUDGET
-    return _certificate_dict(cert), EXIT_OK
+    return cert._asdict(), EXIT_OK
 
 
 def _cmd_exceptional(args) -> tuple[dict, int]:
-    result = search_exceptional(args.degree, args.bound)
-    return {
-        "degree": result.degree,
-        "coeff_bound": result.coeff_bound,
-        "scanned": result.scanned,
-        "hit_count": len(result.hits),
-        "hits": [
-            {
-                "poly": format_poly(h.polynomial),
-                "E": h.E,
-                "eplus": list(h.fibers.eplus),
-                "eminus": list(h.fibers.eminus),
-                "equivalence": {
-                    "index": h.equivalence.index,
-                    "sigma": h.equivalence.sigma,
-                    "tau": h.equivalence.tau,
-                    "a": h.equivalence.a,
-                },
-            }
-            for h in result.hits
-        ],
-    }, EXIT_OK
+    return search_exceptional(args.degree, args.bound)._asdict(), EXIT_OK
 
 
 def _cmd_constant(args) -> tuple[dict, int]:
@@ -264,37 +211,17 @@ def _cmd_lemmas(args) -> tuple[dict, int]:
 
 
 def _cmd_polya(args) -> tuple[dict, int]:
-    poly = parse_poly(args.poly)
-    check = polya_measure_check(poly, Fraction(args.K), Fraction(args.tol))
+    poly, K, tol = parse_poly(args.poly), Fraction(args.K), Fraction(args.tol)
+    check = polya_measure_check(poly, K, tol)
     return {
-        "poly": format_poly(poly),
-        "K": str(Fraction(args.K)),
-        "tol": str(Fraction(args.tol)),
-        "measure_lower": str(check.bracket.lower),
-        "measure_upper": str(check.bracket.upper),
+        "poly": poly,
+        "K": K,
+        "tol": tol,
+        "measure_lower": check.bracket.lower,
+        "measure_upper": check.bracket.upper,
         "bound": repr(check.bound),
         "holds": check.holds,
     }, EXIT_OK if check.holds else EXIT_VIOLATION
-
-
-def _block_report_dict(rep) -> dict:
-    return {
-        "k": rep.k,
-        "degree": rep.degree,
-        "types": rep.type_sequence(),
-        "points": [
-            {"root": str(p.root), "tags": list(p.tags)} for p in rep.points
-        ],
-        "blocks": [
-            {"type": b.type, "start": b.start, "end": b.end, "central": b.central}
-            for b in rep.blocks
-        ],
-        "block_count": rep.block_count,
-        "equal_type_pairs": rep.equal_type_pairs,
-        "central_blocks": rep.central_blocks,
-        "derivative_roots_g": rep.derivative_roots_g,
-        "derivative_roots_h": rep.derivative_roots_h,
-    }
 
 
 def _cmd_statement41(args) -> tuple[dict, int]:
@@ -322,32 +249,27 @@ def _cmd_statement41(args) -> tuple[dict, int]:
     if args.g is None or args.h is None:
         raise ValueError("need --g and --h (or --random)")
     g, h = parse_poly(args.g), parse_poly(args.h)
-    rep = block_report(g, h)
-    return {
-        "g": format_poly(g),
-        "h": format_poly(h),
-        **_block_report_dict(rep),
-    }, EXIT_OK
+    return {"g": g, "h": h, **block_report(g, h)._asdict()}, EXIT_OK
 
 
 def _cmd_counterexample(args) -> tuple[dict, int]:
     cx = complex_counterexample()
     return {
-        "g": format_poly(cx.g),
-        "h": format_poly(cx.h),
+        "g": cx.g,
+        "h": cx.h,
         "degree": cx.degree,
         "bad_count": cx.bad_count,
-        "points": list(cx.points),
+        "points": cx.points,
         "factor_identity_ok": cx.factor_identity_ok,
-        "h(2)": str(cx.h_at_2),
-        "h(2+3i)": str(cx.h_at_2_plus_3i),
-        "h(2-3i)": str(cx.h_at_2_minus_3i),
-        "g(2+3i)": str(cx.g_at_2_plus_3i),
-        "f(0)": str(cx.f_at_0),
-        "f(2)": str(cx.f_at_2),
-        "f(sqrt3)": str(cx.f_at_sqrt3),
-        "f(-sqrt3)": str(cx.f_at_neg_sqrt3),
-        "f(2+3i)": str(cx.f_at_2_plus_3i),
+        "h(2)": cx.h_at_2,
+        "h(2+3i)": cx.h_at_2_plus_3i,
+        "h(2-3i)": cx.h_at_2_minus_3i,
+        "g(2+3i)": cx.g_at_2_plus_3i,
+        "f(0)": cx.f_at_0,
+        "f(2)": cx.f_at_2,
+        "f(sqrt3)": cx.f_at_sqrt3,
+        "f(-sqrt3)": cx.f_at_neg_sqrt3,
+        "f(2+3i)": cx.f_at_2_plus_3i,
     }, EXIT_OK
 
 
@@ -429,7 +351,7 @@ def run(argv) -> int:
     except TheoremViolation as exc:
         print(f"THEOREM VIOLATION: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    _emit({"command": args.subcommand, "version": __version__, **report}, args.json)
+    _emit(_report({"command": args.subcommand, "version": __version__, **report}), args.json)
     return code
 
 

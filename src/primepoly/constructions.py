@@ -17,13 +17,12 @@ the frontier |t| reached, an expected outcome rather than a fault.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .census import Census, FactoredPolynomial, factored, prime_census
+from .census import Census, factored, prime_census
 from .errors import BudgetExhausted, TheoremViolation
-from .poly import X, evaluate, make_poly
+from .poly import X, RatPolynomial, evaluate, make_poly
 from .primes import find_multiplier, first_primes, is_prime, primes_stream
 
 H2 = make_poly([1, -3, 1])  # (x-1)(x-2) - 1, the quadratic with four unit values
@@ -37,21 +36,31 @@ FIXED_EXAMPLES = {
 }
 
 
-@dataclass(frozen=True)
-class ConstructionCertificate:
-    """A generated polynomial plus the evidence behind its claimed count."""
+class Induced(NamedTuple):
+    """A value forced prime by the multiplier t, with its primality status."""
+
+    value: int
+    status: str
+
+
+class ConstructionCertificate(NamedTuple):
+    """A generated polynomial, f = product of its factors, plus the evidence
+    behind its claimed count."""
 
     kind: str
-    f: FactoredPolynomial
+    factors: tuple[RatPolynomial, ...]
+    product: RatPolynomial
+    degree: int
     anchors: tuple[int, ...]                 # integers pinned to prime values
     multiplier_t: Optional[int]
-    induced: tuple[tuple[int, str], ...]     # values forced prime by t, with status
+    induced: tuple[Induced, ...]
     claim: str                               # "P" or "Pplus"
     claimed: int
     census: Census
 
 
-def _certify(kind, f, anchors, hit_t, induced, claim, claimed) -> ConstructionCertificate:
+def _certify(kind, factors, anchors, hit_t, induced, claim, claimed) -> ConstructionCertificate:
+    f = factored(factors)
     census = prime_census(f)
     got = census.Pplus if claim == "Pplus" else census.P
     if got < claimed:
@@ -59,8 +68,7 @@ def _certify(kind, f, anchors, hit_t, induced, claim, claimed) -> ConstructionCe
             f"{kind}: census {claim}={got} fell short of the claimed {claimed}"
         )
     return ConstructionCertificate(
-        kind=kind, f=f, anchors=anchors, multiplier_t=hit_t,
-        induced=induced, claim=claim, claimed=claimed, census=census,
+        kind, f.factors, f.product, f.degree, anchors, hit_t, induced, claim, claimed, census
     )
 
 
@@ -69,11 +77,10 @@ def fixed_example(kind: str) -> ConstructionCertificate:
     if kind not in FIXED_EXAMPLES:
         raise ValueError(f"unknown fixed example {kind!r}; expected one of {tuple(FIXED_EXAMPLES)}")
     factors, claimed = FIXED_EXAMPLES[kind]
-    return _certify(kind, factored(factors), (), None, (), "P", claimed)
+    return _certify(kind, factors, (), None, (), "P", claimed)
 
 
-@dataclass(frozen=True)
-class PairingCheck:
+class PairingCheck(NamedTuple):
     left: int
     right: int
     equal: bool
@@ -135,8 +142,8 @@ def build_n_plus_1(n: int, t_max: int = 10 ** 6) -> ConstructionCertificate:
         raise TheoremViolation("parity rule failed to balance the two products")
     hit, g = _multiplier_poly(ps, (1,), False, t_max)
     v = hit.verdicts[0]
-    induced = ((v.value, v.status), (-v.value, v.status))  # f(1), f(-1)
-    return _certify("nplus1", factored((X, g)), ps, hit.t, induced, "P", n + 1)
+    induced = (Induced(v.value, v.status), Induced(-v.value, v.status))  # f(1), f(-1)
+    return _certify("nplus1", (X, g), ps, hit.t, induced, "P", n + 1)
 
 
 def build_p_plus(n: int, t_max: int = 10 ** 6) -> ConstructionCertificate:
@@ -146,7 +153,7 @@ def build_p_plus(n: int, t_max: int = 10 ** 6) -> ConstructionCertificate:
     ps = tuple(first_primes(n - 1))
     hit, g = _multiplier_poly(ps, (1,), True, t_max)
     v = hit.verdicts[0]
-    cert = _certify("pplus", factored((X, g)), ps, hit.t, ((v.value, v.status),), "Pplus", n)
+    cert = _certify("pplus", (X, g), ps, hit.t, (Induced(v.value, v.status),), "Pplus", n)
     if cert.census.Pplus > n:
         raise TheoremViolation(
             f"Pplus={cert.census.Pplus} exceeds the degree-{n} ceiling"
@@ -183,5 +190,5 @@ def search_n_plus_2(n: int, b_scan_max: int = 200, t_max: int = 10 ** 6) -> Cons
             f"only {len(bs)} of {n - 2} anchors have |b| <= {b_scan_max}", frontier=0, anchors=bs
         )
     hit, g = _multiplier_poly(bs, range(4), False, t_max)
-    induced = tuple((v.value, v.status) for v in hit.verdicts)
-    return _certify("nplus2", factored((g, H2)), bs, hit.t, induced, "P", n + 2)
+    induced = tuple(Induced(v.value, v.status) for v in hit.verdicts)
+    return _certify("nplus2", (g, H2), bs, hit.t, induced, "P", n + 2)

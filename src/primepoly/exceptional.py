@@ -13,11 +13,10 @@ so every unit point lies in {a, ..., a+4} with a the least one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .census import UnitFibers, unit_fibers
+from .census import unit_fibers
 from .errors import TheoremViolation
 from .poly import ZERO, RatPolynomial, compose_affine, make_poly
 
@@ -31,8 +30,7 @@ _LIST_DATA = (
 )
 
 
-@dataclass(frozen=True)
-class Equivalence:
+class Equivalence(NamedTuple):
     """Witness that f(x) = sigma * h_index(tau*x + a)."""
 
     index: int
@@ -71,19 +69,19 @@ def equivalent_to_list(f: RatPolynomial) -> Optional[Equivalence]:
     return None
 
 
-@dataclass(frozen=True)
-class ExceptionalHit:
-    polynomial: RatPolynomial
+class ExceptionalHit(NamedTuple):
+    poly: RatPolynomial
     E: int
-    fibers: UnitFibers
+    eplus: tuple[int, ...]
+    eminus: tuple[int, ...]
     equivalence: Optional[Equivalence]
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(NamedTuple):
     degree: int
     coeff_bound: int
     scanned: int
+    hit_count: int
     hits: tuple[ExceptionalHit, ...]
 
 
@@ -142,6 +140,6 @@ def search_exceptional(degree: int, coeff_bound: int) -> SearchReport:
             raise TheoremViolation(
                 f"exceptional polynomial {f} (E={fibers.E}) is not list-equivalent"
             )
-        hits.append(ExceptionalHit(polynomial=f, E=fibers.E, fibers=fibers, equivalence=eq))
+        hits.append(ExceptionalHit(f, fibers.E, fibers.eplus, fibers.eminus, eq))
     scanned = 2 * coeff_bound * (2 * coeff_bound + 1) ** degree
-    return SearchReport(degree=degree, coeff_bound=coeff_bound, scanned=scanned, hits=tuple(hits))
+    return SearchReport(degree, coeff_bound, scanned, len(hits), tuple(hits))

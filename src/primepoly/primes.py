@@ -25,8 +25,8 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import compress, islice
+from typing import NamedTuple
 
 from .errors import BudgetExhausted
 
@@ -59,8 +59,7 @@ STATUS_COMPOSITE = "composite"
 STATUS_PROBABLE = "probable_prime"
 
 
-@dataclass(frozen=True)
-class PrimalityVerdict:
+class PrimalityVerdict(NamedTuple):
     """Outcome of a primality test; status refers to abs(value)."""
 
     value: int
@@ -173,8 +172,7 @@ def is_prime(n: int) -> PrimalityVerdict:
     return PrimalityVerdict(value=n, status=status, method=method)
 
 
-@dataclass(frozen=True)
-class ProgressionHit:
+class ProgressionHit(NamedTuple):
     """First multiplier t (in the scan order 1, -1, 2, -2, ...) making
     every 1 + t*M prime, with one verdict per M, in the order of Ms."""
 

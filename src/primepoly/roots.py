@@ -22,8 +22,8 @@ of p - v is simple, see `integer_solutions`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .poly import RatPolynomial, eval_int_scaled, evaluate, scale_to_integer
 from .primes import primes_stream
@@ -217,8 +217,7 @@ def _bisect(c: IntCoeffs, lo: int, hi: int, den: int, width: Fraction) -> tuple[
     return lo, hi, den
 
 
-@dataclass(frozen=True)
-class IsolatedRoot:
+class IsolatedRoot(NamedTuple):
     """A real algebraic number: a square-free defining polynomial, as its
     primitive integer coefficients, plus a rational isolating interval
     containing exactly one of its roots.
@@ -256,8 +255,7 @@ class IsolatedRoot:
         return f"({self.lo},{self.hi})"
 
 
-@dataclass(frozen=True)
-class MeasureBracket:
+class MeasureBracket(NamedTuple):
     """Two-sided rational bracket for a Lebesgue measure."""
 
     lower: Fraction

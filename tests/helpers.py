@@ -8,7 +8,6 @@ import random
 from fractions import Fraction
 
 from primepoly.badpoints import TAG_ORDER, BadPoint
-from primepoly.census import UnitFibers
 from primepoly.errors import BudgetExhausted, TheoremViolation
 from primepoly.exceptional import _LIST_DATA, ExceptionalHit, SearchReport, equivalent_to_list
 from primepoly.poly import RatPolynomial, compose_affine, eval_int_scaled, make_poly
@@ -81,6 +80,14 @@ def sturm_integer_solutions(p: RatPolynomial, v) -> list[int]:
                 out.add(m)
             m += 1
     return sorted(out)
+
+
+def record_types(x):
+    """The tree of types of x.  A record (a NamedTuple) equals a bare tuple
+    of the same values, so a test that compares records compares these too."""
+    if isinstance(x, (tuple, list)):
+        return type(x), [record_types(v) for v in x]
+    return type(x)
 
 
 def fraction_refine(root: IsolatedRoot, width: Fraction) -> IsolatedRoot:
@@ -224,9 +231,8 @@ def brute_search_exceptional(degree: int, coeff_bound: int) -> SearchReport:
             eq = equivalent_to_list(f)
             if eq is None:
                 raise TheoremViolation(f"exceptional polynomial {f} (E={E}) is not list-equivalent")
-            fibers = UnitFibers(eplus=tuple(eplus), eminus=tuple(eminus))
-            hits.append(ExceptionalHit(polynomial=f, E=E, fibers=fibers, equivalence=eq))
-    return SearchReport(degree=degree, coeff_bound=coeff_bound, scanned=scanned, hits=tuple(hits))
+            hits.append(ExceptionalHit(f, E, tuple(eplus), tuple(eminus), eq))
+    return SearchReport(degree, coeff_bound, scanned, len(hits), tuple(hits))
 
 
 def list_equivalent_candidates(degree: int, coeff_bound: int) -> list[RatPolynomial]:

@@ -13,7 +13,7 @@ from primepoly.badpoints import (
 from primepoly.poly import GaussianRational, QuadExtElement, RatPolynomial, evaluate, make_poly
 from primepoly.roots import isolate_roots, sign_at
 
-from helpers import product_bad_points, random_int_poly, random_rat_poly
+from helpers import product_bad_points, random_int_poly, random_rat_poly, record_types
 
 H2 = make_poly([1, -3, 1])
 
@@ -81,7 +81,8 @@ def test_bad_points_match_product_filter(seed, shape):
     rng = random.Random(seed)
     g = random_rat_poly(rng, rng.randint(1, 4), 5)
     h = {"random": random_rat_poly(rng, rng.randint(1, 4), 5), "h=g": g, "h=-g": -g, "h=g+2": g + 2}[shape]
-    assert bad_points(g, h) == product_bad_points(g, h)
+    got, want = bad_points(g, h), product_bad_points(g, h)
+    assert got == want and record_types(got) == record_types(want)
 
 
 def test_bad_points_match_product_filter_with_denominators():
@@ -90,7 +91,8 @@ def test_bad_points_match_product_filter_with_denominators():
     cx = complex_counterexample()
     assert len(bad_points(cx.g, cx.h)) == 4
     for g, h in ((cx.g, cx.h), (cx.h, cx.g), (cx.g, -cx.h), (-cx.g, cx.h * F(3, 2))):
-        assert bad_points(g, h) == product_bad_points(g, h)
+        got, want = bad_points(g, h), product_bad_points(g, h)
+        assert got == want and record_types(got) == record_types(want)
 
 
 def test_bad_points_builds_no_rational_polynomial(monkeypatch):
@@ -112,7 +114,7 @@ def test_block_report_quartic_pair():
     rep = block_report(H2, make_poly([29, -11, 1]))
     assert rep.k == 4
     assert rep.degree == 4
-    assert rep.type_sequence() == "[g+ g+ h+ h+]"
+    assert rep.types == "[g+ g+ h+ h+]"
     assert rep.block_count == 2
     assert rep.equal_type_pairs == 2
     assert rep.central_blocks == 0

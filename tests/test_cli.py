@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import sys
 from pathlib import Path
 
@@ -61,7 +62,16 @@ CASES = [
     ("bad_input", ["analyze", "--factors=1,x"], EXIT_BAD_INPUT),
     ("analyze_binom_denominator", ["analyze", "--factors=binom:2,0,-1;binom:1,-2"], EXIT_OK),
     ("analyze_not_integer_valued", ["analyze", "--factors=0,1/2;0,2"], EXIT_BAD_INPUT),
+    # rejected by the argument parser itself: usage and error on stderr
+    ("usage_no_subcommand", [], EXIT_BAD_INPUT),
+    ("usage_unknown_subcommand", ["frobnicate"], EXIT_BAD_INPUT),
+    ("usage_analyze_no_factors", ["analyze"], EXIT_BAD_INPUT),
+    ("usage_construct_deg9", ["construct", "deg9"], EXIT_BAD_INPUT),
+    ("usage_exceptional_degree_x", ["exceptional", "--degree", "x"], EXIT_BAD_INPUT),
 ]
+
+# argparse wraps its usage lines to the terminal width, read from COLUMNS
+COLUMNS = "80"
 
 
 def _capture(argv: list[str]) -> tuple[int, str, str]:
@@ -73,7 +83,8 @@ def _capture(argv: list[str]) -> tuple[int, str, str]:
 
 @pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
-def test_cli_golden(name, argv, code, as_json):
+def test_cli_golden(name, argv, code, as_json, monkeypatch):
+    monkeypatch.setenv("COLUMNS", COLUMNS)
     got_code, out, err = _capture(argv + ["--json"] if as_json else argv)
     assert got_code == code
     golden = GOLDEN / f"{name}.{'json' if as_json else 'txt'}"
@@ -127,6 +138,7 @@ def test_cli_polya_tiny_leading_coefficient_has_no_traceback(poly, bound):
 
 
 def _record() -> None:
+    os.environ["COLUMNS"] = COLUMNS
     GOLDEN.mkdir(exist_ok=True)
     for name, argv, code in CASES:
         for suffix, extra in (("txt", []), ("json", ["--json"])):

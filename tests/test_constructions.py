@@ -1,7 +1,7 @@
 import pytest
 
 from primepoly import constructions, primes
-from primepoly.census import prime_census
+from primepoly.census import factored, prime_census
 from primepoly.constructions import (
     ConstructionCertificate,
     build_n_plus_1,
@@ -16,6 +16,8 @@ from primepoly.errors import BudgetExhausted
 from primepoly.poly import evaluate, make_poly
 from primepoly.primes import first_primes, is_prime
 
+from helpers import record_types
+
 
 def test_fixed_examples():
     expectations = {
@@ -26,7 +28,7 @@ def test_fixed_examples():
     }
     for kind, (degree, count) in expectations.items():
         cert = fixed_example(kind)
-        assert cert.f.degree == degree
+        assert cert.degree == degree
         assert cert.claimed == count
         assert cert.census.P == count
     with pytest.raises(ValueError):
@@ -65,7 +67,7 @@ def test_build_n_plus_1_small_cases():
     cert = build_n_plus_1(3)
     assert cert.anchors == (3, -3)
     assert cert.multiplier_t == 1
-    assert cert.f.product == make_poly([0, -8, 0, 1])  # x(x^2 - 8)
+    assert cert.product == make_poly([0, -8, 0, 1])  # x(x^2 - 8)
     assert cert.census.P == 4
 
     cert = build_n_plus_1(4)
@@ -85,8 +87,9 @@ def test_build_n_plus_1_range_and_consistency():
         cert = build_n_plus_1(n)
         assert cert.census.P >= n + 1
         # re-run the census from scratch: certificate must reproduce
-        again = prime_census(cert.f)
+        again = prime_census(factored(cert.factors))
         assert again == cert.census
+        assert record_types(again) == record_types(cert.census)
         if n >= 6:
             assert cert.census.P <= n + 2
     with pytest.raises(ValueError):
@@ -95,7 +98,7 @@ def test_build_n_plus_1_range_and_consistency():
 
 def test_build_n_plus_1_anchor_values():
     cert = build_n_plus_1(7)
-    f = cert.f.product
+    f = cert.product
     for p in cert.anchors:
         assert evaluate(f, p) == p
     assert abs(evaluate(f, 1)) == abs(cert.induced[0][0])
@@ -108,13 +111,13 @@ def test_build_p_plus_examples():
     cert = build_p_plus(3)
     assert cert.anchors == (2, 3)
     assert cert.multiplier_t == 1
-    assert cert.f.product == make_poly([0, 7, -5, 1])  # x(x^2 - 5x + 7)
+    assert cert.product == make_poly([0, 7, -5, 1])  # x(x^2 - 5x + 7)
     assert [w.m for w in cert.census.witnesses if w.value > 0] == [1, 2, 3]
 
     cert = build_p_plus(2)
     assert cert.anchors == (2,)
     assert cert.multiplier_t == -1
-    assert cert.f.product == make_poly([0, 3, -1])  # x(3 - x)
+    assert cert.product == make_poly([0, 3, -1])  # x(3 - x)
     assert cert.census.Pplus == 2
 
 
@@ -153,8 +156,9 @@ def test_search_n_plus_2_small_n():
         assert isinstance(result, ConstructionCertificate)
         assert result.census.P >= n + 2
         assert len(result.induced) == 4
-        again = prime_census(result.f)
+        again = prime_census(factored(result.factors))
         assert again == result.census
+        assert record_types(again) == record_types(result.census)
 
     res3 = search_n_plus_2(3)
     assert res3.anchors == (-1,)

@@ -6,7 +6,7 @@ from primepoly.census import unit_fibers
 from primepoly.exceptional import _LIST_DATA, equivalent_to_list, search_exceptional
 from primepoly.poly import compose_affine, make_poly
 
-from helpers import brute_search_exceptional, list_equivalent_candidates
+from helpers import brute_search_exceptional, list_equivalent_candidates, record_types
 
 LIST = {index: make_poly(coeffs) for index, coeffs in _LIST_DATA}
 
@@ -27,7 +27,7 @@ def test_list_entries_and_fibers():
         hits = search_exceptional(degree, 5).hits
         assert {h.equivalence.index for h in hits} == indices
         for i in indices:
-            assert LIST[i] in {h.polynomial for h in hits}
+            assert LIST[i] in {h.poly for h in hits}
 
 
 def test_equivalent_to_list_examples():
@@ -68,7 +68,7 @@ def test_unit_count_invariant_under_transform_group():
 
 def test_search_degree_1_bound_2():
     report = search_exceptional(1, 2)
-    polys = {tuple(int(c) for c in h.polynomial.coeffs) for h in report.hits}
+    polys = {tuple(int(c) for c in h.poly.coeffs) for h in report.hits}
     assert (-1, 2) in polys   # 2x - 1
     assert (-1, 1) in polys   # x - 1
     assert (1, 1) in polys    # x + 1
@@ -80,7 +80,7 @@ def test_search_degree_1_bound_2():
 
 def test_search_degree_2_bound_4():
     report = search_exceptional(2, 4)
-    polys = {tuple(int(c) for c in h.polynomial.coeffs) for h in report.hits}
+    polys = {tuple(int(c) for c in h.poly.coeffs) for h in report.hits}
     assert (1, -3, 1) in polys   # E = 4
     assert (1, -4, 2) in polys   # E = 3
     for h in report.hits:
@@ -93,7 +93,7 @@ def test_search_is_complete_for_list_equivalents():
     # search) and every in-range equivalent is a hit
     for degree, bound in ((1, 3), (2, 4), (3, 4)):
         report = search_exceptional(degree, bound)
-        hit_polys = {h.polynomial for h in report.hits}
+        hit_polys = {h.poly for h in report.hits}
         for cand in list_equivalent_candidates(degree, bound):
             assert cand in hit_polys
         assert len(hit_polys) == len(list_equivalent_candidates(degree, bound))
@@ -103,7 +103,9 @@ def test_search_is_complete_for_list_equivalents():
     "degree,bound", [(d, b) for d in (1, 2, 3) for b in range(1, 6)] + [(4, 1), (4, 2)]
 )
 def test_search_matches_box_scan(degree, bound):
-    assert search_exceptional(degree, bound) == brute_search_exceptional(degree, bound)
+    got, want = search_exceptional(degree, bound), brute_search_exceptional(degree, bound)
+    assert got == want
+    assert record_types(got) == record_types(want)
 
 
 def test_search_degree_3_small_bound_may_be_empty():

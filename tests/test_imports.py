@@ -1,5 +1,6 @@
 """Every module-level import of a primepoly module is used by that module,
-and every module-level private name is referenced somewhere in primepoly.
+every module-level private name is referenced somewhere in primepoly, and
+only `poly.py` defines dataclasses.
 
 `__init__.py` is skipped by the import check: it imports names only to
 re-export them, so its `__all__` must list exactly the names it imports.
@@ -32,6 +33,24 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_no_unused_module_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_only_poly_imports_dataclasses():
+    # result records are NamedTuples: a frozen dataclass costs about a
+    # millisecond to create at import, paid by every CLI process.
+    # RatPolynomial and QuadExtElement stay dataclasses (value types)
+    users = [p.name for p in sorted(SRC.glob("*.py")) if "dataclasses" in _imported_modules(ast.parse(p.read_text()))]
+    assert users == ["poly.py"]
 
 
 def _private_definitions(tree: ast.Module) -> list[str]:
