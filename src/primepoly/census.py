@@ -16,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
+from .errors import TheoremViolation
 from .poly import RatPolynomial, eval_int_scaled, is_integer_valued, scale_to_integer
 from .primes import is_prime
 from .roots import _integer_roots, _plus, integer_solutions
@@ -103,7 +104,7 @@ def prime_census(f: FactoredPolynomial) -> Census:
         num = eval_int_scaled(int_coeffs, m)
         value, rem = divmod(num, denom)
         if rem:
-            raise AssertionError("integer-valued product produced a non-integer")
+            raise TheoremViolation(f"f({m}) = {Fraction(num, denom)} is not an integer")
         verdict = is_prime(value)
         if not verdict.is_prime:
             continue

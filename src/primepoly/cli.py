@@ -38,7 +38,7 @@ from .bounds import (
     unbalanced_factorial_bound,
 )
 from .census import factored, level_census, prime_census
-from .constructions import build_n_plus_1, build_p_plus, fixed_example, search_n_plus_2
+from .constructions import FIXED_EXAMPLES, build_n_plus_1, build_p_plus, fixed_example, search_n_plus_2
 from .errors import BudgetExhausted, TheoremViolation
 from .exceptional import search_exceptional
 from .poly import QuadExtElement, RatPolynomial, make_poly, parse_poly
@@ -128,18 +128,10 @@ def _cmd_levels(args) -> tuple[dict, int]:
     return {"poly": poly, **level_census(poly, _parse_int_set(args.set))._asdict()}, EXIT_OK
 
 
-_FIXED_ALIASES = {
-    "deg2": "deg2",
-    "deg3": "deg3",
-    "deg4": "deg4_nplus4",
-    "deg5": "deg5_nplus3",
-}
-
-
 def _cmd_construct(args) -> tuple[dict, int]:
     kind = args.kind
-    if kind in _FIXED_ALIASES:
-        return fixed_example(_FIXED_ALIASES[kind])._asdict(), EXIT_OK
+    if kind in FIXED_EXAMPLES:
+        return fixed_example(kind)._asdict(), EXIT_OK
     if args.n is None:
         raise ValueError(f"construct {kind} requires --n")
     try:
@@ -294,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_levels)
 
     p = sub.add_parser("construct", help="build a certified prime-rich polynomial")
-    p.add_argument("kind", choices=["deg2", "deg3", "deg4", "deg5", "nplus1", "pplus", "nplus2"])
+    p.add_argument("kind", choices=[*FIXED_EXAMPLES, "nplus1", "pplus", "nplus2"])
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--tmax", type=int, default=10 ** 6)
     p.add_argument("--bmax", type=int, default=200)
@@ -338,6 +330,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv) -> int:
     """Execute a command line; print the report; return the exit code."""
+    if hasattr(sys, "set_int_max_str_digits"):  # exact values have no digit cap
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -27,12 +27,12 @@ from .primes import find_multiplier, first_primes, is_prime, primes_stream
 
 H2 = make_poly([1, -3, 1])  # (x-1)(x-2) - 1, the quadratic with four unit values
 
-# kind: (factors, claimed prime-value count)
+# CLI kind: (report kind, factors, claimed prime-value count)
 FIXED_EXAMPLES = {
-    "deg2": ((X, make_poly([-4, 1])), 4),
-    "deg3": ((H2, make_poly([-5, 1])), 5),
-    "deg4_nplus4": ((H2, make_poly([29, -11, 1])), 8),
-    "deg5_nplus3": ((H2, make_poly([-139, 83, -16, 1])), 8),  # H2 * (1 + (x-4)(x-5)(x-7))
+    "deg2": ("deg2", (X, make_poly([-4, 1])), 4),
+    "deg3": ("deg3", (H2, make_poly([-5, 1])), 5),
+    "deg4": ("deg4_nplus4", (H2, make_poly([29, -11, 1])), 8),
+    "deg5": ("deg5_nplus3", (H2, make_poly([-139, 83, -16, 1])), 8),  # H2 * (1 + (x-4)(x-5)(x-7))
 }
 
 
@@ -76,8 +76,8 @@ def fixed_example(kind: str) -> ConstructionCertificate:
     """The four hard-coded extremal examples of degrees 2, 3, 4 and 5."""
     if kind not in FIXED_EXAMPLES:
         raise ValueError(f"unknown fixed example {kind!r}; expected one of {tuple(FIXED_EXAMPLES)}")
-    factors, claimed = FIXED_EXAMPLES[kind]
-    return _certify(kind, factors, (), None, (), "P", claimed)
+    report_kind, factors, claimed = FIXED_EXAMPLES[kind]
+    return _certify(report_kind, factors, (), None, (), "P", claimed)
 
 
 class PairingCheck(NamedTuple):
@@ -184,6 +184,8 @@ def search_n_plus_2(n: int, b_scan_max: int = 200, t_max: int = 10 ** 6) -> Cons
     """
     if n < 3:
         raise ValueError("need n >= 3")
+    if b_scan_max < 1:
+        raise ValueError("b_scan_max must be at least 1")
     bs = tuple(islice(quadratic_anchor_points(b_scan_max), n - 2))
     if len(bs) < n - 2:
         raise BudgetExhausted(

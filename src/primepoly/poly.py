@@ -27,8 +27,6 @@ def _frac(x) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
 
@@ -133,11 +131,6 @@ X = RatPolynomial((Fraction(0), Fraction(1)))
 def make_poly(coeffs: Sequence[RationalLike]) -> RatPolynomial:
     """Build a polynomial from ascending-degree rational coefficients."""
     return RatPolynomial(tuple(_frac(c) for c in coeffs))
-
-
-def derivative(p: RatPolynomial) -> RatPolynomial:
-    """Formal derivative."""
-    return RatPolynomial(tuple(i * c for i, c in enumerate(p.coeffs) if i > 0))
 
 
 def compose_affine(p: RatPolynomial, sigma: int, tau: int, a: int) -> RatPolynomial:

@@ -267,24 +267,8 @@ class MeasureBracket(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def sturm_count(p: RatPolynomial, lo, hi) -> int:
-    """Number of distinct real roots of p in the half-open interval (lo, hi]."""
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    lo, hi = Fraction(lo), Fraction(hi)
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    return _count(_sturm(_to_int(p)), lo, hi)
-
-
-def count_real_roots(p: RatPolynomial) -> int:
-    """Number of distinct real roots of p over the whole real line."""
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    return _count_roots(_to_int(p))
-
-
 def _count_roots(c: list[int]) -> int:
+    """Number of distinct real roots of the nonzero integer list c."""
     chain = _sturm(c)
     bound = Fraction(_cauchy_bound(chain[0]))
     return _count(chain, -bound, bound)
@@ -407,13 +391,9 @@ def _integer_roots(c: list[int]) -> list[int]:
     return sorted(out)
 
 
-def sign_at(q: RatPolynomial, r: IsolatedRoot) -> int:
-    """Exact sign of q at the algebraic point r (0 iff q vanishes there)."""
-    return _sign_at(_to_int(q), r)
-
-
 def _sign_at(cq: list[int], r: IsolatedRoot) -> int:
-    """`sign_at` for the integer coefficients cq of a positive multiple of q."""
+    """Exact sign at the algebraic point r (0 iff it vanishes there) of q,
+    given as the integer coefficients cq of a positive multiple of q."""
     if not cq:
         return 0
     if r.is_exact:

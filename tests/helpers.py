@@ -18,12 +18,12 @@ from primepoly.roots import (
     _eval_scaled_frac,
     _separate,
     _sign,
+    _sign_at,
     _sturm,
     _to_int,
     _var_at,
     integer_solutions,
     isolate_roots,
-    sign_at,
 )
 
 
@@ -177,7 +177,7 @@ def product_bad_points(g: RatPolynomial, h: RatPolynomial) -> list[BadPoint]:
         (root, tag)
         for tag, poly in zip(TAG_ORDER, (g - 1, g + 1, h - 1, h + 1))
         for root in isolate_roots(poly)
-        if sign_at(f_minus_1, root) == 1
+        if _sign_at(_to_int(f_minus_1), root) == 1
     ]
     return [BadPoint(root=root, tags=(tag,)) for root, tag in _separate(kept)]
 

@@ -11,7 +11,7 @@ from primepoly.badpoints import (
     complex_counterexample,
 )
 from primepoly.poly import GaussianRational, QuadExtElement, RatPolynomial, evaluate, make_poly
-from primepoly.roots import isolate_roots, sign_at
+from primepoly.roots import _sign_at, _to_int, isolate_roots
 
 from helpers import product_bad_points, random_int_poly, random_rat_poly, record_types
 
@@ -54,7 +54,7 @@ def test_bad_points_merges_shared_real():
     assert [p.tags for p in pts] == [("g-",)]
     x2_minus_2 = make_poly([-2, 0, 1])
     for p in pts:
-        assert sign_at(x2_minus_2, p.root) != 0   # not at +-sqrt(2)
+        assert _sign_at(_to_int(x2_minus_2), p.root) != 0   # not at +-sqrt(2)
         assert len(p.tags) == 1
 
 
@@ -69,7 +69,7 @@ def test_bad_points_separates_overlapping_candidates_with_their_tags():
     assert [p.tags for p in pts] == [("h+",), ("g+",), ("h-",), ("g-",)]
     at = {"g+": g - 1, "g-": g + 1, "h+": h - 1, "h-": h + 1}
     for p in pts:
-        assert sign_at(at[p.primary_type], p.root) == 0
+        assert _sign_at(_to_int(at[p.primary_type]), p.root) == 0
     for a, b in zip(pts, pts[1:]):
         assert a.root.hi < b.root.lo
 

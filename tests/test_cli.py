@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from primepoly import cli, exceptional
+from primepoly import census, cli, exceptional
 from primepoly.cli import EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_OK, EXIT_VIOLATION, run
 from primepoly.errors import TheoremViolation
 
@@ -42,6 +42,7 @@ CASES = [
     ("construct_nplus1_budget", ["construct", "nplus1", "--n", "20", "--tmax", "1"], EXIT_BUDGET),
     ("construct_pplus_budget", ["construct", "pplus", "--n", "20", "--tmax", "2"], EXIT_BUDGET),
     ("construct_nplus2_shortfall", ["construct", "nplus2", "--n", "12", "--bmax", "3"], EXIT_BUDGET),
+    ("construct_nplus2_bmax_0", ["construct", "nplus2", "--n", "10", "--bmax", "0"], EXIT_BAD_INPUT),
     ("exceptional_2_3", ["exceptional", "--degree", "2", "--bound", "3"], EXIT_OK),
     ("exceptional_3_5", ["exceptional", "--degree", "3", "--bound", "5"], EXIT_OK),
     ("exceptional_4_2", ["exceptional", "--degree", "4", "--bound", "2"], EXIT_OK),
@@ -109,6 +110,32 @@ def test_cli_exceptional_unmatched_hit_exits_1(monkeypatch):
     assert code == EXIT_VIOLATION
     assert out == "" and err.startswith("THEOREM VIOLATION: exceptional polynomial ")
     assert err.endswith(" is not list-equivalent\n")
+
+
+def test_cli_census_non_integer_value_exits_1(monkeypatch):
+    # x/2 is not integer-valued: with that check bypassed, the census meets
+    # f(-3) = 3/2 and must report a violation, not a traceback
+    monkeypatch.setattr(census, "is_integer_valued", lambda g: True)
+    code, out, err = _capture(["analyze", "--factors=0,1/2;2,1"])
+    assert code == EXIT_VIOLATION
+    assert out == "" and err.startswith("THEOREM VIOLATION: ")
+
+
+@pytest.mark.parametrize(
+    "argv,digits",
+    [
+        (["polya", "--poly=0,1", "--K", "1e5000"], 5000),
+        (["statement41", "--g=0,1e4400", "--h=1,1"], 4400),
+        (["analyze", "--factors=0,1e4400;1,1"], 4400),
+    ],
+    ids=["polya", "statement41", "analyze"],
+)
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_cli_integers_past_the_str_digit_limit_print_in_full(argv, digits, as_json):
+    # Python caps int <-> str conversion at 4300 digits by default
+    code, out, err = _capture(argv + ["--json"] if as_json else argv)
+    assert code == EXIT_OK and err == ""
+    assert "1" + "0" * digits in out
 
 
 def test_cli_lemmas_large_kmax_has_no_traceback():

@@ -21,13 +21,14 @@ from helpers import record_types
 
 def test_fixed_examples():
     expectations = {
-        "deg2": (2, 4),
-        "deg3": (3, 5),
-        "deg4_nplus4": (4, 8),
-        "deg5_nplus3": (5, 8),
+        "deg2": ("deg2", 2, 4),
+        "deg3": ("deg3", 3, 5),
+        "deg4": ("deg4_nplus4", 4, 8),
+        "deg5": ("deg5_nplus3", 5, 8),
     }
-    for kind, (degree, count) in expectations.items():
+    for kind, (report_kind, degree, count) in expectations.items():
         cert = fixed_example(kind)
+        assert cert.kind == report_kind
         assert cert.degree == degree
         assert cert.claimed == count
         assert cert.census.P == count
@@ -36,7 +37,7 @@ def test_fixed_examples():
 
 
 def test_deg5_witnesses_are_consecutive():
-    cert = fixed_example("deg5_nplus3")
+    cert = fixed_example("deg5")
     assert [w.m for w in cert.census.witnesses] == list(range(8))
 
 

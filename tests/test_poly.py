@@ -9,7 +9,6 @@ from primepoly.poly import (
     RatPolynomial,
     NEG_INFINITY,
     compose_affine,
-    derivative,
     evaluate,
     format_poly,
     from_binomial,
@@ -197,21 +196,6 @@ def test_compose_affine_inverse_round_trip():
         # undo: sigma * q(tau*x - tau*a) = p
         back = compose_affine(q, sigma, tau, -tau * a)
         assert back == p
-
-
-def test_derivative():
-    assert derivative(H2) == make_poly([-3, 2])
-    assert derivative(make_poly([5])).is_zero
-    assert derivative(make_poly([1, -1, 0, F(1, 3)])) == make_poly([-1, 0, 1])
-
-
-def test_derivative_linear_and_product_rule():
-    rng = random.Random(505)
-    for _ in range(30):
-        p = random_rat_poly(rng, rng.randint(0, 5), 5)
-        q = random_rat_poly(rng, rng.randint(0, 5), 5)
-        assert derivative(p + q) == derivative(p) + derivative(q)
-        assert derivative(p * q) == derivative(p) * q + p * derivative(q)
 
 
 def test_cross_representation_evaluation_agreement():

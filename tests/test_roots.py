@@ -12,14 +12,14 @@ from primepoly.poly import make_poly
 from primepoly.roots import (
     IsolatedRoot,
     _chain,
+    _count,
+    _count_roots,
     _deriv,
+    _sign_at,
     _sturm,
     _to_int,
-    count_real_roots,
     integer_solutions,
     isolate_roots,
-    sign_at,
-    sturm_count,
     sublevel_measure,
 )
 
@@ -37,25 +37,21 @@ H2 = make_poly([1, -3, 1])
 
 
 def test_sturm_count_examples():
-    assert sturm_count(make_poly([-2, 0, 1]), 0, 2) == 1
-    assert sturm_count(H2, -10, 10) == 2
-    assert sturm_count(make_poly([-1, 0, 1]) ** 2, -2, 2) == 2  # distinct roots of (x^2-1)^2
+    assert _count(_sturm(_to_int(make_poly([-2, 0, 1]))), F(0), F(2)) == 1
+    assert _count(_sturm(_to_int(H2)), F(-10), F(10)) == 2
+    assert _count(_sturm(_to_int(make_poly([-1, 0, 1]) ** 2)), F(-2), F(2)) == 2  # distinct roots of (x^2-1)^2
 
 
 def test_sturm_count_endpoint_conventions():
     p = make_poly([0, -3, 1])  # roots 0 and 3
-    assert sturm_count(p, -1, 3) == 2   # hi is a root: included
-    assert sturm_count(p, 0, 3) == 1    # lo is a root: excluded
-    assert sturm_count(p, 0, 2) == 0
-    assert sturm_count(p, -1, 0) == 1
+    assert _count(_sturm(_to_int(p)), F(-1), F(3)) == 2   # hi is a root: included
+    assert _count(_sturm(_to_int(p)), F(0), F(3)) == 1    # lo is a root: excluded
+    assert _count(_sturm(_to_int(p)), F(0), F(2)) == 0
+    assert _count(_sturm(_to_int(p)), F(-1), F(0)) == 1
 
 
 def test_sturm_count_validation():
-    with pytest.raises(ValueError):
-        sturm_count(make_poly([]), 0, 1)
-    with pytest.raises(ValueError):
-        sturm_count(H2, 2, 2)
-    assert sturm_count(make_poly([7]), 0, 1) == 0
+    assert _count(_sturm(_to_int(make_poly([7]))), F(0), F(1)) == 0
 
 
 def test_isolate_roots_examples():
@@ -87,9 +83,9 @@ def test_isolation_matches_sturm_on_random():
     for _ in range(120):
         p = random_int_poly(rng, rng.randint(1, 8), 9)
         roots = isolate_roots(p)
-        assert len(roots) == count_real_roots(p)
+        assert len(roots) == _count_roots(_to_int(p))
         bound = 10 ** 4
-        assert len([r for r in roots if -bound < r.lo]) == sturm_count(p, -bound, bound)
+        assert len([r for r in roots if -bound < r.lo]) == _count(_sturm(_to_int(p)), F(-bound), F(bound))
         for a, b in zip(roots, roots[1:]):
             assert a.hi <= b.lo or (a.hi < b.hi and a.lo < b.lo)
 
@@ -248,10 +244,10 @@ def test_integer_solutions_skips_primes_with_colliding_roots():
 
 def test_sign_at_examples():
     sqrt3 = isolate_roots(make_poly([-3, 0, 1]))[1]
-    assert sign_at(make_poly([-3, 1]), sqrt3) == -1       # sqrt3 < 3
-    assert sign_at(make_poly([-3, 0, 1]), sqrt3) == 0     # its own root
+    assert _sign_at(_to_int(make_poly([-3, 1])), sqrt3) == -1       # sqrt3 < 3
+    assert _sign_at(_to_int(make_poly([-3, 0, 1])), sqrt3) == 0     # its own root
     neg_sqrt2 = isolate_roots(make_poly([-2, 0, 1]))[0]
-    assert sign_at(make_poly([0, 1]), neg_sqrt2) == -1
+    assert _sign_at(_to_int(make_poly([0, 1])), neg_sqrt2) == -1
 
 
 def test_sign_at_shared_root_engineered():
@@ -264,17 +260,17 @@ def test_sign_at_shared_root_engineered():
         r = rng.choice(roots)
         # multiply the defining polynomial into an unrelated one: shared root
         q = p * random_int_poly(rng, rng.randint(0, 3), 6)
-        assert sign_at(q, r) == 0
+        assert _sign_at(_to_int(q), r) == 0
         shifted = p + 1
-        s = sign_at(shifted, r)
+        s = _sign_at(_to_int(shifted), r)
         assert s == 1  # p(root) = 0, so (p+1)(root) = 1
 
 
 def test_sign_at_exact_root():
     r = IsolatedRoot((-6, 1), F(6), F(6))
-    assert sign_at(make_poly([-5, 1]), r) == 1
-    assert sign_at(make_poly([-7, 1]), r) == -1
-    assert sign_at(make_poly([-6, 1]), r) == 0
+    assert _sign_at(_to_int(make_poly([-5, 1])), r) == 1
+    assert _sign_at(_to_int(make_poly([-7, 1])), r) == -1
+    assert _sign_at(_to_int(make_poly([-6, 1])), r) == 0
 
 
 def test_sublevel_measure_examples():
@@ -312,10 +308,10 @@ def test_sublevel_measure_validation():
 
 
 def test_count_real_roots():
-    assert count_real_roots(make_poly([0, -1, 0, 1])) == 3
-    assert count_real_roots(make_poly([1, 0, 1])) == 0
-    assert count_real_roots(make_poly([9])) == 0
-    assert count_real_roots(make_poly([-1, 1]) ** 4) == 1
+    assert _count_roots(_to_int(make_poly([0, -1, 0, 1]))) == 3
+    assert _count_roots(_to_int(make_poly([1, 0, 1]))) == 0
+    assert _count_roots(_to_int(make_poly([9]))) == 0
+    assert _count_roots(_to_int(make_poly([-1, 1]) ** 4)) == 1
 
 
 def _sympy_distinct_real_roots(p) -> list:
@@ -353,13 +349,13 @@ def test_sturm_count_half_open_matches_sympy(case):
     p, lo, hi = case
     lo_s, hi_s = sympy.Rational(lo.numerator, lo.denominator), sympy.Rational(hi.numerator, hi.denominator)
     expect = [r for r in _sympy_distinct_real_roots(p) if lo_s < r <= hi_s]
-    assert sturm_count(p, lo, hi) == len(expect)
+    assert _count(_sturm(_to_int(p)), F(lo), F(hi)) == len(expect)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(_dense_polys(), _linear_products()))
 def test_count_real_roots_matches_sympy(p):
-    assert count_real_roots(p) == len(_sympy_distinct_real_roots(p))
+    assert _count_roots(_to_int(p)) == len(_sympy_distinct_real_roots(p))
 
 
 @settings(max_examples=100, deadline=None)
@@ -382,7 +378,7 @@ def test_sign_at_matches_sympy(seed):
     for r, alpha in zip(roots, expect):
         value = q_expr.subs(_X, alpha).evalf(80)
         want = 0 if abs(value) < sympy.Float(10) ** -40 else (1 if value > 0 else -1)
-        assert sign_at(q, r) == want
+        assert _sign_at(_to_int(q), r) == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -438,8 +434,8 @@ def test_real_root_routines_search_no_prime(monkeypatch):
 
     monkeypatch.setattr(roots, "primes_stream", no_primes)
     p = make_poly([-1, 1]) ** 2 * make_poly([-2, 0, 1])
-    assert sturm_count(p, 0, 2) == 2
-    assert count_real_roots(p) == 3
+    assert _count(_sturm(_to_int(p)), F(0), F(2)) == 2
+    assert _count_roots(_to_int(p)) == 3
     found = isolate_roots(p)
     assert len(found) == 3
-    assert [sign_at(make_poly([0, 1]), r) for r in found] == [-1, 1, 1]
+    assert [_sign_at(_to_int(make_poly([0, 1])), r) for r in found] == [-1, 1, 1]
