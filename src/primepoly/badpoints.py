@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import TheoremViolation
-from .poly import GaussianRational, QuadExtElement, RatPolynomial, evaluate, make_poly, scale_to_integer
+from .poly import RatPolynomial, evaluate, make_poly, scale_to_integer
 from .roots import IsolatedRoot, _count_roots, _deriv, _isolate, _plus, _primitive, _separate, _sign_at
 
 TAG_ORDER = ("g+", "g-", "h+", "h-")
@@ -114,8 +114,30 @@ def block_report(g: RatPolynomial, h: RatPolynomial) -> BlockReport:
     )
 
 
+def _at(p: RatPolynomial, a: Fraction, b: Fraction, d: int) -> tuple[Fraction, Fraction]:
+    """(re, im) with p(a + b*sqrt(d)) = re + im*sqrt(d): Horner on pairs."""
+    re = im = Fraction(0)
+    for c in reversed(p.coeffs):
+        re, im = re * a + im * b * d + c, re * b + im * a
+    return re, im
+
+
+def _positive(a: Fraction, b: Fraction, d: int) -> bool:
+    """Exact test that a + b*sqrt(d) > 0 for d > 0: when the signs of a and
+    b differ, a decides exactly when a^2 exceeds d*b^2."""
+    if (a < 0) == (b < 0):
+        return a > 0 or b > 0
+    return (a * a - d * b * b) * a > 0
+
+
+def _text(value: tuple[Fraction, Fraction], unit: str) -> str:
+    a, b = value
+    return f"{a}{'+' if b >= 0 else '-'}{abs(b)}{unit}"
+
+
 class ComplexCounterexample(NamedTuple):
-    """Exact data for the degree-5 complex pair with six bad points."""
+    """Exact data for the degree-5 complex pair with six bad points; the
+    values at the algebraic points are report strings a+bi or a+b*sqrt(3)."""
 
     g: RatPolynomial
     h: RatPolynomial
@@ -124,14 +146,14 @@ class ComplexCounterexample(NamedTuple):
     points: tuple[str, ...]
     factor_identity_ok: bool
     h_at_2: Fraction
-    h_at_2_plus_3i: QuadExtElement   # d = -1, a Gaussian rational
-    h_at_2_minus_3i: QuadExtElement  # d = -1
-    g_at_2_plus_3i: QuadExtElement   # d = -1
+    h_at_2_plus_3i: str
+    h_at_2_minus_3i: str
+    g_at_2_plus_3i: str
     f_at_0: Fraction
     f_at_2: Fraction
-    f_at_sqrt3: QuadExtElement
-    f_at_neg_sqrt3: QuadExtElement
-    f_at_2_plus_3i: QuadExtElement   # d = -1
+    f_at_sqrt3: str
+    f_at_neg_sqrt3: str
+    f_at_2_plus_3i: str
 
 
 def complex_counterexample() -> ComplexCounterexample:
@@ -145,37 +167,28 @@ def complex_counterexample() -> ComplexCounterexample:
     """
     g = make_poly([1, -1, 0, Fraction(1, 3)])
     h = make_poly([Fraction(17, 9), Fraction(-8, 9), Fraction(2, 9)])
+    f = g * h
 
     # g - 1 = (x/3)(x^2 - 3): pins the three roots 0, +-sqrt(3) exactly
     identity_ok = (g - 1) == make_poly([0, Fraction(1, 3)]) * make_poly([-3, 0, 1])
 
-    h2 = evaluate(h, 2)
-    zp = GaussianRational(2, 3)
-    zm = GaussianRational(2, -3)
-    h_zp = evaluate(h, zp)
-    h_zm = evaluate(h, zm)
-    g_zp = evaluate(g, zp)
-
-    f0 = evaluate(g, 0) * evaluate(h, 0)
-    f2 = evaluate(g, 2) * h2
-    sqrt3 = QuadExtElement(0, 1, 3)
-    f_s3 = evaluate(g, sqrt3) * evaluate(h, sqrt3)
-    f_ns3 = evaluate(g, -sqrt3) * evaluate(h, -sqrt3)
-    f_zp = g_zp * h_zp
+    h2, f0, f2 = evaluate(h, 2), evaluate(f, 0), evaluate(f, 2)
+    h_zp, h_zm, g_zp, f_zp = _at(h, 2, 3, -1), _at(h, 2, -3, -1), _at(g, 2, 3, -1), _at(f, 2, 3, -1)
+    f_s3, f_ns3 = _at(f, 0, 1, 3), _at(f, 0, -1, 3)
 
     checks = [
         identity_ok,
         h2 == 1,
-        h_zp == GaussianRational(-1, 0),
-        h_zm == GaussianRational(-1, 0),
-        g_zp == GaussianRational(Fraction(-49, 3), 0),
+        h_zp == (-1, 0),
+        h_zm == (-1, 0),
+        g_zp == (Fraction(-49, 3), 0),
         f0 == Fraction(17, 9) and f0 > 1,
         f2 == Fraction(5, 3) and f2 > 1,
-        f_s3 == QuadExtElement(Fraction(23, 9), Fraction(-8, 9), 3),
-        f_ns3 == QuadExtElement(Fraction(23, 9), Fraction(8, 9), 3),
-        (f_s3 - 1).sign() == 1,
-        (f_ns3 - 1).sign() == 1,
-        f_zp == GaussianRational(Fraction(49, 3), 0) and f_zp.a > 1,
+        f_s3 == (Fraction(23, 9), Fraction(-8, 9)),
+        f_ns3 == (Fraction(23, 9), Fraction(8, 9)),
+        _positive(f_s3[0] - 1, f_s3[1], 3),
+        _positive(f_ns3[0] - 1, f_ns3[1], 3),
+        f_zp == (Fraction(49, 3), 0) and f_zp[0] > 1,
     ]
     if not all(checks):
         raise TheoremViolation(f"complex counterexample failed exact checks: {checks}")
@@ -188,12 +201,12 @@ def complex_counterexample() -> ComplexCounterexample:
         points=("0", "sqrt3", "-sqrt3", "2", "2+3i", "2-3i"),
         factor_identity_ok=identity_ok,
         h_at_2=h2,
-        h_at_2_plus_3i=h_zp,
-        h_at_2_minus_3i=h_zm,
-        g_at_2_plus_3i=g_zp,
+        h_at_2_plus_3i=_text(h_zp, "i"),
+        h_at_2_minus_3i=_text(h_zm, "i"),
+        g_at_2_plus_3i=_text(g_zp, "i"),
         f_at_0=f0,
         f_at_2=f2,
-        f_at_sqrt3=f_s3,
-        f_at_neg_sqrt3=f_ns3,
-        f_at_2_plus_3i=f_zp,
+        f_at_sqrt3=_text(f_s3, "*sqrt(3)"),
+        f_at_neg_sqrt3=_text(f_ns3, "*sqrt(3)"),
+        f_at_2_plus_3i=_text(f_zp, "i"),
     )

@@ -41,7 +41,7 @@ from .census import factored, level_census, prime_census
 from .constructions import FIXED_EXAMPLES, build_n_plus_1, build_p_plus, fixed_example, search_n_plus_2
 from .errors import BudgetExhausted, TheoremViolation
 from .exceptional import search_exceptional
-from .poly import QuadExtElement, RatPolynomial, make_poly, parse_poly
+from .poly import RatPolynomial, make_poly, parse_poly
 from .roots import IsolatedRoot
 
 EXIT_OK = 0
@@ -94,7 +94,7 @@ def _report(obj):
     (IsolatedRoot is a record too, so the text forms are tried first.)"""
     if obj is None or isinstance(obj, (int, str)):
         return obj
-    if isinstance(obj, (Fraction, RatPolynomial, QuadExtElement, IsolatedRoot)):
+    if isinstance(obj, (Fraction, RatPolynomial, IsolatedRoot)):
         return str(obj)
     if hasattr(obj, "_asdict"):
         obj = obj._asdict()

@@ -4,9 +4,10 @@ Polynomials are stored densely by ascending degree with `Fraction`
 coefficients.  Besides ring arithmetic the module provides the one
 denominator-clearing routine `scale_to_integer`, the binomial
 (falling-factorial) basis, the integer-valuedness test by the values
-p(0), ..., p(deg p), affine substitution, and exact evaluation over the
-rationals and the quadratic extensions Q(sqrt(d)), the Gaussian rationals
-among them.
+p(0), ..., p(deg p), affine substitution, and exact evaluation at
+rational points.  Points in a quadratic extension are evaluated only by
+the complex counterexample, with its own pair-valued Horner in
+`badpoints`.
 """
 
 from __future__ import annotations
@@ -98,18 +99,6 @@ class RatPolynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "RatPolynomial":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __call__(self, x):
         return evaluate(self, x)
 
@@ -156,20 +145,14 @@ def scale_to_integer(p: RatPolynomial) -> tuple[list[int], int]:
 # ---------------------------------------------------------------------------
 
 
-def binomial_basis_poly(k: int) -> RatPolynomial:
-    """The polynomial C(x, k) = x(x-1)...(x-k+1) / k!."""
-    p = ONE
-    for i in range(k):
-        p = p * RatPolynomial((Fraction(-i), Fraction(1)))
-    return RatPolynomial(tuple(c / math.factorial(k) for c in p.coeffs))
-
-
 def from_binomial(coeffs: Sequence[RationalLike]) -> RatPolynomial:
-    """The polynomial sum c_k * C(x, k) of ascending coefficients c_k."""
-    result = ZERO
+    """The polynomial sum c_k * C(x, k) of ascending coefficients c_k, the
+    basis kept as one running product C(x, k+1) = C(x, k) * (x - k) / (k + 1)."""
+    result, basis = ZERO, ONE
     for k, c in enumerate(coeffs):
         if c != 0:
-            result = result + c * binomial_basis_poly(k)
+            result = result + c * basis
+        basis = basis * RatPolynomial((Fraction(-k, k + 1), Fraction(1, k + 1)))
     return result
 
 
@@ -182,104 +165,14 @@ def is_integer_valued(p: RatPolynomial) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation rings
+# Evaluation
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadExtElement:
-    """Exact element a + b*sqrt(d) of a quadratic extension of Q.
-
-    d must be a fixed square-free positive integer (a real extension) or
-    -1 (the Gaussian rationals, sqrt(-1) = i); arithmetic between elements
-    with different d is rejected.
-    """
-
-    a: Fraction
-    b: Fraction
-    d: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", _frac(self.a))
-        object.__setattr__(self, "b", _frac(self.b))
-        if self.d <= 0 and self.d != -1:
-            raise ValueError("d must be a positive integer or -1")
-
-    def _check(self, other) -> "QuadExtElement":
-        other = _as_quad(other, self.d)
-        if other.d != self.d:
-            raise ValueError(f"mixed quadratic extensions: sqrt({self.d}) vs sqrt({other.d})")
-        return other
-
-    def __add__(self, other) -> "QuadExtElement":
-        other = self._check(other)
-        return QuadExtElement(self.a + other.a, self.b + other.b, self.d)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QuadExtElement":
-        return QuadExtElement(-self.a, -self.b, self.d)
-
-    def __sub__(self, other) -> "QuadExtElement":
-        return self + (-self._check(other))
-
-    def __rsub__(self, other) -> "QuadExtElement":
-        return self._check(other) + (-self)
-
-    def __mul__(self, other) -> "QuadExtElement":
-        other = self._check(other)
-        return QuadExtElement(
-            self.a * other.a + self.b * other.b * self.d,
-            self.a * other.b + self.b * other.a,
-            self.d,
-        )
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "QuadExtElement":
-        return QuadExtElement(self.a, -self.b, self.d)
-
-    def sign(self) -> int:
-        """Exact sign of a + b*sqrt(d), for a real extension (d > 0)."""
-        if self.d < 0:
-            raise ValueError("a Gaussian rational has no sign")
-        if self.b == 0:
-            return 0 if self.a == 0 else (1 if self.a > 0 else -1)
-        if self.a == 0:
-            return 1 if self.b > 0 else -1
-        if self.a > 0 and self.b > 0:
-            return 1
-        if self.a < 0 and self.b < 0:
-            return -1
-        # opposite signs: compare a^2 with b^2 d
-        if self.a * self.a > self.b * self.b * self.d:
-            return 1 if self.a > 0 else -1
-        if self.a * self.a < self.b * self.b * self.d:
-            return 1 if self.b > 0 else -1
-        return 0
-
-    def __str__(self) -> str:
-        unit = "i" if self.d == -1 else f"*sqrt({self.d})"
-        return f"{self.a}{'+' if self.b >= 0 else '-'}{abs(self.b)}{unit}"
-
-
-def GaussianRational(re, im) -> QuadExtElement:
-    """Exact complex number re + im*i: the d = -1 case of QuadExtElement."""
-    return QuadExtElement(re, im, -1)
-
-
-def _as_quad(x, d: int) -> QuadExtElement:
-    if isinstance(x, QuadExtElement):
-        return x
-    return QuadExtElement(_frac(x), Fraction(0), d)
-
-
-def evaluate(p: RatPolynomial, x):
-    """Exact Horner evaluation of p at a rational or quadratic-extension
-    point (Gaussian rationals included); the result has the same kind."""
-    if not isinstance(x, QuadExtElement):
-        x = _frac(x)
-    acc = x * 0
+def evaluate(p: RatPolynomial, x) -> Fraction:
+    """Exact Horner evaluation of p at a rational point."""
+    x = _frac(x)
+    acc = Fraction(0)
     for c in reversed(p.coeffs):
         acc = acc * x + c
     return acc

@@ -45,6 +45,11 @@ def random_rat_poly(rng: random.Random, degree: int, bound: int) -> RatPolynomia
     return make_poly([rat() for _ in range(degree)] + [lead])
 
 
+def power(p: RatPolynomial, n: int) -> RatPolynomial:
+    """p to the n-th power as a product of n copies of p (n >= 0)."""
+    return math.prod([p] * n, start=make_poly([1]))
+
+
 def binomial_coefficients(p: RatPolynomial) -> list[Fraction]:
     """Reference for `is_integer_valued`: the coefficients c_k of
     p = sum c_k C(x, k), by the triangular system of the values p(0), ...,

@@ -2,15 +2,18 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primepoly.badpoints import (
+    _at,
+    _positive,
     bad_points,
     block_report,
     complex_counterexample,
 )
-from primepoly.poly import GaussianRational, QuadExtElement, RatPolynomial, evaluate, make_poly
+from primepoly.poly import RatPolynomial, evaluate, make_poly
 from primepoly.roots import _sign_at, _to_int, isolate_roots
 
 from helpers import product_bad_points, random_int_poly, random_rat_poly, record_types
@@ -154,17 +157,61 @@ def test_complex_counterexample_exact():
     assert cx.degree == 5
     assert cx.factor_identity_ok
     assert cx.h_at_2 == 1
-    assert cx.h_at_2_plus_3i == GaussianRational(-1, 0)
-    assert cx.h_at_2_minus_3i == GaussianRational(-1, 0)
-    assert cx.g_at_2_plus_3i == GaussianRational(F(-49, 3), 0)
-    assert cx.f_at_2_plus_3i == GaussianRational(F(49, 3), 0)
+    assert cx.h_at_2_plus_3i == "-1+0i"
+    assert cx.h_at_2_minus_3i == "-1+0i"
+    assert cx.g_at_2_plus_3i == "-49/3+0i"
+    assert cx.f_at_2_plus_3i == "49/3+0i"
     assert cx.f_at_0 == F(17, 9)
     assert cx.f_at_2 == F(5, 3)
-    assert cx.f_at_sqrt3 == QuadExtElement(F(23, 9), F(-8, 9), 3)
-    assert cx.f_at_neg_sqrt3 == QuadExtElement(F(23, 9), F(8, 9), 3)
-    assert (cx.f_at_sqrt3 - 1).sign() == 1
-    assert (cx.f_at_neg_sqrt3 - 1).sign() == 1
+    assert cx.f_at_sqrt3 == "23/9-8/9*sqrt(3)"
+    assert cx.f_at_neg_sqrt3 == "23/9+8/9*sqrt(3)"
     assert cx.bad_count > cx.degree
+
+
+_G = make_poly([1, -1, 0, F(1, 3)])                # x^3/3 - x + 1
+_H = make_poly([F(17, 9), F(-8, 9), F(2, 9)])      # (2/9)(x-2)^2 + 1
+_small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(_small_rationals, max_size=6).map(make_poly),
+    _small_rationals,
+    _small_rationals,
+    st.sampled_from([-1, 2, 3, 5]),
+)
+@example(_H, F(2), F(3), -1).via("h(2+3i) = -1")
+@example(_H, F(2), F(-3), -1).via("h(2-3i) = -1")
+@example(make_poly([]), F(2), F(3), -1).via("the zero polynomial")
+@example(_G, F(0), F(1), 3).via("g(sqrt3) = 1")
+@example(_G, F(0), F(-1), 3).via("g(-sqrt3) = 1")
+def test_at_matches_sympy(p, a, b, d):
+    unit = sympy.sqrt(d)
+    z = sympy.Rational(a) + sympy.Rational(b) * unit
+    value = sympy.expand(sum(sympy.Rational(c) * z ** k for k, c in enumerate(p.coeffs)))
+    im = value.coeff(unit)
+    assert _at(p, a, b, d) == (F(str(sympy.expand(value - im * unit))), F(str(im)))
+
+
+def test_at_examples():
+    assert _at(_H, F(2), F(3), -1) == (-1, 0)
+    assert _at(_H, F(2), F(-3), -1) == (-1, 0)
+    assert _at(make_poly([0, 0, 1]), F(2), F(3), -1) == (-5, 12)   # (2+3i)^2
+    assert _at(make_poly([]), F(2), F(3), -1) == (0, 0)
+    assert _at(_G, F(0), F(1), 3) == (1, 0)
+    assert _at(_G, F(0), F(-1), 3) == (1, 0)
+
+
+def test_positive():
+    # (23 - 8*sqrt(3))/9 - 1 = (14 - 8*sqrt(3))/9 > 0 since 196 > 192
+    assert _positive(F(14, 9), F(-8, 9), 3)
+    assert not _positive(F(13, 9), F(-8, 9), 3)  # 169 < 192
+    assert _positive(F(-13, 9), F(8, 9), 3) and not _positive(F(-14, 9), F(8, 9), 3)  # the negations
+    assert not _positive(F(0), F(0), 3)
+    assert not _positive(F(2), F(-1), 4)  # 2 = sqrt(4): the boundary is not positive
+    assert not _positive(F(-2), F(1), 4)
+    assert _positive(F(0), F(1), 3) and _positive(F(1), F(0), 3) and _positive(F(1), F(1), 3)
+    assert not _positive(F(0), F(-1), 3) and not _positive(F(-1), F(0), 3) and not _positive(F(-1), F(-1), 3)
 
 
 def test_complex_counterexample_real_part_still_capped():

@@ -1,6 +1,7 @@
 """Every module-level import of a primepoly module is used by that module,
-every module-level private name and public function is referenced
-somewhere in primepoly, and only `poly.py` defines dataclasses.
+every module-level private name, public function and public method or
+property is referenced somewhere in primepoly, and only `poly.py` defines
+dataclasses.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def _imported_modules(tree: ast.Module) -> set[str]:
 def test_only_poly_imports_dataclasses():
     # result records are NamedTuples: a frozen dataclass costs about a
     # millisecond to create at import, paid by every CLI process.
-    # RatPolynomial and QuadExtElement stay dataclasses (value types)
+    # RatPolynomial stays a dataclass (a value type)
     users = [module for module, tree in TREES.items() if "dataclasses" in _imported_modules(tree)]
     assert users == ["poly"]
 
@@ -96,3 +97,17 @@ def test_every_public_function_has_a_caller_in_src():
     ]
     assert public
     assert [d for d in public if d[1] not in referenced and d not in CLI_PENDING] == []
+
+
+def test_every_public_method_has_a_caller_in_src():
+    referenced = _referenced_names()
+    public = [
+        (cls.name, node.name)
+        for tree in TREES.values()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    assert public
+    assert [d for d in public if d[1] not in referenced] == []

@@ -27,6 +27,7 @@ from helpers import (
     brute_integer_solutions,
     fraction_isolate_roots,
     fraction_refine,
+    power,
     record_types,
     random_int_poly,
     random_rat_poly,
@@ -39,7 +40,7 @@ H2 = make_poly([1, -3, 1])
 def test_sturm_count_examples():
     assert _count(_sturm(_to_int(make_poly([-2, 0, 1]))), F(0), F(2)) == 1
     assert _count(_sturm(_to_int(H2)), F(-10), F(10)) == 2
-    assert _count(_sturm(_to_int(make_poly([-1, 0, 1]) ** 2)), F(-2), F(2)) == 2  # distinct roots of (x^2-1)^2
+    assert _count(_sturm(_to_int(power(make_poly([-1, 0, 1]), 2))), F(-2), F(2)) == 2  # distinct roots of (x^2-1)^2
 
 
 def test_sturm_count_endpoint_conventions():
@@ -70,7 +71,7 @@ def test_isolate_roots_examples():
 
 def test_isolate_roots_multiplicity_and_rationals():
     # (x-1)^2 (x+2): distinct roots -2 and 1
-    p = make_poly([-1, 1]) ** 2 * make_poly([2, 1])
+    p = power(make_poly([-1, 1]), 2) * make_poly([2, 1])
     roots = isolate_roots(p)
     assert [(r.lo, r.hi) for r in roots] == [(-2, -2), (1, 1)]
     # linear with non-integer rational root
@@ -139,7 +140,7 @@ def _mixed_root_products(draw):
 )
 @example(make_poly([0, -1, 0, 1]), [F(1, 8)])             # 0 is the first midpoint
 @example(make_poly([-3, 1]) * make_poly([-1, 0, 2]), [F(1, 3)])  # 3 sits inside (5/2, 7/2)
-@example(make_poly([-1, 1]) ** 2 * make_poly([1, 1]) * make_poly([-5, 4]), [F(1, 5)])
+@example(power(make_poly([-1, 1]), 2) * make_poly([1, 1]) * make_poly([-5, 4]), [F(1, 5)])
 def test_isolate_roots_matches_fraction_bisection(p, widths):
     got = isolate_roots(p)
     assert [(r.defining, r.lo, r.hi) for r in got] == [(r.defining, r.lo, r.hi) for r in fraction_isolate_roots(p)]
@@ -239,7 +240,7 @@ def test_integer_solutions_skips_primes_with_colliding_roots():
     # multiple root modulo those primes and the lift starts at 11
     p = make_poly([0, 1]) * make_poly([-105, 1]) * make_poly([1, 2])
     assert integer_solutions(p, 0) == [0, 105] == sturm_integer_solutions(p, 0)
-    assert integer_solutions(p ** 2 + 1, 1) == [0, 105]
+    assert integer_solutions(power(p, 2) + 1, 1) == [0, 105]
 
 
 def test_sign_at_examples():
@@ -311,7 +312,7 @@ def test_count_real_roots():
     assert _count_roots(_to_int(make_poly([0, -1, 0, 1]))) == 3
     assert _count_roots(_to_int(make_poly([1, 0, 1]))) == 0
     assert _count_roots(_to_int(make_poly([9]))) == 0
-    assert _count_roots(_to_int(make_poly([-1, 1]) ** 4)) == 1
+    assert _count_roots(_to_int(power(make_poly([-1, 1]), 4))) == 1
 
 
 def _sympy_distinct_real_roots(p) -> list:
@@ -335,7 +336,7 @@ def _factored_with_endpoints(draw):
     return p, min(lo, hi), max(lo, hi)
 
 
-_X1_SQ_X3 = make_poly([-1, 1]) ** 2 * make_poly([-3, 1])
+_X1_SQ_X3 = power(make_poly([-1, 1]), 2) * make_poly([-3, 1])
 
 
 @settings(max_examples=200, deadline=None)
@@ -343,8 +344,8 @@ _X1_SQ_X3 = make_poly([-1, 1]) ** 2 * make_poly([-3, 1])
 @example((_X1_SQ_X3, F(0), F(1)))  # 1: the repeated root 1 as the right end
 @example((_X1_SQ_X3, F(1), F(3)))  # 1: the repeated root as the left end
 @example((_X1_SQ_X3, F(1), F(2)))  # 0
-@example((make_poly([-1, 1]) ** 3, F(0), F(1)))  # its chain ends at 3 (x - 1)^2
-@example((make_poly([1, 1]) ** 2 * make_poly([-2, 0, 1]) ** 2, F(-1), F(2)))
+@example((power(make_poly([-1, 1]), 3), F(0), F(1)))  # its chain ends at 3 (x - 1)^2
+@example((power(make_poly([1, 1]), 2) * power(make_poly([-2, 0, 1]), 2), F(-1), F(2)))
 def test_sturm_count_half_open_matches_sympy(case):
     p, lo, hi = case
     lo_s, hi_s = sympy.Rational(lo.numerator, lo.denominator), sympy.Rational(hi.numerator, hi.denominator)
@@ -388,7 +389,7 @@ def test_sturm_head_matches_sympy(seed):
     # quotient; it keeps the sign of c's leading coefficient
     rng = random.Random(seed)
     a = random_rat_poly(rng, rng.randint(1, 3), 6)
-    c = _to_int(a ** 2 * random_rat_poly(rng, rng.randint(0, 3), 6))
+    c = _to_int(power(a, 2) * random_rat_poly(rng, rng.randint(0, 3), 6))
     _, part = sympy.Poly(list(reversed(c)), _X).sqf_part().primitive()
     want = [int(v) for v in reversed(part.all_coeffs())]
     if (want[-1] > 0) != (c[-1] > 0):
@@ -406,7 +407,7 @@ def test_integer_solutions_with_repeated_integer_root_match_sympy(seed, z, j, v)
     b = make_poly([1])
     for _ in range(rng.randint(0, 3)):
         b = b * make_poly([rng.randint(-12, 12), rng.randint(1, 3)])
-    p = a ** rng.randint(1, 3) * b * make_poly([-z, 1]) ** j + v
+    p = power(a, rng.randint(1, 3)) * b * power(make_poly([-z, 1]), j) + v
     assert integer_solutions(p, v) == _sympy_integer_roots(p, v)
 
 
@@ -417,12 +418,12 @@ def test_integer_solutions_first_prime_without_reduction(monkeypatch):
         raise AssertionError("reduced to the square-free part")
 
     monkeypatch.setattr(roots, "_sturm", no_reduction)
-    assert integer_solutions(make_poly([0, 1]) * make_poly([1, 0, 1]) ** 2, 0) == [0]
+    assert integer_solutions(make_poly([0, 1]) * power(make_poly([1, 0, 1]), 2), 0) == [0]
 
 
 def test_sturm_divides_by_a_primitive_gcd():
     # (x - 1)^3: the chain stops at c' = 3 (x - 1)^2, which is not primitive
-    c = _to_int(make_poly([-1, 1]) ** 3)
+    c = _to_int(power(make_poly([-1, 1]), 3))
     assert _chain(c, _deriv(c)) == [c, [3, -6, 3]]
     assert _sturm(c) == [[-1, 1], [3]]
     assert _sturm([1, 0, -1]) == [[1, 0, -1], [0, -2], [-1]]  # square-free: divided by 1
@@ -433,7 +434,7 @@ def test_real_root_routines_search_no_prime(monkeypatch):
         raise AssertionError("prime search")
 
     monkeypatch.setattr(roots, "primes_stream", no_primes)
-    p = make_poly([-1, 1]) ** 2 * make_poly([-2, 0, 1])
+    p = power(make_poly([-1, 1]), 2) * make_poly([-2, 0, 1])
     assert _count(_sturm(_to_int(p)), F(0), F(2)) == 2
     assert _count_roots(_to_int(p)) == 3
     found = isolate_roots(p)
