@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import TheoremViolation
-from .poly import RatPolynomial, evaluate, make_poly, scale_to_integer
+from .poly import RatPolynomial, evaluate, scale_to_integer
 from .roots import IsolatedRoot, _count_roots, _deriv, _isolate, _plus, _primitive, _separate, _sign_at
 
 TAG_ORDER = ("g+", "g-", "h+", "h-")
@@ -40,7 +40,7 @@ def bad_points(g: RatPolynomial, h: RatPolynomial) -> list[BadPoint]:
     where two of g - 1, g + 1, h - 1, h + 1 vanish has f = +-1 and fails the
     f > 1 filter, so the kept roots are pairwise distinct reals.  g and h are
     cleared once; every polynomial asked about is an integer list."""
-    if not (g.degree >= 1 and h.degree >= 1):
+    if g.degree < 1 or h.degree < 1:
         raise ValueError("both factors must be nonconstant")
     (cg, dg), (ch, dh) = scale_to_integer(g), scale_to_integer(h)
     g_minus, g_plus, h_minus, h_plus = _plus(cg, -dg), _plus(cg, dg), _plus(ch, -dh), _plus(ch, dh)
@@ -79,7 +79,7 @@ def block_report(g: RatPolynomial, h: RatPolynomial) -> BlockReport:
     k <= deg(gh), and roots(g') + roots(h') >= k - 2."""
     pts = bad_points(g, h)
     k = len(pts)
-    degree = int(g.degree + h.degree)
+    degree = g.degree + h.degree
     if k > degree:
         raise TheoremViolation(f"{k} bad points exceed the degree {degree}")
 
@@ -117,7 +117,7 @@ def block_report(g: RatPolynomial, h: RatPolynomial) -> BlockReport:
 def _at(p: RatPolynomial, a: Fraction, b: Fraction, d: int) -> tuple[Fraction, Fraction]:
     """(re, im) with p(a + b*sqrt(d)) = re + im*sqrt(d): Horner on pairs."""
     re = im = Fraction(0)
-    for c in reversed(p.coeffs):
+    for c in reversed(p):
         re, im = re * a + im * b * d + c, re * b + im * a
     return re, im
 
@@ -165,12 +165,12 @@ def complex_counterexample() -> ComplexCounterexample:
     +-sqrt(3), h = 1 at 2, and h = -1 at 2 +- 3i, with f = g*h real and
     exceeding 1 at all six.
     """
-    g = make_poly([1, -1, 0, Fraction(1, 3)])
-    h = make_poly([Fraction(17, 9), Fraction(-8, 9), Fraction(2, 9)])
+    g = RatPolynomial([1, -1, 0, Fraction(1, 3)])
+    h = RatPolynomial([Fraction(17, 9), Fraction(-8, 9), Fraction(2, 9)])
     f = g * h
 
     # g - 1 = (x/3)(x^2 - 3): pins the three roots 0, +-sqrt(3) exactly
-    identity_ok = (g - 1) == make_poly([0, Fraction(1, 3)]) * make_poly([-3, 0, 1])
+    identity_ok = (g - 1) == RatPolynomial([0, Fraction(1, 3)]) * RatPolynomial([-3, 0, 1])
 
     h2, f0, f2 = evaluate(h, 2), evaluate(f, 0), evaluate(f, 2)
     h_zp, h_zm, g_zp, f_zp = _at(h, 2, 3, -1), _at(h, 2, -3, -1), _at(g, 2, 3, -1), _at(f, 2, 3, -1)

@@ -287,8 +287,8 @@ def polya_measure_check(f: RatPolynomial, K, tol=Fraction(1, 100)) -> PolyaCheck
     power), which dominates any outward rounding."""
     K, tol = Fraction(K), Fraction(tol)
     bracket = sublevel_measure(f, K, tol)
-    n = int(f.degree)
-    ratio = K / abs(f.lead)
+    n = f.degree
+    ratio = K / abs(f[-1])
     holds = bracket.upper ** n <= 4 ** n * ratio
     return PolyaCheck(bracket=bracket, bound=4.0 * _display_root(ratio, n), holds=holds)
 
@@ -309,7 +309,7 @@ def level_count_bound(f: RatPolynomial, S) -> LevelBoundCheck:
     if not is_integer_valued(f):
         raise ValueError("f must be integer-valued")
     cen = level_census(f, S)
-    n = int(f.degree)
+    n = f.degree
     K = max(abs(s) for s in cen.set)
     excess = cen.count - n
     if excess <= 0:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import TheoremViolation
-from .poly import RatPolynomial, eval_int_scaled, is_integer_valued, scale_to_integer
+from .poly import ONE, RatPolynomial, eval_int_scaled, is_integer_valued, scale_to_integer
 from .primes import is_prime
 from .roots import _integer_roots, _plus, integer_solutions
 
@@ -35,12 +35,12 @@ def factored(factors) -> FactoredPolynomial:
     factors = tuple(factors)
     if not factors:
         raise ValueError("need at least one factor")
-    product = RatPolynomial((Fraction(1),))
+    product = ONE
     for g in factors:
-        if not g.degree >= 1:
+        if g.degree < 1:
             raise ValueError("every factor must be nonconstant")
         product = product * g
-    return FactoredPolynomial(factors, product, int(product.degree))
+    return FactoredPolynomial(factors, product, product.degree)
 
 
 class UnitFibers(NamedTuple):
@@ -55,7 +55,7 @@ class UnitFibers(NamedTuple):
 
 def unit_fibers(g: RatPolynomial) -> UnitFibers:
     """Exact fibers g^-1(+1) and g^-1(-1) over the integers."""
-    if not g.degree >= 1:
+    if g.degree < 1:
         raise ValueError("g must be nonconstant")
     eplus, eminus = tuple(integer_solutions(g, 1)), tuple(integer_solutions(g, -1))
     return UnitFibers(None, eplus, eminus, len(eplus) + len(eminus))
@@ -134,7 +134,7 @@ def level_census(f: RatPolynomial, S) -> LevelCensus:
     targets = tuple(sorted(set(int(s) for s in S)))
     if not targets:
         raise ValueError("S must be nonempty")
-    if not f.degree >= 1:
+    if f.degree < 1:
         raise ValueError("f must be nonconstant")
     c, d = scale_to_integer(f)
     hits: set[int] = set()

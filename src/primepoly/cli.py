@@ -41,7 +41,7 @@ from .census import factored, level_census, prime_census
 from .constructions import FIXED_EXAMPLES, build_n_plus_1, build_p_plus, fixed_example, search_n_plus_2
 from .errors import BudgetExhausted, TheoremViolation
 from .exceptional import search_exceptional
-from .poly import RatPolynomial, make_poly, parse_poly
+from .poly import RatPolynomial, parse_poly
 from .roots import IsolatedRoot
 
 EXIT_OK = 0
@@ -91,7 +91,7 @@ def _report(obj):
     they are (tested first: they are most of the nodes), an exact number,
     polynomial or root becomes its text, a record a mapping of its fields,
     a tuple or list a list, and a `value` key a decimal string.
-    (IsolatedRoot is a record too, so the text forms are tried first.)"""
+    (RatPolynomial is a tuple, IsolatedRoot a record: text forms go first.)"""
     if obj is None or isinstance(obj, (int, str)):
         return obj
     if isinstance(obj, (Fraction, RatPolynomial, IsolatedRoot)):
@@ -228,7 +228,7 @@ def _cmd_statement41(args) -> tuple[dict, int]:
             dg, dh = rng.randint(1, 4), rng.randint(1, 4)
             gc = [rng.randint(-5, 5) for _ in range(dg)] + [rng.choice([c for c in range(-5, 6) if c])]
             hc = [rng.randint(-5, 5) for _ in range(dh)] + [rng.choice([c for c in range(-5, 6) if c])]
-            rep = block_report(make_poly(gc), make_poly(hc))
+            rep = block_report(RatPolynomial(gc), RatPolynomial(hc))
             max_k = max(max_k, rep.k)
         return {
             "trials": args.trials,

@@ -22,17 +22,17 @@ from typing import NamedTuple, Optional
 
 from .census import Census, factored, prime_census
 from .errors import BudgetExhausted, TheoremViolation
-from .poly import X, RatPolynomial, evaluate, make_poly
+from .poly import X, RatPolynomial, evaluate
 from .primes import find_multiplier, first_primes, is_prime, primes_stream
 
-H2 = make_poly([1, -3, 1])  # (x-1)(x-2) - 1, the quadratic with four unit values
+H2 = RatPolynomial([1, -3, 1])  # (x-1)(x-2) - 1, the quadratic with four unit values
 
 # CLI kind: (report kind, factors, claimed prime-value count)
 FIXED_EXAMPLES = {
-    "deg2": ("deg2", (X, make_poly([-4, 1])), 4),
-    "deg3": ("deg3", (H2, make_poly([-5, 1])), 5),
-    "deg4": ("deg4_nplus4", (H2, make_poly([29, -11, 1])), 8),
-    "deg5": ("deg5_nplus3", (H2, make_poly([-139, 83, -16, 1])), 8),  # H2 * (1 + (x-4)(x-5)(x-7))
+    "deg2": ("deg2", (X, RatPolynomial([-4, 1])), 4),
+    "deg3": ("deg3", (H2, RatPolynomial([-5, 1])), 5),
+    "deg4": ("deg4_nplus4", (H2, RatPolynomial([29, -11, 1])), 8),
+    "deg5": ("deg5_nplus3", (H2, RatPolynomial([-139, 83, -16, 1])), 8),  # H2 * (1 + (x-4)(x-5)(x-7))
 }
 
 
@@ -131,7 +131,7 @@ def _multiplier_poly(anchors, points, positive: bool, t_max: int):
     c = [1]  # prod(x - a), ascending integer coefficients
     for a in anchors:
         c = [u - a * v for u, v in zip([0] + c, c + [0])]
-    return hit, make_poly([1 + hit.t * c[0]] + [hit.t * v for v in c[1:]])
+    return hit, RatPolynomial([1 + hit.t * c[0]] + [hit.t * v for v in c[1:]])
 
 
 def build_n_plus_1(n: int, t_max: int = 10 ** 6) -> ConstructionCertificate:

@@ -18,15 +18,15 @@ from typing import NamedTuple, Optional
 
 from .census import unit_fibers
 from .errors import TheoremViolation
-from .poly import ZERO, RatPolynomial, compose_affine, make_poly
+from .poly import ZERO, RatPolynomial, compose_affine
 
 _LIST_DATA = (
-    # (index, ascending coefficients)
-    (1, (1, 3, -4, 1)),   # x(x-1)(x-3) + 1, E = 4
-    (2, (1, -3, 1)),      # (x-1)(x-2) - 1, E = 4
-    (3, (1, -4, 2)),      # 2x(x-2) + 1, E = 3
-    (4, (-1, 2)),         # 2x - 1, E = 2
-    (5, (-1, 1)),         # x - 1, E = 2
+    # (index, list polynomial)
+    (1, RatPolynomial((1, 3, -4, 1))),   # x(x-1)(x-3) + 1, E = 4
+    (2, RatPolynomial((1, -3, 1))),      # (x-1)(x-2) - 1, E = 4
+    (3, RatPolynomial((1, -4, 2))),      # 2x(x-2) + 1, E = 3
+    (4, RatPolynomial((-1, 2))),         # 2x - 1, E = 2
+    (5, RatPolynomial((-1, 1))),         # x - 1, E = 2
 )
 
 
@@ -49,18 +49,16 @@ def equivalent_to_list(f: RatPolynomial) -> Optional[Equivalence]:
     """
     if f.degree not in (1, 2, 3):
         raise ValueError("only degrees 1 to 3 can be list-equivalent")
-    n = int(f.degree)
-    for index, coeffs in _LIST_DATA:
-        h = make_poly(coeffs)
+    n = f.degree
+    for index, h in _LIST_DATA:
         if h.degree != n:
             continue
-        c_top = h.coeffs[n]
-        c_next = h.coeffs[n - 1]
+        c_top, c_next = h[n], h[n - 1]
         for sigma in (1, -1):
             for tau in (1, -1):
-                if f.coeffs[n] != sigma * c_top * tau ** n:
+                if f[n] != sigma * c_top * tau ** n:
                     continue
-                a = (f.coeffs[n - 1] / (sigma * tau ** (n - 1)) - c_next) / (n * c_top)
+                a = (f[n - 1] / (sigma * tau ** (n - 1)) - c_next) / (n * c_top)
                 if a.denominator != 1:
                     continue
                 a = int(a)
@@ -89,10 +87,10 @@ def _interpolate(points: tuple[int, ...], values: tuple[int, ...]) -> RatPolynom
     """The Lagrange interpolant of degree < len(points) through the pairs."""
     h = ZERO
     for t, v in zip(points, values):
-        term = make_poly([v])
+        term = RatPolynomial((v,))
         for s in points:
             if s != t:
-                term = term * make_poly([Fraction(-s, t - s), Fraction(1, t - s)])
+                term = term * RatPolynomial((Fraction(-s, t - s), Fraction(1, t - s)))
         h = h + term
     return h
 
@@ -122,14 +120,14 @@ def search_exceptional(degree: int, coeff_bound: int) -> SearchReport:
     for rest in itertools.combinations(range(1, 5), degree):
         for signs in itertools.product((1, -1), repeat=degree + 1):
             h = _interpolate((0,) + rest, signs)
-            if h.degree != degree or any(c.denominator != 1 for c in h.coeffs):
+            if h.degree != degree or any(c.denominator != 1 for c in h):
                 continue
             for a in range(-coeff_bound - 1, coeff_bound + 2):
                 f = compose_affine(h, 1, 1, -a)
-                if all(abs(c) <= coeff_bound for c in f.coeffs):
+                if all(abs(c) <= coeff_bound for c in f):
                     found.add(f)
     hits = []
-    for f in sorted(found, key=lambda p: (p.coeffs[-1],) + p.coeffs[:-1]):
+    for f in sorted(found, key=lambda p: (p[-1],) + p[:-1]):
         fibers = unit_fibers(f)
         if fibers.E <= degree:
             raise TheoremViolation(f"interpolated polynomial {f} has E={fibers.E} <= degree")

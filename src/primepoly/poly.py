@@ -1,7 +1,8 @@
 """Exact dense polynomial arithmetic over the rationals.
 
-Polynomials are stored densely by ascending degree with `Fraction`
-coefficients.  Besides ring arithmetic the module provides the one
+A polynomial is the tuple of its `Fraction` coefficients in ascending
+degree, trailing zeros trimmed, so the zero polynomial is the empty tuple
+and has degree -1.  Besides ring arithmetic the module provides the one
 denominator-clearing routine `scale_to_integer`, the binomial
 (falling-factorial) basis, the integer-valuedness test by the values
 p(0), ..., p(deg p), affine substitution, and exact evaluation at
@@ -13,12 +14,8 @@ the complex counterexample, with its own pair-valued Horner in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
-
-#: Degree reported for the zero polynomial.
-NEG_INFINITY = float("-inf")
 
 RationalLike = Union[int, Fraction]
 
@@ -31,53 +28,40 @@ def _frac(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-@dataclass(frozen=True)
-class RatPolynomial:
-    """A polynomial with exact rational coefficients, ascending degree.
+class RatPolynomial(tuple):
+    """A polynomial with exact rational coefficients, ascending degree:
+    the tuple of its coefficients.
 
-    Trailing zero coefficients are trimmed on construction; the zero
-    polynomial is the empty tuple and reports degree -inf.
+    Construction converts each coefficient to a `Fraction` (a float raises
+    TypeError) and trims trailing zeros.  The ring operators are redefined
+    on both sides, so `3 * p` is a scalar multiple, not tuple repetition.
     """
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        cs = tuple(_frac(c) for c in self.coeffs)
+    def __new__(cls, coeffs: Sequence[RationalLike] = ()):
+        cs = [_frac(c) for c in coeffs]
         while cs and cs[-1] == 0:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
+            cs.pop()
+        return super().__new__(cls, cs)
 
     @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INFINITY
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def lead(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
+    def degree(self) -> int:
+        return len(self) - 1
 
     def __add__(self, other) -> "RatPolynomial":
-        other = _as_poly(other)
-        a, b = self.coeffs, other.coeffs
+        a, b = self, _as_poly(other)
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return RatPolynomial(tuple(out))
+        return RatPolynomial(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatPolynomial":
-        return RatPolynomial(tuple(-c for c in self.coeffs))
+        return RatPolynomial([-c for c in self])
 
     def __sub__(self, other) -> "RatPolynomial":
         return self + (-_as_poly(other))
@@ -87,57 +71,48 @@ class RatPolynomial:
 
     def __mul__(self, other) -> "RatPolynomial":
         other = _as_poly(other)
-        if self.is_zero or other.is_zero:
+        if not self or not other:
             return ZERO
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        out = [Fraction(0)] * (len(self) + len(other) - 1)
+        for i, a in enumerate(self):
             if a == 0:
                 continue
-            for j, b in enumerate(other.coeffs):
+            for j, b in enumerate(other):
                 out[i + j] += a * b
-        return RatPolynomial(tuple(out))
+        return RatPolynomial(out)
 
     __rmul__ = __mul__
 
-    def __call__(self, x):
-        return evaluate(self, x)
-
     def __str__(self) -> str:
-        return format_poly(self)
+        """Canonical text form: comma-separated coefficients, ascending degree."""
+        return ",".join(map(str, self)) if self else "0"
 
 
 def _as_poly(x) -> RatPolynomial:
-    if isinstance(x, RatPolynomial):
-        return x
-    return RatPolynomial((_frac(x),))
+    return x if isinstance(x, RatPolynomial) else RatPolynomial((x,))
 
 
-ZERO = RatPolynomial(())
-ONE = RatPolynomial((Fraction(1),))
-X = RatPolynomial((Fraction(0), Fraction(1)))
-
-
-def make_poly(coeffs: Sequence[RationalLike]) -> RatPolynomial:
-    """Build a polynomial from ascending-degree rational coefficients."""
-    return RatPolynomial(tuple(_frac(c) for c in coeffs))
+ZERO = RatPolynomial()
+ONE = RatPolynomial((1,))
+X = RatPolynomial((0, 1))
 
 
 def compose_affine(p: RatPolynomial, sigma: int, tau: int, a: int) -> RatPolynomial:
     """Return sigma * p(tau*x + a) with sigma, tau in {+1, -1} and integer a."""
     if sigma not in (1, -1) or tau not in (1, -1):
         raise ValueError("sigma and tau must be +1 or -1")
-    inner = RatPolynomial((Fraction(a), Fraction(tau)))
+    inner = RatPolynomial((a, tau))
     result = ZERO
-    for c in reversed(p.coeffs):
-        result = result * inner + _as_poly(c)
+    for c in reversed(p):
+        result = result * inner + c
     return sigma * result
 
 
 def scale_to_integer(p: RatPolynomial) -> tuple[list[int], int]:
     """Return (c, d): d is the least common denominator of p's coefficients
     and c the ascending integer coefficients of d*p; ([], 1) for p = 0."""
-    d = math.lcm(*(v.denominator for v in p.coeffs))
-    return [v.numerator * (d // v.denominator) for v in p.coeffs], d
+    d = math.lcm(*(v.denominator for v in p))
+    return [v.numerator * (d // v.denominator) for v in p], d
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +148,7 @@ def evaluate(p: RatPolynomial, x) -> Fraction:
     """Exact Horner evaluation of p at a rational point."""
     x = _frac(x)
     acc = Fraction(0)
-    for c in reversed(p.coeffs):
+    for c in reversed(p):
         acc = acc * x + c
     return acc
 
@@ -212,9 +187,3 @@ def parse_poly(text: str) -> RatPolynomial:
         return from_binomial(coeffs)
     return RatPolynomial(coeffs)
 
-
-def format_poly(p: RatPolynomial) -> str:
-    """Canonical text form: comma-separated coefficients, ascending degree."""
-    if p.is_zero:
-        return "0"
-    return ",".join(str(c) for c in p.coeffs)

@@ -280,7 +280,7 @@ def isolate_roots(p: RatPolynomial) -> list[IsolatedRoot]:
     Intervals are refined to width at most 1; rational roots found along
     the way are returned as exact (degenerate) intervals.
     """
-    if p.is_zero:
+    if not p:
         raise ValueError("zero polynomial")
     return _isolate(_to_int(p))
 
@@ -348,7 +348,7 @@ def _refine_new(defining: IntCoeffs, lo: int, hi: int, den: int) -> IsolatedRoot
 
 def integer_solutions(p: RatPolynomial, v) -> list[int]:
     """All integers m with p(m) = v, ascending (see `_integer_roots`)."""
-    if not p.degree >= 1:
+    if p.degree < 1:
         raise ValueError("p must be nonconstant")
     return _integer_roots(_to_int(p - Fraction(v)))
 
@@ -431,7 +431,7 @@ def sublevel_measure(p: RatPolynomial, K, tol) -> MeasureBracket:
     until the bracket is at most `tol` wide.
     """
     K, tol = Fraction(K), Fraction(tol)
-    if not p.degree >= 1:
+    if p.degree < 1:
         raise ValueError("p must be nonconstant")
     if K <= 0 or tol <= 0:
         raise ValueError("K and tol must be positive")

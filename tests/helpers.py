@@ -10,7 +10,7 @@ from fractions import Fraction
 from primepoly.badpoints import TAG_ORDER, BadPoint
 from primepoly.errors import BudgetExhausted, TheoremViolation
 from primepoly.exceptional import _LIST_DATA, ExceptionalHit, SearchReport, equivalent_to_list
-from primepoly.poly import RatPolynomial, compose_affine, eval_int_scaled, make_poly
+from primepoly.poly import RatPolynomial, compose_affine, eval_int_scaled, evaluate
 from primepoly.primes import ProgressionHit, is_prime
 from primepoly.roots import (
     IsolatedRoot,
@@ -31,7 +31,7 @@ def random_int_poly(rng: random.Random, degree: int, bound: int) -> RatPolynomia
     """Random integer polynomial of exactly the given degree."""
     lead = rng.choice([c for c in range(-bound, bound + 1) if c != 0])
     coeffs = [rng.randint(-bound, bound) for _ in range(degree)] + [lead]
-    return make_poly(coeffs)
+    return RatPolynomial(coeffs)
 
 
 def random_rat_poly(rng: random.Random, degree: int, bound: int) -> RatPolynomial:
@@ -42,12 +42,12 @@ def random_rat_poly(rng: random.Random, degree: int, bound: int) -> RatPolynomia
     lead = rat()
     while lead == 0:
         lead = rat()
-    return make_poly([rat() for _ in range(degree)] + [lead])
+    return RatPolynomial([rat() for _ in range(degree)] + [lead])
 
 
 def power(p: RatPolynomial, n: int) -> RatPolynomial:
     """p to the n-th power as a product of n copies of p (n >= 0)."""
-    return math.prod([p] * n, start=make_poly([1]))
+    return math.prod([p] * n, start=RatPolynomial([1]))
 
 
 def binomial_coefficients(p: RatPolynomial) -> list[Fraction]:
@@ -56,15 +56,15 @@ def binomial_coefficients(p: RatPolynomial) -> list[Fraction]:
     p(n): p(m) = sum_{k<=m} c_k C(m, k), so c_m = p(m) - sum_{k<m} c_k C(m, k).
     p is integer-valued iff every c_k is an integer."""
     cs: list[Fraction] = []
-    for m in range(len(p.coeffs)):
-        cs.append(p(m) - sum(c * math.comb(m, k) for k, c in enumerate(cs)))
+    for m in range(len(p)):
+        cs.append(evaluate(p, m) - sum(c * math.comb(m, k) for k, c in enumerate(cs)))
     return cs
 
 
 def brute_integer_solutions(p: RatPolynomial, v, limit: int) -> list[int]:
     """Oracle: scan |m| <= limit for p(m) = v."""
     target = Fraction(v)
-    return [m for m in range(-limit, limit + 1) if p(m) == target]
+    return [m for m in range(-limit, limit + 1) if evaluate(p, m) == target]
 
 
 def sturm_integer_solutions(p: RatPolynomial, v) -> list[int]:
@@ -81,7 +81,7 @@ def sturm_integer_solutions(p: RatPolynomial, v) -> list[int]:
         root = root.refine(Fraction(1, 2))
         m = math.floor(root.lo) + 1
         while m < root.hi:
-            if p(m) == target:
+            if evaluate(p, m) == target:
                 out.add(m)
             m += 1
     return sorted(out)
@@ -223,7 +223,7 @@ def brute_search_exceptional(degree: int, coeff_bound: int) -> SearchReport:
             # |f(m)| = 1 needs f(m) odd, and f(m) mod 2 only depends on m mod 2
             if coeffs[0] % 2 == 0 and sum(coeffs) % 2 == 0:
                 continue
-            f = make_poly(coeffs)
+            f = RatPolynomial(coeffs)
             eplus = integer_solutions(f, 1)
             if not eplus:
                 continue  # f = -1 has at most `degree` solutions, so E <= degree
@@ -245,14 +245,13 @@ def list_equivalent_candidates(degree: int, coeff_bound: int) -> list[RatPolynom
     the oracle for the completeness direction of the search."""
     out = set()
     shift_limit = 3 * coeff_bound + 6
-    for _, coeffs in _LIST_DATA:
-        h = make_poly(coeffs)
+    for _, h in _LIST_DATA:
         if h.degree != degree:
             continue
         for sigma in (1, -1):
             for tau in (1, -1):
                 for a in range(-shift_limit, shift_limit + 1):
                     cand = compose_affine(h, sigma, tau, a)
-                    if all(abs(c) <= coeff_bound for c in cand.coeffs):
+                    if all(abs(c) <= coeff_bound for c in cand):
                         out.add(cand)
-    return sorted(out, key=lambda p: tuple(p.coeffs))
+    return sorted(out)

@@ -13,16 +13,16 @@ from primepoly.badpoints import (
     block_report,
     complex_counterexample,
 )
-from primepoly.poly import RatPolynomial, evaluate, make_poly
+from primepoly.poly import RatPolynomial, evaluate
 from primepoly.roots import _sign_at, _to_int, isolate_roots
 
 from helpers import product_bad_points, random_int_poly, random_rat_poly, record_types
 
-H2 = make_poly([1, -3, 1])
+H2 = RatPolynomial([1, -3, 1])
 
 
 def test_bad_points_quartic_pair():
-    g, h = H2, make_poly([29, -11, 1])
+    g, h = H2, RatPolynomial([29, -11, 1])
     pts = bad_points(g, h)
     assert [(p.root.lo, p.root.hi) for p in pts] == [(0, 0), (3, 3), (4, 4), (7, 7)]
     assert [p.tags for p in pts] == [("g+",), ("g+",), ("h+",), ("h+",)]
@@ -33,14 +33,14 @@ def test_bad_points_quartic_pair():
 
 
 def test_bad_points_boundary_strictness():
-    x = make_poly([0, 1])
+    x = RatPolynomial([0, 1])
     assert bad_points(x, x) == []  # f(+-1) = 1 exactly, not > 1
 
 
 def test_bad_points_with_irrational_candidates():
     # g = x^2 - 2, h = x - 3: candidates are +-sqrt(3), +-1, 2, 4;
     # f exceeds 1 at -1, 1 (f = 4, 2) and at 4 (f = 14)
-    g, h = make_poly([-2, 0, 1]), make_poly([-3, 1])
+    g, h = RatPolynomial([-2, 0, 1]), RatPolynomial([-3, 1])
     pts = bad_points(g, h)
     assert [(p.root.lo, p.root.hi) for p in pts] == [(-1, -1), (1, 1), (4, 4)]
     assert [p.tags for p in pts] == [("g-",), ("g-",), ("h+",)]
@@ -50,12 +50,12 @@ def test_bad_points_merges_shared_real():
     # shared-real case: g and h both equal 1 at +-sqrt(2), so f = g*h = 1
     # there and, under the strict f > 1 definition, those points are
     # excluded; only x = 0 (g = -1, h = -3, f = 3) is bad
-    g = make_poly([-1, 0, 1])          # g - 1 = x^2 - 2
-    h = make_poly([-3, 0, 2])          # h - 1 = 2x^2 - 4 = 2(x^2 - 2)
+    g = RatPolynomial([-1, 0, 1])          # g - 1 = x^2 - 2
+    h = RatPolynomial([-3, 0, 2])          # h - 1 = 2x^2 - 4 = 2(x^2 - 2)
     pts = bad_points(g, h)
     assert [(p.root.lo, p.root.hi) for p in pts] == [(0, 0)]
     assert [p.tags for p in pts] == [("g-",)]
-    x2_minus_2 = make_poly([-2, 0, 1])
+    x2_minus_2 = RatPolynomial([-2, 0, 1])
     for p in pts:
         assert _sign_at(_to_int(x2_minus_2), p.root) != 0   # not at +-sqrt(2)
         assert len(p.tags) == 1
@@ -65,7 +65,7 @@ def test_bad_points_separates_overlapping_candidates_with_their_tags():
     # g - 1 = 3x^2 - 3x - 4 and h - 1 = -3x^2 - 3x + 1 have their negative
     # roots -0.758 and -1.264 in the same isolating interval (-3/2, -3/4);
     # only refinement orders them, and each tag must follow its root
-    g, h = make_poly([-3, -3, 3]), make_poly([2, -3, -3])
+    g, h = RatPolynomial([-3, -3, 3]), RatPolynomial([2, -3, -3])
     first_g, first_h = isolate_roots(g - 1)[0], isolate_roots(h - 1)[0]
     assert (first_g.lo, first_g.hi) == (first_h.lo, first_h.hi) == (F(-3, 2), F(-3, 4))
     pts = bad_points(g, h)
@@ -106,7 +106,7 @@ def test_bad_points_builds_no_rational_polynomial(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(RatPolynomial, name, counted)
-    g, h = make_poly([F(-3, 2), -3, 3]), make_poly([2, F(-3, 5), -3])
+    g, h = RatPolynomial([F(-3, 2), -3, 3]), RatPolynomial([2, F(-3, 5), -3])
     assert len(bad_points(g, h)) == 4
     assert calls == []
     g - 1
@@ -114,7 +114,7 @@ def test_bad_points_builds_no_rational_polynomial(monkeypatch):
 
 
 def test_block_report_quartic_pair():
-    rep = block_report(H2, make_poly([29, -11, 1]))
+    rep = block_report(H2, RatPolynomial([29, -11, 1]))
     assert rep.k == 4
     assert rep.degree == 4
     assert rep.types == "[g+ g+ h+ h+]"
@@ -148,7 +148,7 @@ def test_block_structure_no_adjacent_equal_blocks():
 
 def test_block_report_validation():
     with pytest.raises(ValueError):
-        block_report(make_poly([2]), make_poly([0, 1]))
+        block_report(RatPolynomial([2]), RatPolynomial([0, 1]))
 
 
 def test_complex_counterexample_exact():
@@ -168,27 +168,27 @@ def test_complex_counterexample_exact():
     assert cx.bad_count > cx.degree
 
 
-_G = make_poly([1, -1, 0, F(1, 3)])                # x^3/3 - x + 1
-_H = make_poly([F(17, 9), F(-8, 9), F(2, 9)])      # (2/9)(x-2)^2 + 1
+_G = RatPolynomial([1, -1, 0, F(1, 3)])                # x^3/3 - x + 1
+_H = RatPolynomial([F(17, 9), F(-8, 9), F(2, 9)])      # (2/9)(x-2)^2 + 1
 _small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.lists(_small_rationals, max_size=6).map(make_poly),
+    st.lists(_small_rationals, max_size=6).map(RatPolynomial),
     _small_rationals,
     _small_rationals,
     st.sampled_from([-1, 2, 3, 5]),
 )
 @example(_H, F(2), F(3), -1).via("h(2+3i) = -1")
 @example(_H, F(2), F(-3), -1).via("h(2-3i) = -1")
-@example(make_poly([]), F(2), F(3), -1).via("the zero polynomial")
+@example(RatPolynomial([]), F(2), F(3), -1).via("the zero polynomial")
 @example(_G, F(0), F(1), 3).via("g(sqrt3) = 1")
 @example(_G, F(0), F(-1), 3).via("g(-sqrt3) = 1")
 def test_at_matches_sympy(p, a, b, d):
     unit = sympy.sqrt(d)
     z = sympy.Rational(a) + sympy.Rational(b) * unit
-    value = sympy.expand(sum(sympy.Rational(c) * z ** k for k, c in enumerate(p.coeffs)))
+    value = sympy.expand(sum(sympy.Rational(c) * z ** k for k, c in enumerate(p)))
     im = value.coeff(unit)
     assert _at(p, a, b, d) == (F(str(sympy.expand(value - im * unit))), F(str(im)))
 
@@ -196,8 +196,8 @@ def test_at_matches_sympy(p, a, b, d):
 def test_at_examples():
     assert _at(_H, F(2), F(3), -1) == (-1, 0)
     assert _at(_H, F(2), F(-3), -1) == (-1, 0)
-    assert _at(make_poly([0, 0, 1]), F(2), F(3), -1) == (-5, 12)   # (2+3i)^2
-    assert _at(make_poly([]), F(2), F(3), -1) == (0, 0)
+    assert _at(RatPolynomial([0, 0, 1]), F(2), F(3), -1) == (-5, 12)   # (2+3i)^2
+    assert _at(RatPolynomial([]), F(2), F(3), -1) == (0, 0)
     assert _at(_G, F(0), F(1), 3) == (1, 0)
     assert _at(_G, F(0), F(-1), 3) == (1, 0)
 

@@ -17,7 +17,7 @@ from primepoly.bounds import (
 )
 from primepoly.bounds import _display_root, _ln_interval, _phi_interval, _rhs_interval
 from primepoly.census import level_census
-from primepoly.poly import from_binomial, make_poly
+from primepoly.poly import RatPolynomial, from_binomial
 
 from helpers import random_int_poly
 
@@ -131,12 +131,12 @@ def test_all_three_bounds_hold_randomly():
 
 
 def test_polya_examples():
-    chk = polya_measure_check(make_poly([0, 0, 1]), 4)
+    chk = polya_measure_check(RatPolynomial([0, 0, 1]), 4)
     assert chk.holds and chk.bracket.upper == 4 and chk.bound == 8.0
-    chk = polya_measure_check(make_poly([-2, 0, 1]), 1)
+    chk = polya_measure_check(RatPolynomial([-2, 0, 1]), 1)
     assert chk.holds and chk.bound == 4.0
     assert F(145, 100) < chk.bracket.upper < F(148, 100)
-    chk = polya_measure_check(make_poly([2, 0, 1]), 1)
+    chk = polya_measure_check(RatPolynomial([2, 0, 1]), 1)
     assert chk.holds and chk.bracket.upper == 0
 
 
@@ -174,18 +174,18 @@ def test_display_root_of_floats_out_of_range():
 
 
 def test_level_count_bound_examples():
-    chk = level_count_bound(make_poly([0, F(-1, 2), F(1, 2)]), {0, 1})
+    chk = level_count_bound(RatPolynomial([0, F(-1, 2), F(1, 2)]), {0, 1})
     assert chk.census.count == 4 and chk.holds
     assert math.isclose(chk.bound, 2 + 4 * math.sqrt(2))
 
-    chk = level_count_bound(make_poly([0, 0, 1]), {0})
+    chk = level_count_bound(RatPolynomial([0, 0, 1]), {0})
     assert chk.census.count == 1 and chk.K == 0 and chk.holds
 
-    chk = level_count_bound(make_poly([1, -3, 1]), {1, -1})
+    chk = level_count_bound(RatPolynomial([1, -3, 1]), {1, -1})
     assert chk.census.count == 4 and chk.holds
 
     with pytest.raises(ValueError):
-        level_count_bound(make_poly([0, F(1, 2)]), {0})
+        level_count_bound(RatPolynomial([0, F(1, 2)]), {0})
 
 
 def test_level_count_bound_random_integer_valued():

@@ -5,31 +5,31 @@ import pytest
 import sympy
 
 from primepoly.census import factored, level_census, prime_census, unit_fibers
-from primepoly.poly import evaluate, make_poly
+from primepoly.poly import RatPolynomial, evaluate
 
 from helpers import random_int_poly
 
-H2 = make_poly([1, -3, 1])
-X = make_poly([0, 1])
+H2 = RatPolynomial([1, -3, 1])
+X = RatPolynomial([0, 1])
 
 
 def test_unit_fibers_examples():
     fib = unit_fibers(H2)
     assert fib.eplus == (0, 3) and fib.eminus == (1, 2) and fib.E == 4
-    fib = unit_fibers(make_poly([-1, 1]))
+    fib = unit_fibers(RatPolynomial([-1, 1]))
     assert fib.eplus == (2,) and fib.eminus == (0,) and fib.E == 2
-    fib = unit_fibers(make_poly([0, 0, 1]))
+    fib = unit_fibers(RatPolynomial([0, 0, 1]))
     assert fib.eplus == (-1, 1) and fib.eminus == () and fib.E == 2
     with pytest.raises(ValueError):
-        unit_fibers(make_poly([5]))
+        unit_fibers(RatPolynomial([5]))
 
 
 def test_prime_census_paper_examples():
-    census = prime_census(factored([H2, make_poly([29, -11, 1])]))
+    census = prime_census(factored([H2, RatPolynomial([29, -11, 1])]))
     assert census.P == 8
     assert [w.m for w in census.witnesses] == list(range(8))
 
-    census = prime_census(factored([X, make_poly([-4, 1])]))
+    census = prime_census(factored([X, RatPolynomial([-4, 1])]))
     assert census.P == 4
     assert [w.m for w in census.witnesses] == [-1, 1, 3, 5]
 
@@ -38,7 +38,7 @@ def test_prime_census_paper_examples():
 
 
 def test_prime_census_counts_negative_prime_values():
-    census = prime_census(factored([X, make_poly([-4, 1])]))
+    census = prime_census(factored([X, RatPolynomial([-4, 1])]))
     values = {w.m: w.value for w in census.witnesses}
     assert values[1] == -3 and values[3] == -3  # negative primes counted in P
     assert census.Pplus == 2  # only m = -1, 5 give positive primes
@@ -48,14 +48,14 @@ def test_prime_census_validation():
     with pytest.raises(ValueError):
         prime_census(factored([H2]))
     with pytest.raises(ValueError):
-        factored([H2, make_poly([7])])
+        factored([H2, RatPolynomial([7])])
     with pytest.raises(ValueError):
         # x/2 is not integer-valued: the fiber certificate would be unsound
-        prime_census(factored([make_poly([0, F(1, 2)]), make_poly([0, 2])]))
+        prime_census(factored([RatPolynomial([0, F(1, 2)]), RatPolynomial([0, 2])]))
 
 
 def test_prime_census_three_factors():
-    census = prime_census(factored([X, make_poly([-2, 1]), make_poly([-4, 1])]))
+    census = prime_census(factored([X, RatPolynomial([-2, 1]), RatPolynomial([-4, 1])]))
     scan = [
         m for m in range(-100, 101)
         if sympy.isprime(abs(m * (m - 2) * (m - 4)))
@@ -65,10 +65,10 @@ def test_prime_census_three_factors():
 
 
 def test_witness_certificate_fields():
-    census = prime_census(factored([H2, make_poly([-5, 1])]))
+    census = prime_census(factored([H2, RatPolynomial([-5, 1])]))
     assert census.P == 5
     for w in census.witnesses:
-        assert abs(evaluate(H2, w.m)) == 1 or abs(evaluate(make_poly([-5, 1]), w.m)) == 1
+        assert abs(evaluate(H2, w.m)) == 1 or abs(evaluate(RatPolynomial([-5, 1]), w.m)) == 1
         assert w.unit_factors  # at least one factor at a unit
         assert sympy.isprime(abs(w.value))
     # every witness sits in some recorded fiber
@@ -117,14 +117,14 @@ def test_stackel_bound_and_theorems_on_random():
 
 
 def test_level_census_examples():
-    cen = level_census(make_poly([0, 0, 1]), {0, 1, 4})
+    cen = level_census(RatPolynomial([0, 0, 1]), {0, 1, 4})
     assert cen.count == 5 and cen.witnesses == (-2, -1, 0, 1, 2)
     cen = level_census(X, {2, 3})
     assert cen.count == 2 and cen.witnesses == (2, 3)
-    cen = level_census(make_poly([0, F(-1, 2), F(1, 2)]), {0, 1})
+    cen = level_census(RatPolynomial([0, F(-1, 2), F(1, 2)]), {0, 1})
     assert cen.count == 4 and cen.witnesses == (-1, 0, 1, 2)
     with pytest.raises(ValueError):
-        level_census(make_poly([3]), {1})
+        level_census(RatPolynomial([3]), {1})
     with pytest.raises(ValueError):
         level_census(X, set())
 

@@ -63,6 +63,11 @@ CASES = [
     ("bad_input", ["analyze", "--factors=1,x"], EXIT_BAD_INPUT),
     ("analyze_binom_denominator", ["analyze", "--factors=binom:2,0,-1;binom:1,-2"], EXIT_OK),
     ("analyze_not_integer_valued", ["analyze", "--factors=0,1/2;0,2"], EXIT_BAD_INPUT),
+    # constant inputs rejected by the nonconstant guards
+    ("levels_zero_poly", ["levels", "--poly=0", "--set=1"], EXIT_BAD_INPUT),
+    ("polya_constant", ["polya", "--poly=5", "--K", "1"], EXIT_BAD_INPUT),
+    ("statement41_zero_factor", ["statement41", "--g=0", "--h=1,1"], EXIT_BAD_INPUT),
+    ("analyze_zero_factor", ["analyze", "--factors=0;0,1"], EXIT_BAD_INPUT),
     # rejected by the argument parser itself: usage and error on stderr
     ("usage_no_subcommand", [], EXIT_BAD_INPUT),
     ("usage_unknown_subcommand", ["frobnicate"], EXIT_BAD_INPUT),

@@ -13,7 +13,7 @@ from primepoly.constructions import (
     search_n_plus_2,
 )
 from primepoly.errors import BudgetExhausted
-from primepoly.poly import evaluate, make_poly
+from primepoly.poly import RatPolynomial, evaluate
 from primepoly.primes import first_primes, is_prime
 
 from helpers import record_types
@@ -68,7 +68,7 @@ def test_build_n_plus_1_small_cases():
     cert = build_n_plus_1(3)
     assert cert.anchors == (3, -3)
     assert cert.multiplier_t == 1
-    assert cert.product == make_poly([0, -8, 0, 1])  # x(x^2 - 8)
+    assert cert.product == RatPolynomial([0, -8, 0, 1])  # x(x^2 - 8)
     assert cert.census.P == 4
 
     cert = build_n_plus_1(4)
@@ -112,13 +112,13 @@ def test_build_p_plus_examples():
     cert = build_p_plus(3)
     assert cert.anchors == (2, 3)
     assert cert.multiplier_t == 1
-    assert cert.product == make_poly([0, 7, -5, 1])  # x(x^2 - 5x + 7)
+    assert cert.product == RatPolynomial([0, 7, -5, 1])  # x(x^2 - 5x + 7)
     assert [w.m for w in cert.census.witnesses if w.value > 0] == [1, 2, 3]
 
     cert = build_p_plus(2)
     assert cert.anchors == (2,)
     assert cert.multiplier_t == -1
-    assert cert.product == make_poly([0, 3, -1])  # x(3 - x)
+    assert cert.product == RatPolynomial([0, 3, -1])  # x(3 - x)
     assert cert.census.Pplus == 2
 
 
@@ -146,7 +146,7 @@ def test_quadratic_anchor_points():
     got = list(quadratic_anchor_points(5))
     assert got == [-1, -2, -3, 4, -4, 5, -5]
     # h2(4) = 5 and h2(-1) = 5 are prime; 0..3 excluded as unit fiber
-    h2 = make_poly([1, -3, 1])
+    h2 = RatPolynomial([1, -3, 1])
     for b in got:
         assert abs(evaluate(h2, b)) not in (0, 1)
 

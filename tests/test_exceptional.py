@@ -4,11 +4,11 @@ import pytest
 
 from primepoly.census import unit_fibers
 from primepoly.exceptional import _LIST_DATA, equivalent_to_list, search_exceptional
-from primepoly.poly import compose_affine, make_poly
+from primepoly.poly import RatPolynomial, compose_affine
 
 from helpers import brute_search_exceptional, list_equivalent_candidates, record_types
 
-LIST = {index: make_poly(coeffs) for index, coeffs in _LIST_DATA}
+LIST = dict(_LIST_DATA)
 
 
 def test_list_entries_and_fibers():
@@ -31,15 +31,15 @@ def test_list_entries_and_fibers():
 
 
 def test_equivalent_to_list_examples():
-    eq = equivalent_to_list(make_poly([1, -3, 1]))
+    eq = equivalent_to_list(RatPolynomial([1, -3, 1]))
     assert (eq.index, eq.sigma, eq.tau, eq.a) == (2, 1, 1, 0)
-    eq = equivalent_to_list(make_poly([1, -1]))
+    eq = equivalent_to_list(RatPolynomial([1, -1]))
     assert (eq.index, eq.sigma, eq.tau, eq.a) == (5, 1, -1, 2)
-    assert equivalent_to_list(make_poly([1, 0, 1])) is None
+    assert equivalent_to_list(RatPolynomial([1, 0, 1])) is None
     with pytest.raises(ValueError):
-        equivalent_to_list(make_poly([1, 0, 0, 0, 1]))
+        equivalent_to_list(RatPolynomial([1, 0, 0, 0, 1]))
     with pytest.raises(ValueError):
-        equivalent_to_list(make_poly([7]))
+        equivalent_to_list(RatPolynomial([7]))
 
 
 def test_equivalence_round_trip_random():
@@ -59,7 +59,7 @@ def test_unit_count_invariant_under_transform_group():
     for _ in range(30):
         coeffs = [rng.randint(-6, 6) for _ in range(rng.randint(1, 3))]
         coeffs.append(rng.choice([c for c in range(-6, 7) if c]))
-        p = make_poly(coeffs)
+        p = RatPolynomial(coeffs)
         e = unit_fibers(p).E
         sigma, tau = rng.choice([1, -1]), rng.choice([1, -1])
         a = rng.randint(-30, 30)
@@ -68,7 +68,7 @@ def test_unit_count_invariant_under_transform_group():
 
 def test_search_degree_1_bound_2():
     report = search_exceptional(1, 2)
-    polys = {tuple(int(c) for c in h.poly.coeffs) for h in report.hits}
+    polys = {tuple(int(c) for c in h.poly) for h in report.hits}
     assert (-1, 2) in polys   # 2x - 1
     assert (-1, 1) in polys   # x - 1
     assert (1, 1) in polys    # x + 1
@@ -80,7 +80,7 @@ def test_search_degree_1_bound_2():
 
 def test_search_degree_2_bound_4():
     report = search_exceptional(2, 4)
-    polys = {tuple(int(c) for c in h.poly.coeffs) for h in report.hits}
+    polys = {tuple(int(c) for c in h.poly) for h in report.hits}
     assert (1, -3, 1) in polys   # E = 4
     assert (1, -4, 2) in polys   # E = 3
     for h in report.hits:

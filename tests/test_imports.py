@@ -1,12 +1,14 @@
 """Every module-level import of a primepoly module is used by that module,
 every module-level private name, public function and public method or
-property is referenced somewhere in primepoly, and only `poly.py` defines
-dataclasses.
+property is referenced somewhere in primepoly, and no module imports
+`dataclasses`.
 """
 
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,12 +44,20 @@ def _imported_modules(tree: ast.Module) -> set[str]:
     return out
 
 
-def test_only_poly_imports_dataclasses():
-    # result records are NamedTuples: a frozen dataclass costs about a
-    # millisecond to create at import, paid by every CLI process.
-    # RatPolynomial stays a dataclass (a value type)
-    users = [module for module, tree in TREES.items() if "dataclasses" in _imported_modules(tree)]
-    assert users == ["poly"]
+def test_no_module_imports_dataclasses():
+    # result records are NamedTuples and RatPolynomial is a tuple: a frozen
+    # dataclass costs about a millisecond to create at import, and importing
+    # `dataclasses` loads `inspect`, both paid by every CLI process
+    assert [module for module, tree in TREES.items() if "dataclasses" in _imported_modules(tree)] == []
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # in a fresh interpreter: pytest itself has loaded `inspect` here
+    probe = "import sys, primepoly.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], cwd=SRC.parent, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
 
 
 def _private_definitions(tree: ast.Module) -> list[str]:

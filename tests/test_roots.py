@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from primepoly import roots
 from primepoly.constructions import build_n_plus_1
-from primepoly.poly import make_poly
+from primepoly.poly import RatPolynomial
 from primepoly.roots import (
     IsolatedRoot,
     _chain,
@@ -34,17 +34,17 @@ from helpers import (
     sturm_integer_solutions,
 )
 
-H2 = make_poly([1, -3, 1])
+H2 = RatPolynomial([1, -3, 1])
 
 
 def test_sturm_count_examples():
-    assert _count(_sturm(_to_int(make_poly([-2, 0, 1]))), F(0), F(2)) == 1
+    assert _count(_sturm(_to_int(RatPolynomial([-2, 0, 1]))), F(0), F(2)) == 1
     assert _count(_sturm(_to_int(H2)), F(-10), F(10)) == 2
-    assert _count(_sturm(_to_int(power(make_poly([-1, 0, 1]), 2))), F(-2), F(2)) == 2  # distinct roots of (x^2-1)^2
+    assert _count(_sturm(_to_int(power(RatPolynomial([-1, 0, 1]), 2))), F(-2), F(2)) == 2  # distinct roots of (x^2-1)^2
 
 
 def test_sturm_count_endpoint_conventions():
-    p = make_poly([0, -3, 1])  # roots 0 and 3
+    p = RatPolynomial([0, -3, 1])  # roots 0 and 3
     assert _count(_sturm(_to_int(p)), F(-1), F(3)) == 2   # hi is a root: included
     assert _count(_sturm(_to_int(p)), F(0), F(3)) == 1    # lo is a root: excluded
     assert _count(_sturm(_to_int(p)), F(0), F(2)) == 0
@@ -52,30 +52,30 @@ def test_sturm_count_endpoint_conventions():
 
 
 def test_sturm_count_validation():
-    assert _count(_sturm(_to_int(make_poly([7]))), F(0), F(1)) == 0
+    assert _count(_sturm(_to_int(RatPolynomial([7]))), F(0), F(1)) == 0
 
 
 def test_isolate_roots_examples():
-    roots = isolate_roots(make_poly([-2, 0, 1]))
+    roots = isolate_roots(RatPolynomial([-2, 0, 1]))
     assert len(roots) == 2
     neg, pos = roots
     neg, pos = neg.refine(F(1, 4)), pos.refine(F(1, 4))
     assert F(-2) < neg.lo < neg.hi < F(-1)
     assert F(1) < pos.lo < pos.hi < F(2)
 
-    assert isolate_roots(make_poly([1, 0, 1])) == []
+    assert isolate_roots(RatPolynomial([1, 0, 1])) == []
 
-    roots = isolate_roots(make_poly([0, -3, 1]))
+    roots = isolate_roots(RatPolynomial([0, -3, 1]))
     assert [(r.lo, r.hi) for r in roots] == [(0, 0), (3, 3)]
 
 
 def test_isolate_roots_multiplicity_and_rationals():
     # (x-1)^2 (x+2): distinct roots -2 and 1
-    p = power(make_poly([-1, 1]), 2) * make_poly([2, 1])
+    p = power(RatPolynomial([-1, 1]), 2) * RatPolynomial([2, 1])
     roots = isolate_roots(p)
     assert [(r.lo, r.hi) for r in roots] == [(-2, -2), (1, 1)]
     # linear with non-integer rational root
-    roots = isolate_roots(make_poly([-1, 3]))
+    roots = isolate_roots(RatPolynomial([-1, 3]))
     assert [(r.lo, r.hi) for r in roots] == [(F(1, 3), F(1, 3))]
 
 
@@ -92,7 +92,7 @@ def test_isolation_matches_sturm_on_random():
 
 
 def test_refine_keeps_invariants():
-    root = isolate_roots(make_poly([-2, 0, 1]))[1]
+    root = isolate_roots(RatPolynomial([-2, 0, 1]))[1]
     fine = root.refine(F(1, 2 ** 20))
     assert fine.hi - fine.lo <= F(1, 2 ** 20)
     assert root.lo <= fine.lo and fine.hi <= root.hi
@@ -127,9 +127,9 @@ def _mixed_root_products(draw):
     land on roots, and integer roots end inside width-1 intervals."""
     roots = draw(st.lists(st.one_of(st.integers(-20, 20).map(F), _dyadic, _rationals), min_size=1, max_size=6))
     roots += draw(st.lists(st.sampled_from(roots), max_size=3))
-    p = make_poly(draw(st.lists(st.integers(-6, 6), max_size=3)) + [draw(_nonzero)])
+    p = RatPolynomial(draw(st.lists(st.integers(-6, 6), max_size=3)) + [draw(_nonzero)])
     for r in roots:
-        p = p * make_poly([-r, 1])
+        p = p * RatPolynomial([-r, 1])
     return p
 
 
@@ -138,9 +138,9 @@ def _mixed_root_products(draw):
     _mixed_root_products(),
     st.lists(st.fractions(min_value=F(1, 10 ** 6), max_value=2, max_denominator=10 ** 6), min_size=1, max_size=3),
 )
-@example(make_poly([0, -1, 0, 1]), [F(1, 8)])             # 0 is the first midpoint
-@example(make_poly([-3, 1]) * make_poly([-1, 0, 2]), [F(1, 3)])  # 3 sits inside (5/2, 7/2)
-@example(power(make_poly([-1, 1]), 2) * make_poly([1, 1]) * make_poly([-5, 4]), [F(1, 5)])
+@example(RatPolynomial([0, -1, 0, 1]), [F(1, 8)])             # 0 is the first midpoint
+@example(RatPolynomial([-3, 1]) * RatPolynomial([-1, 0, 2]), [F(1, 3)])  # 3 sits inside (5/2, 7/2)
+@example(power(RatPolynomial([-1, 1]), 2) * RatPolynomial([1, 1]) * RatPolynomial([-5, 4]), [F(1, 5)])
 def test_isolate_roots_matches_fraction_bisection(p, widths):
     got = isolate_roots(p)
     assert [(r.defining, r.lo, r.hi) for r in got] == [(r.defining, r.lo, r.hi) for r in fraction_isolate_roots(p)]
@@ -153,16 +153,16 @@ def test_isolate_roots_matches_fraction_bisection(p, widths):
 def test_integer_solutions_examples():
     assert integer_solutions(H2, 1) == [0, 3]
     assert integer_solutions(H2, -1) == [1, 2]
-    assert integer_solutions(make_poly([0, 0, 1]), 2) == []
+    assert integer_solutions(RatPolynomial([0, 0, 1]), 2) == []
     with pytest.raises(ValueError):
-        integer_solutions(make_poly([5]), 5)
+        integer_solutions(RatPolynomial([5]), 5)
 
 
 def test_integer_solutions_huge_constant_term():
     # (x - 10^40)(x + 10^40 + 1): divisor enumeration of the constant
     # term would be hopeless, isolation is not
     a, b = 10 ** 40, -(10 ** 40) - 1
-    p = make_poly([-a, 1]) * make_poly([-b, 1])
+    p = RatPolynomial([-a, 1]) * RatPolynomial([-b, 1])
     assert integer_solutions(p, 0) == [b, a]
 
 
@@ -180,7 +180,7 @@ _X = sympy.Symbol("x")
 
 
 def _sympy_poly(p) -> sympy.Poly:
-    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], _X)
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p)], _X)
 
 
 def _sympy_integer_roots(p, v) -> list[int]:
@@ -204,7 +204,7 @@ _nonzero = _rationals.filter(lambda c: c != 0)
 def _dense_polys(draw):
     """Degree 1-8, rational coefficients."""
     degree = draw(st.integers(1, 8))
-    return make_poly(draw(st.lists(_rationals, min_size=degree, max_size=degree)) + [draw(_nonzero)])
+    return RatPolynomial(draw(st.lists(_rationals, min_size=degree, max_size=degree)) + [draw(_nonzero)])
 
 
 @st.composite
@@ -215,9 +215,9 @@ def _linear_products(draw):
         min_size=1, max_size=8,
     ))
     roots += draw(st.lists(st.sampled_from(roots), max_size=8 - len(roots)))
-    p = make_poly([draw(_nonzero)])
+    p = RatPolynomial([draw(_nonzero)])
     for r in roots:
-        p = p * make_poly([-r, 1])
+        p = p * RatPolynomial([-r, 1])
     return p
 
 
@@ -238,17 +238,17 @@ def test_integer_solutions_match_sturm_on_n_plus_1_fibers(n):
 def test_integer_solutions_skips_primes_with_colliding_roots():
     # roots 0, 105 and -1/2: 0 and 105 collide mod 3, 5 and 7, so 0 is a
     # multiple root modulo those primes and the lift starts at 11
-    p = make_poly([0, 1]) * make_poly([-105, 1]) * make_poly([1, 2])
+    p = RatPolynomial([0, 1]) * RatPolynomial([-105, 1]) * RatPolynomial([1, 2])
     assert integer_solutions(p, 0) == [0, 105] == sturm_integer_solutions(p, 0)
     assert integer_solutions(power(p, 2) + 1, 1) == [0, 105]
 
 
 def test_sign_at_examples():
-    sqrt3 = isolate_roots(make_poly([-3, 0, 1]))[1]
-    assert _sign_at(_to_int(make_poly([-3, 1])), sqrt3) == -1       # sqrt3 < 3
-    assert _sign_at(_to_int(make_poly([-3, 0, 1])), sqrt3) == 0     # its own root
-    neg_sqrt2 = isolate_roots(make_poly([-2, 0, 1]))[0]
-    assert _sign_at(_to_int(make_poly([0, 1])), neg_sqrt2) == -1
+    sqrt3 = isolate_roots(RatPolynomial([-3, 0, 1]))[1]
+    assert _sign_at(_to_int(RatPolynomial([-3, 1])), sqrt3) == -1       # sqrt3 < 3
+    assert _sign_at(_to_int(RatPolynomial([-3, 0, 1])), sqrt3) == 0     # its own root
+    neg_sqrt2 = isolate_roots(RatPolynomial([-2, 0, 1]))[0]
+    assert _sign_at(_to_int(RatPolynomial([0, 1])), neg_sqrt2) == -1
 
 
 def test_sign_at_shared_root_engineered():
@@ -269,39 +269,39 @@ def test_sign_at_shared_root_engineered():
 
 def test_sign_at_exact_root():
     r = IsolatedRoot((-6, 1), F(6), F(6))
-    assert _sign_at(_to_int(make_poly([-5, 1])), r) == 1
-    assert _sign_at(_to_int(make_poly([-7, 1])), r) == -1
-    assert _sign_at(_to_int(make_poly([-6, 1])), r) == 0
+    assert _sign_at(_to_int(RatPolynomial([-5, 1])), r) == 1
+    assert _sign_at(_to_int(RatPolynomial([-7, 1])), r) == -1
+    assert _sign_at(_to_int(RatPolynomial([-6, 1])), r) == 0
 
 
 def test_sublevel_measure_examples():
-    b = sublevel_measure(make_poly([0, 0, 1]), 4, F(1, 100))
+    b = sublevel_measure(RatPolynomial([0, 0, 1]), 4, F(1, 100))
     assert b.lower == b.upper == 4  # exact endpoints +-2
 
-    b = sublevel_measure(make_poly([-2, 0, 1]), 1, F(1, 100))
+    b = sublevel_measure(RatPolynomial([-2, 0, 1]), 1, F(1, 100))
     # true measure 2*(sqrt(3) - 1)
     assert b.upper - b.lower <= F(1, 100)
     assert (b.lower / 2 + 1) ** 2 <= 3 <= (b.upper / 2 + 1) ** 2
 
-    b = sublevel_measure(make_poly([2, 0, 1]), 1, F(1, 100))
+    b = sublevel_measure(RatPolynomial([2, 0, 1]), 1, F(1, 100))
     assert b.lower == b.upper == 0
 
 
 def test_sublevel_measure_rational_boundaries_exact():
     # |x(x-2)| <= 1 on [1-sqrt2, 1+sqrt2] minus nothing; engineered rational case:
     # |2x| <= 4 is [-2, 2], all endpoints rational
-    b = sublevel_measure(make_poly([0, 2]), 4, F(1, 1000))
+    b = sublevel_measure(RatPolynomial([0, 2]), 4, F(1, 1000))
     assert b.lower == b.upper == 4
     # |x^2 - 1| <= 1: the set is [-sqrt2, sqrt2]; 0 is an interior double
     # touch of the lower boundary and must not split the measure
-    b = sublevel_measure(make_poly([-1, 0, 1]), 1, F(1, 10 ** 6))
+    b = sublevel_measure(RatPolynomial([-1, 0, 1]), 1, F(1, 10 ** 6))
     assert (b.lower / 2) ** 2 <= 2 <= (b.upper / 2) ** 2
     assert b.upper - b.lower <= F(1, 10 ** 6)
 
 
 def test_sublevel_measure_validation():
     with pytest.raises(ValueError):
-        sublevel_measure(make_poly([3]), 1, F(1, 10))
+        sublevel_measure(RatPolynomial([3]), 1, F(1, 10))
     with pytest.raises(ValueError):
         sublevel_measure(H2, 0, F(1, 10))
     with pytest.raises(ValueError):
@@ -309,10 +309,10 @@ def test_sublevel_measure_validation():
 
 
 def test_count_real_roots():
-    assert _count_roots(_to_int(make_poly([0, -1, 0, 1]))) == 3
-    assert _count_roots(_to_int(make_poly([1, 0, 1]))) == 0
-    assert _count_roots(_to_int(make_poly([9]))) == 0
-    assert _count_roots(_to_int(power(make_poly([-1, 1]), 4))) == 1
+    assert _count_roots(_to_int(RatPolynomial([0, -1, 0, 1]))) == 3
+    assert _count_roots(_to_int(RatPolynomial([1, 0, 1]))) == 0
+    assert _count_roots(_to_int(RatPolynomial([9]))) == 0
+    assert _count_roots(_to_int(power(RatPolynomial([-1, 1]), 4))) == 1
 
 
 def _sympy_distinct_real_roots(p) -> list:
@@ -327,16 +327,16 @@ def _factored_with_endpoints(draw):
     factor, and an interval lo < hi whose ends are often among those roots."""
     roots = draw(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=4), min_size=1, max_size=5))
     roots += draw(st.lists(st.sampled_from(roots), max_size=3))
-    p = make_poly(draw(st.lists(st.integers(-6, 6), max_size=3)) + [draw(_nonzero)])
+    p = RatPolynomial(draw(st.lists(st.integers(-6, 6), max_size=3)) + [draw(_nonzero)])
     for r in roots:
-        p = p * make_poly([-r, 1])
+        p = p * RatPolynomial([-r, 1])
     ends = st.one_of(st.sampled_from(roots), st.fractions(min_value=-8, max_value=8, max_denominator=6))
     lo, hi = draw(ends), draw(ends)
     assume(lo != hi)
     return p, min(lo, hi), max(lo, hi)
 
 
-_X1_SQ_X3 = power(make_poly([-1, 1]), 2) * make_poly([-3, 1])
+_X1_SQ_X3 = power(RatPolynomial([-1, 1]), 2) * RatPolynomial([-3, 1])
 
 
 @settings(max_examples=200, deadline=None)
@@ -344,8 +344,8 @@ _X1_SQ_X3 = power(make_poly([-1, 1]), 2) * make_poly([-3, 1])
 @example((_X1_SQ_X3, F(0), F(1)))  # 1: the repeated root 1 as the right end
 @example((_X1_SQ_X3, F(1), F(3)))  # 1: the repeated root as the left end
 @example((_X1_SQ_X3, F(1), F(2)))  # 0
-@example((power(make_poly([-1, 1]), 3), F(0), F(1)))  # its chain ends at 3 (x - 1)^2
-@example((power(make_poly([1, 1]), 2) * power(make_poly([-2, 0, 1]), 2), F(-1), F(2)))
+@example((power(RatPolynomial([-1, 1]), 3), F(0), F(1)))  # its chain ends at 3 (x - 1)^2
+@example((power(RatPolynomial([1, 1]), 2) * power(RatPolynomial([-2, 0, 1]), 2), F(-1), F(2)))
 def test_sturm_count_half_open_matches_sympy(case):
     p, lo, hi = case
     lo_s, hi_s = sympy.Rational(lo.numerator, lo.denominator), sympy.Rational(hi.numerator, hi.denominator)
@@ -404,10 +404,10 @@ def test_integer_solutions_with_repeated_integer_root_match_sympy(seed, z, j, v)
     # prime is found only after c is replaced by its square-free part
     rng = random.Random(seed)
     a = random_rat_poly(rng, rng.randint(1, 3), 6)
-    b = make_poly([1])
+    b = RatPolynomial([1])
     for _ in range(rng.randint(0, 3)):
-        b = b * make_poly([rng.randint(-12, 12), rng.randint(1, 3)])
-    p = power(a, rng.randint(1, 3)) * b * power(make_poly([-z, 1]), j) + v
+        b = b * RatPolynomial([rng.randint(-12, 12), rng.randint(1, 3)])
+    p = power(a, rng.randint(1, 3)) * b * power(RatPolynomial([-z, 1]), j) + v
     assert integer_solutions(p, v) == _sympy_integer_roots(p, v)
 
 
@@ -418,12 +418,12 @@ def test_integer_solutions_first_prime_without_reduction(monkeypatch):
         raise AssertionError("reduced to the square-free part")
 
     monkeypatch.setattr(roots, "_sturm", no_reduction)
-    assert integer_solutions(make_poly([0, 1]) * power(make_poly([1, 0, 1]), 2), 0) == [0]
+    assert integer_solutions(RatPolynomial([0, 1]) * power(RatPolynomial([1, 0, 1]), 2), 0) == [0]
 
 
 def test_sturm_divides_by_a_primitive_gcd():
     # (x - 1)^3: the chain stops at c' = 3 (x - 1)^2, which is not primitive
-    c = _to_int(power(make_poly([-1, 1]), 3))
+    c = _to_int(power(RatPolynomial([-1, 1]), 3))
     assert _chain(c, _deriv(c)) == [c, [3, -6, 3]]
     assert _sturm(c) == [[-1, 1], [3]]
     assert _sturm([1, 0, -1]) == [[1, 0, -1], [0, -2], [-1]]  # square-free: divided by 1
@@ -434,9 +434,9 @@ def test_real_root_routines_search_no_prime(monkeypatch):
         raise AssertionError("prime search")
 
     monkeypatch.setattr(roots, "primes_stream", no_primes)
-    p = power(make_poly([-1, 1]), 2) * make_poly([-2, 0, 1])
+    p = power(RatPolynomial([-1, 1]), 2) * RatPolynomial([-2, 0, 1])
     assert _count(_sturm(_to_int(p)), F(0), F(2)) == 2
     assert _count_roots(_to_int(p)) == 3
     found = isolate_roots(p)
     assert len(found) == 3
-    assert [_sign_at(_to_int(make_poly([0, 1])), r) for r in found] == [-1, 1, 1]
+    assert [_sign_at(_to_int(RatPolynomial([0, 1])), r) for r in found] == [-1, 1, 1]
