@@ -16,7 +16,8 @@ its `RatPolynomial` and calls a private one on primitive integer lists.
 Complete integer solution sets of p(x) = v need no real roots: they come
 from p-adic lifting (Loos, "Computing rational zeros of integral polynomials
 by p-adic expansion", SIAM J. Comput. 1983) from a prime at which every root
-of p - v is simple, see `integer_solutions`.
+of p - v is simple, up to Fujiwara's root bound; see `_integer_roots` for
+why the square-free part is taken only past Mahler's discriminant bound.
 """
 
 from __future__ import annotations
@@ -185,6 +186,15 @@ def _cauchy_bound(c: list[int]) -> int:
     lead = abs(c[-1])
     m = max((abs(v) for v in c[:-1]), default=0)
     return 1 + m // lead + 1
+
+
+def _fujiwara_bound(c: list[int]) -> int:
+    """A power of two B with every complex root strictly inside |z| < B:
+    Fujiwara's 2 max_k |c[n-k] / c[n]|^(1/k) (1916), each ratio rounded up
+    to a power of two through bit lengths."""
+    lead = abs(c[-1]).bit_length()
+    exps = [-((lead - abs(v).bit_length() - 1) // k) for k, v in enumerate(reversed(c[:-1]), 1) if v]
+    return 2 << max(exps + [0])
 
 
 def _eval_mod(c: list[int], x: int, m: int) -> int:
@@ -360,24 +370,29 @@ def _integer_roots(c: list[int]) -> list[int]:
     Let q be the first odd prime not dividing lc(c) at which every root r
     of c mod q is simple, c'(r) != 0 mod q (c mod q need not be
     square-free).  Each r is lifted by Newton steps r <- r - c(r)/c'(r) mod
-    q^(2^k) until the modulus exceeds 2B, B = _cauchy_bound(c), and its
+    q^(2^k) until the modulus exceeds 2B, B = _fujiwara_bound(c), and its
     symmetric residue is kept if c vanishes there exactly.  Complete: an
     integer root z is a simple root mod q, so its lift is unique and is
-    z mod q^(2^k), which is z as |z| < B.  The search ends: a repeated root
-    is a multiple root mod every q, so at the first prime that fails c
-    becomes its square-free part _sturm(c)[0], and after that only the
-    finitely many primes dividing lc(c) * disc(c) fail.
+    z mod q^(2^k), which is z as |z| < B.  The search ends: a failing q
+    divides disc(c), so once the failing primes multiply past
+    |disc c| <= n^n ||c||_2^(2n-2) (Mahler 1964), c is not square-free and
+    becomes its square-free part _sturm(c)[0].  A repeated root fails at
+    every q, so that point comes; after it only primes dividing lc * disc fail.
     """
-    dc, reduced = _deriv(c), False
+    n = len(c) - 1
+    disc_bits = n * n.bit_length() + (n - 1) * sum(v * v for v in c).bit_length()
+    dc, failed_bits = _deriv(c), 0
     for q in primes_stream(3):
         if c[-1] % q:
-            roots = [r for r in range(q) if _eval_mod(c, r, q) == 0]
+            cq = [v % q for v in c]
+            roots = [r for r in range(q) if _eval_mod(cq, r, q) == 0]
             if all(_eval_mod(dc, r, q) for r in roots):
                 break
-            if not reduced:
-                c, reduced = _sturm(c)[0], True
+            failed_bits += q.bit_length() - 1  # a lower bound on log2 q
+            if failed_bits > disc_bits:
+                c, disc_bits = _sturm(c)[0], math.inf
                 dc = _deriv(c)
-    limit = 2 * _cauchy_bound(c)
+    limit = 2 * _fujiwara_bound(c)
     out = []
     for r in roots:
         m = q

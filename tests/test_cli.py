@@ -37,6 +37,7 @@ CASES = [
     ("construct_deg5", ["construct", "deg5"], EXIT_OK),
     ("construct_nplus1_20", ["construct", "nplus1", "--n", "20"], EXIT_OK),
     ("construct_pplus_20", ["construct", "pplus", "--n", "20"], EXIT_OK),
+    ("construct_pplus_100", ["construct", "pplus", "--n", "100"], EXIT_OK),
     ("construct_nplus2_10", ["construct", "nplus2", "--n", "10"], EXIT_OK),
     ("construct_nplus2_budget", ["construct", "nplus2", "--n", "12", "--tmax", "2"], EXIT_BUDGET),
     ("construct_nplus1_budget", ["construct", "nplus1", "--n", "20", "--tmax", "1"], EXIT_BUDGET),

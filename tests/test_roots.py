@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from primepoly import roots
-from primepoly.constructions import build_n_plus_1
+from primepoly.constructions import build_n_plus_1, build_p_plus
 from primepoly.poly import RatPolynomial
 from primepoly.roots import (
     IsolatedRoot,
@@ -15,6 +15,8 @@ from primepoly.roots import (
     _count,
     _count_roots,
     _deriv,
+    _fujiwara_bound,
+    _integer_roots,
     _sign_at,
     _sturm,
     _to_int,
@@ -233,6 +235,64 @@ def test_integer_solutions_match_sturm_on_n_plus_1_fibers(n):
     g = build_n_plus_1(n).factors[1]
     for v in (1, -1):
         assert integer_solutions(g, v) == sturm_integer_solutions(g, v)
+
+
+@pytest.mark.parametrize("build,n", [(build_n_plus_1, 60), (build_p_plus, 40)], ids=["nplus1_60", "pplus_40"])
+def test_square_free_unit_fibers_never_reach_the_chain(build, n, monkeypatch):
+    # g - 1 = t * prod(x - p_i) fails at every prime that leaves two anchors
+    # congruent, yet it is square-free: the failing primes never exceed the
+    # discriminant bound.  g + 1 = t * prod(x - p_i) + 2 has no integer root,
+    # as |z - p_i| would divide 2 for every one of the 39 or more anchors
+    def no_reduction(c):
+        raise AssertionError("reduced to the square-free part")
+
+    cert = build(n)
+    monkeypatch.setattr(roots, "_sturm", no_reduction)
+    g = cert.factors[1]
+    assert integer_solutions(g, 1) == sorted(cert.anchors)
+    assert integer_solutions(g, -1) == []
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        power(RatPolynomial([-5, 1]), 2) * RatPolynomial([1, 1]),
+        power(RatPolynomial([-3, 1]), 3) * RatPolynomial([1, 0, 1]),
+    ],
+    ids=["double_root", "triple_root"],
+)
+def test_integer_solutions_reduce_once_on_a_repeated_root(p, monkeypatch):
+    calls = []
+    sturm = roots._sturm
+
+    def counted(c):
+        calls.append(c)
+        return sturm(c)
+
+    monkeypatch.setattr(roots, "_sturm", counted)
+    assert integer_solutions(p, 0) == _sympy_integer_roots(p, 0)
+    assert len(calls) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_dense_polys(), _linear_products()))
+# x^6 - 1023 x^5 - sum 511^k x^(6-k) has a root near 1337 > 2 * 511: it is
+# caught only because each ratio is rounded up to the next power of two
+@example(RatPolynomial([-(511 ** k) for k in range(6, 1, -1)] + [-1023, 1]))
+def test_fujiwara_bound_holds_every_root(p):
+    c = _to_int(p)
+    bound = _fujiwara_bound(c)
+    assert all(abs(z) < bound for z in _sympy_integer_roots(p, 0))
+    assert _count(_sturm(c), F(-bound), F(bound)) == _count_roots(c)
+
+
+@pytest.mark.parametrize("lead", [1, 3, -1, -3])
+def test_fujiwara_bound_at_powers_of_two(lead):
+    # lead * x - 2^k: the bit-length rounding is tightest at a power of two
+    for k in range(80):
+        c = [-(2 ** k), lead]
+        assert abs(F(2 ** k, lead)) < _fujiwara_bound(c)
+        assert _integer_roots(c) == ([2 ** k * lead] if abs(lead) == 1 else [])
 
 
 def test_integer_solutions_skips_primes_with_colliding_roots():
