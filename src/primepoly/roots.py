@@ -17,7 +17,7 @@ Complete integer solution sets of p(x) = v need no real roots: they come
 from p-adic lifting (Loos, "Computing rational zeros of integral polynomials
 by p-adic expansion", SIAM J. Comput. 1983) from a prime at which every root
 of p - v is simple, up to Fujiwara's root bound; see `_integer_roots` for
-why the square-free part is taken only past Mahler's discriminant bound.
+when the square-free part is taken.
 """
 
 from __future__ import annotations
@@ -373,24 +373,25 @@ def _integer_roots(c: list[int]) -> list[int]:
     q^(2^k) until the modulus exceeds 2B, B = _fujiwara_bound(c), and its
     symmetric residue is kept if c vanishes there exactly.  Complete: an
     integer root z is a simple root mod q, so its lift is unique and is
-    z mod q^(2^k), which is z as |z| < B.  The search ends: a failing q
-    divides disc(c), so once the failing primes multiply past
-    |disc c| <= n^n ||c||_2^(2n-2) (Mahler 1964), c is not square-free and
-    becomes its square-free part _sturm(c)[0].  A repeated root fails at
-    every q, so that point comes; after it only primes dividing lc * disc fail.
+    z mod q^(2^k), which is z as |z| < B.  A repeated root fails at every
+    q, and a square-free c only at the q dividing disc(c), which for
+    g - 1 = t (x - a_1)...(x - a_n) are all q leaving two anchors congruent.
+    So c becomes its square-free part _sturm(c)[0] only once the failed
+    scans, sum q (n + 1) Horner steps, pass (n + 1)^3, a lower estimate of
+    that chain's cost: a square-free c never pays more than reducing at its
+    first failing prime would, and a repeated root about one chain's worth
+    of scans more.  After it only the primes dividing lc(c) * disc(c) fail.
     """
-    n = len(c) - 1
-    disc_bits = n * n.bit_length() + (n - 1) * sum(v * v for v in c).bit_length()
-    dc, failed_bits = _deriv(c), 0
+    dc, budget = _deriv(c), len(c) ** 2
     for q in primes_stream(3):
         if c[-1] % q:
             cq = [v % q for v in c]
             roots = [r for r in range(q) if _eval_mod(cq, r, q) == 0]
             if all(_eval_mod(dc, r, q) for r in roots):
                 break
-            failed_bits += q.bit_length() - 1  # a lower bound on log2 q
-            if failed_bits > disc_bits:
-                c, disc_bits = _sturm(c)[0], math.inf
+            budget -= q
+            if budget < 0:
+                c, budget = _sturm(c)[0], math.inf
                 dc = _deriv(c)
     limit = 2 * _fujiwara_bound(c)
     out = []

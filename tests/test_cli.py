@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 import os
 import sys
 from pathlib import Path
@@ -22,12 +23,20 @@ import pytest
 from primepoly import census, cli, exceptional
 from primepoly.cli import EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_OK, EXIT_VIOLATION, run
 from primepoly.errors import TheoremViolation
+from primepoly.poly import RatPolynomial
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+_REPEATED_ANCHOR_40 = ",".join(
+    str(int(c))
+    for c in 1 + 3 * math.prod((RatPolynomial([-a, 1]) for a in [-75, *range(-75, 78, 4)]), start=RatPolynomial([1]))
+)
 
 # (name, argv without --json, exit code)
 CASES = [
     ("analyze", ["analyze", "--factors=1,-3,1;-1,2"], EXIT_OK),
+    # x * (1 + 3 (x + 75)^2 (x + 71)...(x - 77)): g - 1 has a double root
+    ("analyze_repeated_anchor_40", ["analyze", f"--factors=0,1;{_REPEATED_ANCHOR_40}"], EXIT_OK),
     ("levels", ["levels", "--poly=1,-3,1", "--set=-1,1,5,11"], EXIT_OK),
     ("levels_binom", ["levels", "--poly=binom:3,0,0,0,2", "--set=3,5"], EXIT_OK),
     ("levels_double_root", ["levels", "--poly=-4,12,-9,-2,3", "--set=-1,0,1,4"], EXIT_OK),

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -240,8 +241,8 @@ def test_integer_solutions_match_sturm_on_n_plus_1_fibers(n):
 @pytest.mark.parametrize("build,n", [(build_n_plus_1, 60), (build_p_plus, 40)], ids=["nplus1_60", "pplus_40"])
 def test_square_free_unit_fibers_never_reach_the_chain(build, n, monkeypatch):
     # g - 1 = t * prod(x - p_i) fails at every prime that leaves two anchors
-    # congruent, yet it is square-free: the failing primes never exceed the
-    # discriminant bound.  g + 1 = t * prod(x - p_i) + 2 has no integer root,
+    # congruent, yet it is square-free: the failing primes never use up the
+    # scan budget.  g + 1 = t * prod(x - p_i) + 2 has no integer root,
     # as |z - p_i| would divide 2 for every one of the 39 or more anchors
     def no_reduction(c):
         raise AssertionError("reduced to the square-free part")
@@ -258,20 +259,30 @@ def test_square_free_unit_fibers_never_reach_the_chain(build, n, monkeypatch):
     [
         power(RatPolynomial([-5, 1]), 2) * RatPolynomial([1, 1]),
         power(RatPolynomial([-3, 1]), 3) * RatPolynomial([1, 0, 1]),
+        # the g - 1 fiber of the analyze_repeated_anchor_40 golden, made monic
+        math.prod((RatPolynomial([-a, 1]) for a in [-75, *range(-75, 78, 4)]), start=RatPolynomial([1])),
     ],
-    ids=["double_root", "triple_root"],
+    ids=["double_root", "triple_root", "degree_40_double_anchor"],
 )
 def test_integer_solutions_reduce_once_on_a_repeated_root(p, monkeypatch):
-    calls = []
-    sturm = roots._sturm
+    # every prime fails; the scans before the one reduction, sum q (n + 1)
+    # Horner steps over the primes q before the last, stay within (n + 1)^3
+    calls, seen = [], []
+    sturm, stream = roots._sturm, roots.primes_stream
 
     def counted(c):
-        calls.append(c)
+        calls.append(sum(seen[:-1]))
         return sturm(c)
 
+    def recorded(start):
+        for q in stream(start):
+            seen.append(q)
+            yield q
+
     monkeypatch.setattr(roots, "_sturm", counted)
+    monkeypatch.setattr(roots, "primes_stream", recorded)
     assert integer_solutions(p, 0) == _sympy_integer_roots(p, 0)
-    assert len(calls) == 1
+    assert len(calls) == 1 and calls[0] <= (p.degree + 1) ** 2
 
 
 @settings(max_examples=200, deadline=None)
