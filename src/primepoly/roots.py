@@ -374,13 +374,12 @@ def _integer_roots(c: list[int]) -> list[int]:
     symmetric residue is kept if c vanishes there exactly.  Complete: an
     integer root z is a simple root mod q, so its lift is unique and is
     z mod q^(2^k), which is z as |z| < B.  A repeated root fails at every
-    q, and a square-free c only at the q dividing disc(c), which for
-    g - 1 = t (x - a_1)...(x - a_n) are all q leaving two anchors congruent.
-    So c becomes its square-free part _sturm(c)[0] only once the failed
-    scans, sum q (n + 1) Horner steps, pass (n + 1)^3, a lower estimate of
-    that chain's cost: a square-free c never pays more than reducing at its
-    first failing prime would, and a repeated root about one chain's worth
-    of scans more.  After it only the primes dividing lc(c) * disc(c) fail.
+    q, a square-free c at each q | disc(c): for g - 1 = t prod (x - a_i) at
+    each q leaving two anchors congruent.  So c becomes its square-free part
+    _sturm(c)[0] once the failed scans, sum q (n + 1) Horner steps, pass
+    (n + 1)^3, less than the chain costs: a square-free c never pays more
+    than by reducing at its first failing prime, a repeated root one chain's
+    worth of scans more.  After that only the q dividing lc(c) disc(c) fail.
     """
     dc, budget = _deriv(c), len(c) ** 2
     for q in primes_stream(3):
