@@ -57,6 +57,12 @@ CASES = [
     ("exceptional_3_5", ["exceptional", "--degree", "3", "--bound", "5"], EXIT_OK),
     ("exceptional_4_2", ["exceptional", "--degree", "4", "--bound", "2"], EXIT_OK),
     ("constant_50", ["constant", "--digits", "50"], EXIT_OK),
+    ("constant_1", ["constant", "--digits", "1"], EXIT_OK),
+    # the bisection width is 10^-(digits + 3) up to 10 digits, 10^-13 past them
+    ("constant_10", ["constant", "--digits", "10"], EXIT_OK),
+    ("constant_11", ["constant", "--digits", "11"], EXIT_OK),
+    ("constant_digits_0", ["constant", "--digits", "0"], EXIT_BAD_INPUT),
+    ("constant_digits_51", ["constant", "--digits", "51"], EXIT_BAD_INPUT),
     ("lemmas_50_1", ["lemmas", "--trials", "50", "--seed", "1"], EXIT_OK),
     ("lemmas_trials_negative", ["lemmas", "--trials", "-2", "--seed", "0"], EXIT_BAD_INPUT),
     ("lemmas_kmax_0", ["lemmas", "--trials", "5", "--seed", "0", "--kmax", "0"], EXIT_BAD_INPUT),
