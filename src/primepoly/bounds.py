@@ -2,14 +2,17 @@
 constant, the Polya sublevel-measure bound, and level-set count bounds.
 
 Every pass/fail decision here is exact.  The inequalities involving
-k-th roots are raised to integer powers and compared in Z; the
-transcendental constant is bracketed with rational interval arithmetic
-(outward-rounded logarithms from the atanh series), so no floating point
-ever decides an outcome.  Floats appear only as display values.
+k-th roots are raised to integer powers and compared in Z.  The
+transcendental constant is bisected on integer comparisons scaled by 2^P,
+with outward-rounded fixed-point logarithms from the atanh series (Brent
+and Zimmermann, Modern Computer Arithmetic, 2010, ch. 4); only its
+reported residual comes from rational brackets.  No floating point ever
+decides an outcome.  Floats appear only as display values.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -140,25 +143,15 @@ def unbalanced_factorial_bound(a, b) -> FactorialBoundCheck:
 
 
 def _ln_interval(x: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
-    """Outward bracket of ln(x) for x >= 1 via the atanh series."""
+    """Outward bracket of ln(x) for x >= 1 via the atanh series, summed
+    until the next term is below eps/4."""
     if x < 1:
         raise ValueError("only x >= 1 supported")
-    if x == 1:
-        return Fraction(0), Fraction(0)
     z = (x - 1) / (x + 1)
-    z2 = z * z
-    total = Fraction(0)
-    term = z
-    k = 0
-    while True:
-        contrib = term / (2 * k + 1)
-        total += contrib
-        term *= z2
-        k += 1
-        nxt = term / (2 * k + 1)
-        if nxt < eps / 4:
-            tail = nxt / (1 - z2)
-            return 2 * total, 2 * (total + tail)
+    total, term, k = z, z ** 3, 3
+    while term / k >= eps / 4:
+        total, term, k = total + term / k, term * z * z, k + 2
+    return 2 * total, 2 * (total + term / k / (1 - z * z))
 
 
 def _phi_interval(t: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
@@ -170,6 +163,39 @@ def _phi_interval(t: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
 def _rhs_interval(eps: Fraction) -> tuple[Fraction, Fraction]:
     lo, hi = _ln_interval(Fraction(2), eps)
     return 2 * lo - Fraction(1, 2), 2 * hi - Fraction(1, 2)
+
+
+def _ln_bracket(a: int, b: int, p: int) -> tuple[int, int]:
+    """Integers lo <= 2^p ln(a/b) <= hi for a >= b > 0, from the atanh series
+    of z = (a - b)/(a + b): terms T_k = 2^(p+1) z^(2k+1), divided by 2k + 1,
+    rounded down for lo and up for hi, and hi adds the tail bound
+    T_K / ((2K + 1)(1 - z^2)) past the last term kept."""
+    n, d = a - b, a + b
+    n2, d2 = n * n, d * d
+    t_lo, t_hi = (n << (p + 1)) // d, -((-n << (p + 1)) // d)
+    lo, hi, k = 0, 0, 1
+    while t_lo:
+        lo, hi, k = lo + t_lo // k, hi - (-t_hi // k), k + 2
+        t_lo, t_hi = t_lo * n2 // d2, -(-t_hi * n2 // d2)
+    return lo, hi - (-t_hi * d2 // (k * (d2 - n2)))
+
+
+@functools.cache
+def _rhs_bracket(p: int) -> tuple[int, ...]:
+    """Integers bracketing 2^p (2 ln 2 - 1/2), for p >= 1."""
+    return tuple(2 * v - (1 << (p - 1)) for v in _ln_bracket(2, 1, p))
+
+
+def _phi_sign(k: int, m: int, p: int) -> int:
+    """Sign of t*(2 ln t + 1/2) - (2 ln 2 - 1/2) at t = k/2^m >= 1, compared in
+    integers scaled by 2^p (p >= 1), doubling p until the brackets separate."""
+    while True:
+        (l_lo, l_hi), (r_lo, r_hi), half = _ln_bracket(k, 1 << m, p), _rhs_bracket(p), 1 << (p - 1)
+        if k * (2 * l_hi + half) < r_lo << m:
+            return -1
+        if k * (2 * l_lo + half) > r_hi << m:
+            return 1
+        p *= 2
 
 
 def truncate_decimal(x: Fraction, digits: int) -> str:
@@ -195,46 +221,32 @@ class ConstantSolution(NamedTuple):
 
 
 def solve_constant(digits: int = 10) -> ConstantSolution:
-    """Bisect for the unique root of t*(2 ln t + 1/2) = 2 ln 2 - 1/2 in [1, 2].
+    """Bisect for the unique root of t*(2 ln t + 1/2) = 2 ln 2 - 1/2 in [1, 2],
+    on the interval (a/2^m, (a+1)/2^m].
 
-    The left side is strictly increasing there; every comparison uses
-    outward-rounded rational brackets, refined on demand whenever a
-    bracket straddles the target.
+    The left side is strictly increasing there, so the path depends only on
+    its sign against the right side at the midpoints.  That sign is never 0:
+    equality would make t^(2t)/4, which is algebraic, equal e^(-(1+t)/2),
+    which is transcendental by Hermite-Lindemann.  So `_phi_sign`, which
+    doubles its precision until its brackets separate, always ends and takes
+    the branches of any rigorous comparison.  Only the residual at the final
+    midpoint is bracketed in rationals.
     """
     if not 1 <= digits <= 50:
         raise ValueError("digits must be between 1 and 50")
-    width = min(Fraction(1, 10 ** (digits + 3)), Fraction(1, 10 ** 13))
-    eps = width / 1000
-    lo, hi = Fraction(1), Fraction(2)
-    rhs = _rhs_interval(eps)
-
-    def compare(t: Fraction) -> int:
-        """-1 if phi(t) < rhs, +1 if greater (refining until separated)."""
-        e, (r_lo, r_hi) = eps, rhs
-        while True:
-            p_lo, p_hi = _phi_interval(t, e)
-            if p_hi < r_lo:
-                return -1
-            if p_lo > r_hi:
-                return 1
-            e /= 16
-            r_lo, r_hi = _rhs_interval(e)
-
-    def decimals_agree(a: Fraction, b: Fraction) -> bool:
-        return math.floor(a * 10 ** digits) == math.floor(b * 10 ** digits)
-
-    while hi - lo > width or not (
-        decimals_agree(lo, hi) and decimals_agree(1 + 1 / hi, 1 + 1 / lo)
+    # stop at width 2^-m <= 1/inv_width once t and 1 + 1/t agree to `digits` places
+    inv_width, scale = max(10 ** (digits + 3), 10 ** 13), 10 ** digits
+    a, m = 1, 0
+    while inv_width > 1 << m or (a * scale) >> m != ((a + 1) * scale) >> m or (
+        (scale << m) // a != (scale << m) // (a + 1)
     ):
-        mid = (lo + hi) / 2
-        if compare(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-
-    mid = (lo + hi) / 2
-    p_lo, p_hi = _phi_interval(mid, eps)
-    r_lo, r_hi = rhs
+        # 4 bits per digit and 64 guard bits: no step up to 50 digits needs more
+        a = 2 * a + (_phi_sign(2 * a + 1, m + 1, 4 * digits + 64) < 0)
+        m += 1
+    lo, hi = Fraction(a, 1 << m), Fraction(a + 1, 1 << m)
+    eps = Fraction(1, 1000 * inv_width)
+    p_lo, p_hi = _phi_interval((lo + hi) / 2, eps)
+    r_lo, r_hi = _rhs_interval(eps)
     residual = max(abs(p_hi - r_lo), abs(p_lo - r_hi))
     c_lo, c_hi = 1 + 1 / hi, 1 + 1 / lo
     return ConstantSolution(

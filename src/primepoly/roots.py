@@ -280,7 +280,7 @@ class MeasureBracket(NamedTuple):
 def _count_roots(c: list[int]) -> int:
     """Number of distinct real roots of the nonzero integer list c."""
     chain = _sturm(c)
-    bound = Fraction(_cauchy_bound(chain[0]))
+    bound = Fraction(_fujiwara_bound(chain[0]))
     return _count(chain, -bound, bound)
 
 
@@ -298,7 +298,10 @@ def isolate_roots(p: RatPolynomial) -> list[IsolatedRoot]:
 def _isolate(c: list[int]) -> list[IsolatedRoot]:
     """`isolate_roots` of the primitive integer list c.  The stack holds
     (lo, hi, e, V(lo), V(hi)) for the interval (lo/2^e, hi/2^e]; its
-    midpoint is lo + hi at exponent e + 1."""
+    midpoint is lo + hi at exponent e + 1.  For c(0) != 0 it starts from the
+    smallest cells (-B/2^j, 0] and (0, B/2^j] of the bisection of (-B, B],
+    B = _cauchy_bound(c), that hold (-F, F), F = _fujiwara_bound(c): the
+    levels above only drop empty outer halves, so the same intervals result."""
     chain = _sturm(c)
     c = chain[0]
     if len(c) <= 1:
@@ -309,7 +312,12 @@ def _isolate(c: list[int]) -> list[IsolatedRoot]:
     bound = _cauchy_bound(c)
 
     found: list[IsolatedRoot] = []
-    stack = [(-bound, bound, 0, _var_at(chain, -bound, 1), _var_at(chain, bound, 1))]
+    if c[0]:
+        j = max(0, (bound // _fujiwara_bound(c)).bit_length() - 1)
+        v_lo, v_0, v_hi = (_var_at(chain, x, 1 << j) for x in (-bound, 0, bound))
+        stack = [(-bound, 0, j, v_lo, v_0), (0, bound, j, v_0, v_hi)]
+    else:
+        stack = [(-bound, bound, 0, _var_at(chain, -bound, 1), _var_at(chain, bound, 1))]
     while stack:
         lo, hi, e, vlo, vhi = stack.pop()
         n = vlo - vhi

@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 from primepoly.badpoints import TAG_ORDER, BadPoint
+from primepoly.bounds import ConstantSolution, truncate_decimal
 from primepoly.errors import BudgetExhausted, TheoremViolation
 from primepoly.exceptional import _LIST_DATA, ExceptionalHit, SearchReport, equivalent_to_list
 from primepoly.poly import RatPolynomial, compose_affine, eval_int_scaled, evaluate
@@ -172,6 +173,79 @@ def fraction_isolate_roots(p: RatPolynomial) -> list[IsolatedRoot]:
             stack.append((mid, hi, vmid, vhi))
     found.sort(key=lambda r: (r.lo, r.hi))
     return found
+
+
+def fraction_ln_interval(x: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
+    """Reference for `_ln_interval`: the atanh series of ln(x), x > 1, on
+    `Fraction`s, summed until the next term is below eps/4."""
+    z = (x - 1) / (x + 1)
+    z2 = z * z
+    total = Fraction(0)
+    term = z
+    k = 0
+    while True:
+        total += term / (2 * k + 1)
+        term *= z2
+        k += 1
+        nxt = term / (2 * k + 1)
+        if nxt < eps / 4:
+            return 2 * total, 2 * (total + nxt / (1 - z2))
+
+
+def _phi_interval(t: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
+    lo, hi = fraction_ln_interval(t, eps)
+    return t * (2 * lo + Fraction(1, 2)), t * (2 * hi + Fraction(1, 2))
+
+
+def _rhs_interval(eps: Fraction) -> tuple[Fraction, Fraction]:
+    lo, hi = fraction_ln_interval(Fraction(2), eps)
+    return 2 * lo - Fraction(1, 2), 2 * hi - Fraction(1, 2)
+
+
+def fraction_solve_constant(digits: int) -> ConstantSolution:
+    """Reference for `solve_constant`: the same bisection on `Fraction`
+    endpoints, each comparison decided by rational brackets from the exact
+    atanh series, refined until they separate."""
+    width = min(Fraction(1, 10 ** (digits + 3)), Fraction(1, 10 ** 13))
+    eps = width / 1000
+    lo, hi = Fraction(1), Fraction(2)
+    rhs = _rhs_interval(eps)
+
+    def compare(t: Fraction) -> int:
+        e, (r_lo, r_hi) = eps, rhs
+        while True:
+            p_lo, p_hi = _phi_interval(t, e)
+            if p_hi < r_lo:
+                return -1
+            if p_lo > r_hi:
+                return 1
+            e /= 16
+            r_lo, r_hi = _rhs_interval(e)
+
+    def decimals_agree(a: Fraction, b: Fraction) -> bool:
+        return math.floor(a * 10 ** digits) == math.floor(b * 10 ** digits)
+
+    while hi - lo > width or not (decimals_agree(lo, hi) and decimals_agree(1 + 1 / hi, 1 + 1 / lo)):
+        mid = (lo + hi) / 2
+        if compare(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+
+    mid = (lo + hi) / 2
+    p_lo, p_hi = _phi_interval(mid, eps)
+    r_lo, r_hi = rhs
+    c_lo = 1 + 1 / hi
+    return ConstantSolution(
+        digits=digits,
+        t_lo=lo,
+        t_hi=hi,
+        c_lo=c_lo,
+        c_hi=1 + 1 / lo,
+        t_star=truncate_decimal(lo, digits),
+        c=truncate_decimal(c_lo, digits),
+        residual=max(abs(p_hi - r_lo), abs(p_lo - r_hi)),
+    )
 
 
 def product_bad_points(g: RatPolynomial, h: RatPolynomial) -> list[BadPoint]:

@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from primepoly.bounds import (
     cross_difference_bound,
@@ -15,11 +17,12 @@ from primepoly.bounds import (
     truncate_decimal,
     unbalanced_factorial_bound,
 )
-from primepoly.bounds import _display_root, _ln_interval, _phi_interval, _rhs_interval
+from primepoly import bounds
+from primepoly.bounds import _display_root, _ln_bracket, _ln_interval, _phi_interval, _phi_sign, _rhs_interval
 from primepoly.census import level_census
 from primepoly.poly import RatPolynomial, from_binomial
 
-from helpers import random_int_poly
+from helpers import fraction_ln_interval, fraction_solve_constant, random_int_poly
 
 
 def test_solve_constant_ten_digits():
@@ -59,6 +62,61 @@ def test_solve_constant_more_digits_nest():
         solve_constant(0)
     with pytest.raises(ValueError):
         solve_constant(51)
+
+
+def test_solve_constant_matches_fraction_bisection_at_every_digit_count():
+    for digits in range(1, 51):
+        got, want = solve_constant(digits), fraction_solve_constant(digits)
+        assert got == want and [type(v) for v in got] == [type(v) for v in want]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 200), st.integers(1, 30))
+def test_ln_interval_matches_the_parent_series(num, e):
+    x, eps = F(num + 100, 100), F(1, 10 ** e)
+    assert _ln_interval(x, eps) == fraction_ln_interval(x, eps)
+
+
+@st.composite
+def _ln_arguments(draw):
+    """a/b in (1, 2]: dyadic (b a power of two) or not."""
+    b = draw(st.one_of(st.integers(0, 200).map(lambda m: 2 ** m), st.integers(1, 2 ** 200)))
+    return b + draw(st.integers(1, b)), b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ln_arguments(), st.integers(1, 200))
+@example((3, 2), 1)      # fails without the tail bound
+@example((3, 2), 200)
+def test_ln_bracket_contains_the_scaled_logarithm(ab, p):
+    a, b = ab
+    lo, hi = _ln_bracket(a, b, p)
+    with mpmath.workprec(2 * p + 80):
+        v = mpmath.ldexp(mpmath.log(mpmath.mpf(a) / b), p)
+        assert lo <= int(mpmath.floor(v)) and int(mpmath.ceil(v)) <= hi
+
+
+def test_phi_sign_raises_precision_near_the_root(monkeypatch):
+    sol = solve_constant(50)
+    precisions = []
+
+    def recorded(a, b, p):
+        precisions.append(p)
+        return _ln_bracket(a, b, p)
+
+    monkeypatch.setattr(bounds, "_ln_bracket", recorded)
+    highest = []
+    for m in range(1, 200, 6):
+        k = math.floor(sol.t_lo * 2 ** m)
+        precisions.clear()
+        got = [_phi_sign(j, m, 8) for j in (k, k + 1)]
+        highest.append(max(precisions))
+        assert got == [_phi_sign(j, m, 256) for j in (k, k + 1)]
+        if 2 ** m * (sol.t_hi - sol.t_lo) <= 1:
+            # k/2^m <= t_lo < t* < t_hi <= (k + 1)/2^m
+            assert got == [-1, 1]
+    # the brackets at p = 8 separate at m = 1; near t* at m ~ 200 only at 256
+    assert highest[0] == 8 and max(highest) == 256
 
 
 def test_truncate_decimal():

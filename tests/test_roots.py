@@ -231,6 +231,31 @@ def test_integer_solutions_match_sympy(p, v):
     assert integer_solutions(p + v, v) == _sympy_integer_roots(p, 0)
 
 
+@st.composite
+def _roots_far_inside_the_bound(draw):
+    """Small rational roots, repeats allowed, times lead*x^k + big, so the
+    Cauchy bound is about |big| and Fujiwara's about |big|^(1/k); often
+    times x, so that 0 is a root."""
+    roots = draw(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=4), min_size=1, max_size=6))
+    roots += draw(st.lists(st.sampled_from(roots), max_size=2))
+    k, big = draw(st.integers(1, 4)), draw(st.integers(-2 ** 80, 2 ** 80).filter(lambda v: v != 0))
+    p = RatPolynomial([big] + [0] * (k - 1) + [draw(st.integers(1, 3))])
+    for r in roots + draw(st.lists(st.just(F(0)), max_size=2)):
+        p = p * RatPolynomial([-r, 1])
+    return p
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_roots_far_inside_the_bound(), _linear_products()))
+@example(RatPolynomial([10 ** 30, 0, 0, 1]) * RatPolynomial([-1, 0, 2]))       # 2^j with j = 88
+@example(RatPolynomial([0, 10 ** 30, 0, 0, 1]) * RatPolynomial([-1, 0, 2]))    # c(0) = 0: the full start
+def test_isolate_roots_from_fujiwara_cells_matches_full_start(p):
+    # fraction_isolate_roots bisects from (-B, B], B the Cauchy bound
+    got = isolate_roots(p)
+    assert [(r.defining, r.lo, r.hi) for r in got] == [(r.defining, r.lo, r.hi) for r in fraction_isolate_roots(p)]
+    assert _count_roots(_to_int(p)) == len(got)
+
+
 @pytest.mark.parametrize("n", [20, 40, 60])
 def test_integer_solutions_match_sturm_on_n_plus_1_fibers(n):
     g = build_n_plus_1(n).factors[1]
