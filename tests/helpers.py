@@ -176,7 +176,7 @@ def fraction_isolate_roots(p: RatPolynomial) -> list[IsolatedRoot]:
 
 
 def fraction_ln_interval(x: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
-    """Reference for `_ln_interval`: the atanh series of ln(x), x > 1, on
+    """Reference for `_ln_interval`: the atanh series of ln(x), x >= 1, on
     `Fraction`s, summed until the next term is below eps/4."""
     z = (x - 1) / (x + 1)
     z2 = z * z
@@ -192,12 +192,12 @@ def fraction_ln_interval(x: Fraction, eps: Fraction) -> tuple[Fraction, Fraction
             return 2 * total, 2 * (total + nxt / (1 - z2))
 
 
-def _phi_interval(t: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
+def _fraction_phi_interval(t: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
     lo, hi = fraction_ln_interval(t, eps)
     return t * (2 * lo + Fraction(1, 2)), t * (2 * hi + Fraction(1, 2))
 
 
-def _rhs_interval(eps: Fraction) -> tuple[Fraction, Fraction]:
+def _fraction_rhs_interval(eps: Fraction) -> tuple[Fraction, Fraction]:
     lo, hi = fraction_ln_interval(Fraction(2), eps)
     return 2 * lo - Fraction(1, 2), 2 * hi - Fraction(1, 2)
 
@@ -209,18 +209,18 @@ def fraction_solve_constant(digits: int) -> ConstantSolution:
     width = min(Fraction(1, 10 ** (digits + 3)), Fraction(1, 10 ** 13))
     eps = width / 1000
     lo, hi = Fraction(1), Fraction(2)
-    rhs = _rhs_interval(eps)
+    rhs = _fraction_rhs_interval(eps)
 
     def compare(t: Fraction) -> int:
         e, (r_lo, r_hi) = eps, rhs
         while True:
-            p_lo, p_hi = _phi_interval(t, e)
+            p_lo, p_hi = _fraction_phi_interval(t, e)
             if p_hi < r_lo:
                 return -1
             if p_lo > r_hi:
                 return 1
             e /= 16
-            r_lo, r_hi = _rhs_interval(e)
+            r_lo, r_hi = _fraction_rhs_interval(e)
 
     def decimals_agree(a: Fraction, b: Fraction) -> bool:
         return math.floor(a * 10 ** digits) == math.floor(b * 10 ** digits)
@@ -233,7 +233,7 @@ def fraction_solve_constant(digits: int) -> ConstantSolution:
             hi = mid
 
     mid = (lo + hi) / 2
-    p_lo, p_hi = _phi_interval(mid, eps)
+    p_lo, p_hi = _fraction_phi_interval(mid, eps)
     r_lo, r_hi = rhs
     c_lo = 1 + 1 / hi
     return ConstantSolution(
