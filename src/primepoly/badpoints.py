@@ -135,35 +135,15 @@ def _text(value: tuple[Fraction, Fraction], unit: str) -> str:
     return f"{a}{'+' if b >= 0 else '-'}{abs(b)}{unit}"
 
 
-class ComplexCounterexample(NamedTuple):
-    """Exact data for the degree-5 complex pair with six bad points; the
-    values at the algebraic points are report strings a+bi or a+b*sqrt(3)."""
-
-    g: RatPolynomial
-    h: RatPolynomial
-    degree: int
-    bad_count: int
-    points: tuple[str, ...]
-    factor_identity_ok: bool
-    h_at_2: Fraction
-    h_at_2_plus_3i: str
-    h_at_2_minus_3i: str
-    g_at_2_plus_3i: str
-    f_at_0: Fraction
-    f_at_2: Fraction
-    f_at_sqrt3: str
-    f_at_neg_sqrt3: str
-    f_at_2_plus_3i: str
-
-
-def complex_counterexample() -> ComplexCounterexample:
+def complex_counterexample() -> dict:
     """Verify, in exact arithmetic, the complex pair g = x^3/3 - x + 1,
     h = (2/9)(x-2)^2 + 1 with six bad points against degree 5.
 
     Over the reals the bad-point count is capped by the degree; this
     fixed pair shows the cap fails for complex points: g = 1 at 0 and
     +-sqrt(3), h = 1 at 2, and h = -1 at 2 +- 3i, with f = g*h real and
-    exceeding 1 at all six.
+    exceeding 1 at all six.  Returns the `counterexample` report, keyed as
+    it prints; values at algebraic points are strings a+bi or a+b*sqrt(3).
     """
     g = RatPolynomial([1, -1, 0, Fraction(1, 3)])
     h = RatPolynomial([Fraction(17, 9), Fraction(-8, 9), Fraction(2, 9)])
@@ -193,20 +173,20 @@ def complex_counterexample() -> ComplexCounterexample:
     if not all(checks):
         raise TheoremViolation(f"complex counterexample failed exact checks: {checks}")
 
-    return ComplexCounterexample(
-        g=g,
-        h=h,
-        degree=5,
-        bad_count=6,
-        points=("0", "sqrt3", "-sqrt3", "2", "2+3i", "2-3i"),
-        factor_identity_ok=identity_ok,
-        h_at_2=h2,
-        h_at_2_plus_3i=_text(h_zp, "i"),
-        h_at_2_minus_3i=_text(h_zm, "i"),
-        g_at_2_plus_3i=_text(g_zp, "i"),
-        f_at_0=f0,
-        f_at_2=f2,
-        f_at_sqrt3=_text(f_s3, "*sqrt(3)"),
-        f_at_neg_sqrt3=_text(f_ns3, "*sqrt(3)"),
-        f_at_2_plus_3i=_text(f_zp, "i"),
-    )
+    return {
+        "g": g,
+        "h": h,
+        "degree": 5,
+        "bad_count": 6,
+        "points": ("0", "sqrt3", "-sqrt3", "2", "2+3i", "2-3i"),
+        "factor_identity_ok": identity_ok,
+        "h(2)": h2,
+        "h(2+3i)": _text(h_zp, "i"),
+        "h(2-3i)": _text(h_zm, "i"),
+        "g(2+3i)": _text(g_zp, "i"),
+        "f(0)": f0,
+        "f(2)": f2,
+        "f(sqrt3)": _text(f_s3, "*sqrt(3)"),
+        "f(-sqrt3)": _text(f_ns3, "*sqrt(3)"),
+        "f(2+3i)": _text(f_zp, "i"),
+    }

@@ -2,12 +2,12 @@
 constant, the Polya sublevel-measure bound, and level-set count bounds.
 
 Every pass/fail decision here is exact.  The inequalities involving
-k-th roots are raised to integer powers and compared in Z.  The
-transcendental constant is bisected on integer comparisons scaled by 2^P,
-with outward-rounded fixed-point logarithms from the atanh series (Brent
-and Zimmermann, Modern Computer Arithmetic, 2010, ch. 4); only its
-reported residual comes from rational brackets.  No floating point ever
-decides an outcome.  Floats appear only as display values.
+roots are raised to the least integer power that clears them and compared
+in Q.  The transcendental constant is bisected on integer comparisons
+scaled by 2^P, with outward-rounded fixed-point logarithms from the atanh
+series (Brent and Zimmermann, Modern Computer Arithmetic, 2010, ch. 4);
+only its reported residual comes from rational brackets.  No floating
+point ever decides an outcome.  Floats appear only as display values.
 """
 
 from __future__ import annotations
@@ -70,20 +70,25 @@ def set_pair_data(a, b) -> SetPairData:
     )
 
 
-class CrossBoundCheck(NamedTuple):
+class BoundCheck(NamedTuple):
     data: SetPairData
-    bound: Fraction         # U*V*(4/9)^k
+    bound_power: Fraction   # the bound raised to the comparison power
+    power: int              # that power
     holds: bool
 
 
-def cross_difference_bound(a, b) -> CrossBoundCheck:
-    """Check D >= U*V*(4/9)^k for balanced sets of size k (exact)."""
+def _check(data: SetPairData, bound_power: Fraction, power: int) -> BoundCheck:
+    """Compare D^power >= bound_power, both sides exact."""
+    return BoundCheck(data=data, bound_power=bound_power, power=power, holds=data.D ** power >= bound_power)
+
+
+def cross_difference_bound(a, b) -> BoundCheck:
+    """Check D >= U*V*(4/9)^k for balanced sets of size k (exact, power 1)."""
     data = set_pair_data(a, b)
     k = len(data.a)
     if k != len(data.b):
         raise ValueError("sets must have equal size")
-    bound = Fraction(data.U * data.V * 4 ** k, 9 ** k)
-    return CrossBoundCheck(data=data, bound=bound, holds=data.D >= bound)
+    return _check(data, Fraction(data.U * data.V * 4 ** k, 9 ** k), 1)
 
 
 def _factorial_product(upto: int) -> int:
@@ -96,45 +101,23 @@ def _factorial_product(upto: int) -> int:
     return out
 
 
-class FactorialBoundCheck(NamedTuple):
-    data: SetPairData
-    bound_power: Fraction   # the bound raised to the comparison power
-    power: int              # that power
-    holds: bool
+def factorial_lower_bound(a, b) -> BoundCheck:
+    """Check D >= (2/3)^s * (1! 2! ... (2k-1)!)^(s/(2k)) for |a| = k <= s = |b|.
 
-
-def factorial_lower_bound(a, b) -> FactorialBoundCheck:
-    """Check D >= (2/3)^k * (1! 2! ... (2k-1)!)^(1/2), compared squared."""
-    data = set_pair_data(a, b)
-    k = len(data.a)
-    if k != len(data.b):
-        raise ValueError("sets must have equal size")
-    fact = _factorial_product(2 * k - 1)
-    bound_sq = Fraction(4 ** k * fact, 9 ** k)
-    return FactorialBoundCheck(
-        data=data,
-        bound_power=bound_sq,
-        power=2,
-        holds=data.D ** 2 >= bound_sq,
-    )
-
-
-def unbalanced_factorial_bound(a, b) -> FactorialBoundCheck:
-    """Check D >= (2/3)^s * (1! 2! ... (2k-1)!)^(s/(2k)) for |a| = k <= s = |b|,
-    compared after raising both sides to the power 2k."""
+    Both sides are raised to the least power that clears the root, the
+    denominator q = 2k/gcd(2k, s) of s/(2k) in lowest terms, so the
+    factorial product enters to the power p = s/gcd(2k, s).  For balanced
+    sets (s = k) that is the squared comparison, D^2 >= (4/9)^k * 1!...(2k-1)!.
+    Raising both sides to a positive power keeps their order, so every
+    such power decides alike; the least one keeps the integers smallest.
+    """
     data = set_pair_data(a, b)
     k, s = len(data.a), len(data.b)
     if k > s:
         raise ValueError("need |a| <= |b|")
-    fact = _factorial_product(2 * k - 1)
-    power = 2 * k
-    bound_pow = Fraction(2 ** (2 * k * s) * fact ** s, 3 ** (2 * k * s))
-    return FactorialBoundCheck(
-        data=data,
-        bound_power=bound_pow,
-        power=power,
-        holds=data.D ** power >= bound_pow,
-    )
+    g = math.gcd(2 * k, s)
+    q, p = 2 * k // g, s // g
+    return _check(data, Fraction(2 ** (s * q) * _factorial_product(2 * k - 1) ** p, 3 ** (s * q)), q)
 
 
 # ---------------------------------------------------------------------------

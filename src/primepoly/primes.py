@@ -176,10 +176,8 @@ class ProgressionHit(NamedTuple):
     """First multiplier t (in the scan order 1, -1, 2, -2, ...) making
     every 1 + t*M prime, with one verdict per M, in the order of Ms."""
 
-    Ms: tuple[int, ...]
     t: int
     verdicts: tuple[PrimalityVerdict, ...]
-    positive_required: bool
 
 
 def _windows(t_max: int):
@@ -265,7 +263,7 @@ def find_multiplier(Ms, positive_required: bool, t_max: int) -> ProgressionHit:
                     continue
                 verdicts = tuple(map(is_prime, values))
                 if all(v.is_prime for v in verdicts):
-                    return ProgressionHit(Ms, t, verdicts, positive_required)
+                    return ProgressionHit(t, verdicts)
     raise BudgetExhausted(
         f"no multiplier with |t| <= {t_max} makes 1 + t*{' and 1 + t*'.join(map(str, Ms))} prime",
         frontier=t_max,

@@ -415,10 +415,8 @@ def _integer_roots(c: list[int]) -> list[int]:
 
 
 def _sign_at(cq: list[int], r: IsolatedRoot) -> int:
-    """Exact sign at the algebraic point r (0 iff it vanishes there) of q,
+    """Exact sign of a nonzero q at the algebraic point r (0 iff q(r) = 0),
     given as the integer coefficients cq of a positive multiple of q."""
-    if not cq:
-        return 0
     if r.is_exact:
         return _sign(_eval_scaled_frac(cq, r.lo.numerator, r.lo.denominator))
     p = list(r.defining)

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 from primepoly.badpoints import TAG_ORDER, BadPoint
-from primepoly.bounds import ConstantSolution, truncate_decimal
+from primepoly.bounds import BoundCheck, ConstantSolution, SetPairData, truncate_decimal
 from primepoly.errors import BudgetExhausted, TheoremViolation
 from primepoly.exceptional import _LIST_DATA, ExceptionalHit, SearchReport, equivalent_to_list
 from primepoly.poly import RatPolynomial, compose_affine, eval_int_scaled, evaluate
@@ -175,6 +175,15 @@ def fraction_isolate_roots(p: RatPolynomial) -> list[IsolatedRoot]:
     return found
 
 
+def power_2k_factorial_bound(data: SetPairData) -> BoundCheck:
+    """Reference for `factorial_lower_bound`: D >= (2/3)^s (1! ... (2k-1)!)^(s/(2k))
+    for |a| = k <= s = |b|, compared after raising both sides to the power 2k."""
+    k, s = len(data.a), len(data.b)
+    fact = math.prod(math.factorial(j) for j in range(1, 2 * k))
+    bound_power = Fraction(2 ** (2 * k * s) * fact ** s, 3 ** (2 * k * s))
+    return BoundCheck(data, bound_power, 2 * k, data.D ** (2 * k) >= bound_power)
+
+
 def fraction_ln_interval(x: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
     """Reference for `_ln_interval`: the atanh series of ln(x), x >= 1, on
     `Fraction`s, summed until the next term is below eps/4."""
@@ -274,7 +283,7 @@ def unsieved_find_multiplier(Ms, positive_required: bool, t_max: int) -> Progres
                     break
                 verdicts.append(v)
             else:
-                return ProgressionHit(Ms, t, tuple(verdicts), positive_required)
+                return ProgressionHit(t, tuple(verdicts))
     raise BudgetExhausted(
         f"no multiplier with |t| <= {t_max} makes 1 + t*{' and 1 + t*'.join(map(str, Ms))} prime",
         frontier=t_max,

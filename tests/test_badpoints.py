@@ -92,8 +92,9 @@ def test_bad_points_match_product_filter_with_denominators():
     # the counterexample pair g = x^3/3 - x + 1, h = (2/9)(x - 2)^2 + 1:
     # g = 1 at 0 and +-sqrt(3), h = 1 at 2, f > 1 at all four
     cx = complex_counterexample()
-    assert len(bad_points(cx.g, cx.h)) == 4
-    for g, h in ((cx.g, cx.h), (cx.h, cx.g), (cx.g, -cx.h), (-cx.g, cx.h * F(3, 2))):
+    g0, h0 = cx["g"], cx["h"]
+    assert len(bad_points(g0, h0)) == 4
+    for g, h in ((g0, h0), (h0, g0), (g0, -h0), (-g0, h0 * F(3, 2))):
         got, want = bad_points(g, h), product_bad_points(g, h)
         assert got == want and record_types(got) == record_types(want)
 
@@ -153,19 +154,23 @@ def test_block_report_validation():
 
 def test_complex_counterexample_exact():
     cx = complex_counterexample()
-    assert cx.bad_count == 6
-    assert cx.degree == 5
-    assert cx.factor_identity_ok
-    assert cx.h_at_2 == 1
-    assert cx.h_at_2_plus_3i == "-1+0i"
-    assert cx.h_at_2_minus_3i == "-1+0i"
-    assert cx.g_at_2_plus_3i == "-49/3+0i"
-    assert cx.f_at_2_plus_3i == "49/3+0i"
-    assert cx.f_at_0 == F(17, 9)
-    assert cx.f_at_2 == F(5, 3)
-    assert cx.f_at_sqrt3 == "23/9-8/9*sqrt(3)"
-    assert cx.f_at_neg_sqrt3 == "23/9+8/9*sqrt(3)"
-    assert cx.bad_count > cx.degree
+    assert list(cx) == [
+        "g", "h", "degree", "bad_count", "points", "factor_identity_ok", "h(2)", "h(2+3i)", "h(2-3i)",
+        "g(2+3i)", "f(0)", "f(2)", "f(sqrt3)", "f(-sqrt3)", "f(2+3i)",
+    ]
+    assert cx["bad_count"] == 6
+    assert cx["degree"] == 5
+    assert cx["factor_identity_ok"]
+    assert cx["h(2)"] == 1
+    assert cx["h(2+3i)"] == "-1+0i"
+    assert cx["h(2-3i)"] == "-1+0i"
+    assert cx["g(2+3i)"] == "-49/3+0i"
+    assert cx["f(2+3i)"] == "49/3+0i"
+    assert cx["f(0)"] == F(17, 9)
+    assert cx["f(2)"] == F(5, 3)
+    assert cx["f(sqrt3)"] == "23/9-8/9*sqrt(3)"
+    assert cx["f(-sqrt3)"] == "23/9+8/9*sqrt(3)"
+    assert cx["bad_count"] > cx["degree"]
 
 
 _G = RatPolynomial([1, -1, 0, F(1, 3)])                # x^3/3 - x + 1
@@ -217,5 +222,5 @@ def test_positive():
 def test_complex_counterexample_real_part_still_capped():
     # restricted to the reals, the same pair obeys the cap
     cx = complex_counterexample()
-    rep = block_report(cx.g, cx.h)
+    rep = block_report(cx["g"], cx["h"])
     assert rep.k <= 5

@@ -15,14 +15,13 @@ from primepoly.bounds import (
     set_pair_data,
     solve_constant,
     truncate_decimal,
-    unbalanced_factorial_bound,
 )
 from primepoly import bounds
 from primepoly.bounds import _display_root, _ln_bracket, _ln_interval, _phi_interval, _phi_sign, _rhs_interval
 from primepoly.census import level_census
 from primepoly.poly import RatPolynomial, from_binomial
 
-from helpers import fraction_ln_interval, fraction_solve_constant, random_int_poly
+from helpers import fraction_ln_interval, fraction_solve_constant, power_2k_factorial_bound, random_int_poly
 
 
 def test_solve_constant_ten_digits():
@@ -146,16 +145,16 @@ def test_merged_product_identity_random():
 
 def test_cross_difference_bound_examples():
     chk = cross_difference_bound({0}, {1})
-    assert chk.holds and chk.bound == F(4, 9) and chk.data.D == 1
+    assert chk.holds and chk.bound_power == F(4, 9) and chk.power == 1 and chk.data.D == 1
     chk = cross_difference_bound({0, 2}, {1, 3})
-    assert chk.holds and chk.bound == F(64, 81)
+    assert chk.holds and chk.bound_power == F(64, 81) and chk.power == 1
     assert (chk.data.D, chk.data.U, chk.data.V) == (3, 2, 2)
 
 
 def test_factorial_bound_examples():
     chk = factorial_lower_bound({0, 2}, {1, 3})
     # squared comparison: D^2 = 9 >= (4/9)^2 * 12 = 64/27
-    assert chk.holds and chk.bound_power == F(64, 27)
+    assert chk.holds and chk.power == 2 and chk.bound_power == F(64, 27)
     chk = factorial_lower_bound({5}, {9})
     assert chk.holds and chk.bound_power == F(4, 9)
     chk = factorial_lower_bound({0, 1}, {2, 3})
@@ -163,16 +162,60 @@ def test_factorial_bound_examples():
 
 
 def test_unbalanced_factorial_bound_examples():
-    chk = unbalanced_factorial_bound({0}, {1, 5})
+    # k = 1, s = 2: s/(2k) = 1 needs no root, so the power is 1 (2k = 2 in
+    # the power-2k form, with bound (4/9)^2 = 16/81)
+    chk = factorial_lower_bound({0}, {1, 5})
     assert chk.holds and chk.data.D == 5
-    assert chk.power == 2 and chk.bound_power == F(16, 81)
-    # k = s reduces to the balanced bound
+    assert chk.power == 1 and chk.bound_power == F(4, 9)
+    assert power_2k_factorial_bound(chk.data)[1:] == (F(16, 81), 2, True)
+    # k = 2, s = 3: s/(2k) = 3/4 is in lowest terms, so the power is 2k = 4
+    chk = factorial_lower_bound({0, 2}, {1, 3, 5})
+    assert chk.data.D == 45 and chk.holds
+    assert chk.power == 4 and chk.bound_power == F(2 ** 12 * 12 ** 3, 3 ** 12)
+    assert power_2k_factorial_bound(chk.data) == chk
+    # k = 2, s = 4: s/(2k) = 1, so power 1 against (2/3)^4 * 1! 2! 3! = 64/27
+    chk = factorial_lower_bound({0, 2}, {1, 3, 5, 7})
+    assert chk.holds and chk.power == 1 and chk.bound_power == F(64, 27)
+    # k = s is the balanced squared comparison; the power-2k form squares it again
     bal = factorial_lower_bound({0, 2}, {1, 3})
-    unb = unbalanced_factorial_bound({0, 2}, {1, 3})
-    assert unb.bound_power == bal.bound_power ** 2  # power 2k = 4 vs squared
-    assert unb.holds == bal.holds
+    oracle = power_2k_factorial_bound(bal.data)
+    assert oracle.power == 4 and oracle.bound_power == bal.bound_power ** 2
+    assert oracle.holds == bal.holds
     with pytest.raises(ValueError):
-        unbalanced_factorial_bound({0, 2, 4}, {1, 3})
+        factorial_lower_bound({0, 2, 4}, {1, 3})
+
+
+def _least_root_at_least(x: F, n: int) -> int:
+    """Least integer D >= 0 with D^n >= x."""
+    lo, hi = 0, 1 << (x.numerator.bit_length() // n + 1)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if mid ** n < x else (lo, mid)
+    return lo
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda k: st.tuples(st.just(k), st.integers(k, 12))), st.integers(-4, 4))
+@example((1, 1), -1)
+@example((2, 4), -1)    # gcd(2k, s) = 4: power 1
+@example((3, 12), 0)    # gcd 6: power 1, product to the power 2
+@example((8, 12), -1)   # gcd 4: power 4, product to the power 3
+def test_least_power_decides_as_the_power_2k_form(ks, offset):
+    # D runs over a window around the least D passing the power-2k form, so
+    # both sides of the threshold are checked; a and b only fix k and s
+    k, s = ks
+    chk = factorial_lower_bound(range(k), range(k, k + s))
+    oracle = power_2k_factorial_bound(chk.data)
+    threshold = _least_root_at_least(oracle.bound_power, oracle.power)
+    D = max(1, threshold + offset)
+    data = chk.data._replace(D=D)
+    holds = bounds._check(data, chk.bound_power, chk.power).holds
+    assert holds == power_2k_factorial_bound(data).holds
+    if D == threshold + offset:
+        assert holds == (offset >= 0)
+    # the power-2k form is this comparison raised to the power gcd(2k, s)
+    assert oracle.power == chk.power * math.gcd(2 * k, s)
+    assert oracle.bound_power == chk.bound_power ** math.gcd(2 * k, s)
 
 
 def test_all_three_bounds_hold_randomly():
@@ -185,7 +228,7 @@ def test_all_three_bounds_hold_randomly():
         k2 = rng.randint(1, 4)
         s2 = rng.randint(k2, 6)
         vals = rng.sample(range(-50, 51), k2 + s2)
-        assert unbalanced_factorial_bound(vals[:k2], vals[k2:]).holds
+        assert factorial_lower_bound(vals[:k2], vals[k2:]).holds
 
 
 def test_polya_examples():

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import math
 import os
 import sys
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from primepoly import census, cli, exceptional
+from primepoly import bounds, census, cli, exceptional
 from primepoly.cli import EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_OK, EXIT_VIOLATION, run
 from primepoly.errors import TheoremViolation
 from primepoly.poly import RatPolynomial
@@ -123,6 +124,31 @@ def test_cli_theorem_violation_exits_1(monkeypatch):
     code, out, err = _capture(["counterexample"])
     assert code == EXIT_VIOLATION
     assert out == "" and err == "THEOREM VIOLATION: injected\n"
+
+
+def test_cli_lemmas_violations_exit_1(monkeypatch):
+    # a factorial product far above any D makes every factorial comparison
+    # fail, balanced and unbalanced; the other two checks still pass
+    monkeypatch.setattr(bounds, "_factorial_product", lambda upto: 10 ** 5000)
+    code, out, err = _capture(["lemmas", "--trials", "3", "--seed", "1", "--json"])
+    assert code == EXIT_VIOLATION and err == ""
+    assert json.loads(out) == {
+        "command": "lemmas",
+        "version": "0.1.0",
+        "trials": 3,
+        "seed": 1,
+        "kmax": 6,
+        "coord": 50,
+        "violations": [
+            {"check": "factorial", "a": [22, 47], "b": [-42, -18]},
+            {"check": "unbalanced_factorial", "a": [47], "b": [-2, 7, 10, 33]},
+            {"check": "factorial", "a": [-38, 12], "b": [-47, -1]},
+            {"check": "unbalanced_factorial", "a": [-50, 39, 47, 48], "b": [-37, -21, -16, 7, 25, 42]},
+            {"check": "factorial", "a": [-48, -47, 33], "b": [-49, -2, 19]},
+            {"check": "unbalanced_factorial", "a": [-47, -22, 4, 17, 42, 47], "b": [-21, -6, 6, 13, 20, 36]},
+        ],
+        "pass": False,
+    }
 
 
 def test_cli_exceptional_unmatched_hit_exits_1(monkeypatch):

@@ -93,7 +93,7 @@ def test_no_dead_private_names():
 
 # public functions that only tests call; each is waiting for a CLI caller
 CLI_PENDING = {
-    ("bounds", "level_count_bound"),  # the `levels` bound check (ROADMAP item 6)
+    ("bounds", "level_count_bound"),  # the `levels` bound check (ROADMAP item 9)
 }
 
 

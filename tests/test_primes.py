@@ -94,7 +94,7 @@ def test_find_multiplier_examples():
     assert (hit.t, hit.verdicts[0].value) == (3, 73)
     hit = find_multiplier([1], positive_required=False, t_max=10)
     assert (hit.t, hit.verdicts[0].value) == (1, 2)
-    assert hit.Ms == (1,) and not hit.positive_required
+    assert hit == ProgressionHit(t=1, verdicts=(is_prime(2),))
 
 
 def test_find_multiplier_minimality_certificate():
