@@ -54,9 +54,8 @@ class UnitFibers(NamedTuple):
 
 
 def unit_fibers(g: RatPolynomial) -> UnitFibers:
-    """Exact fibers g^-1(+1) and g^-1(-1) over the integers."""
-    if g.degree < 1:
-        raise ValueError("g must be nonconstant")
+    """Exact fibers g^-1(+1) and g^-1(-1) over the integers; a constant g
+    raises ValueError in `integer_solutions`."""
     eplus, eminus = tuple(integer_solutions(g, 1)), tuple(integer_solutions(g, -1))
     return UnitFibers(None, eplus, eminus, len(eplus) + len(eminus))
 

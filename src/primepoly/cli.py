@@ -166,6 +166,8 @@ def _cmd_lemmas(args) -> tuple[dict, int]:
         raise ValueError("--trials must be at least 1")
     if args.kmax < 1:
         raise ValueError("--kmax must be at least 1")
+    if args.kmax > 50:
+        raise ValueError("--kmax must be at most 50")
     if args.coord < args.kmax:  # 2*kmax distinct integers are drawn from [-coord, coord]
         raise ValueError("--coord must be at least --kmax")
     rng = random.Random(args.seed)

@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional
 from .census import Census, factored, prime_census
 from .errors import BudgetExhausted, TheoremViolation
 from .poly import X, RatPolynomial, evaluate
-from .primes import find_multiplier, first_primes, is_prime, primes_stream
+from .primes import find_multiplier, is_prime, primes_stream
 
 H2 = RatPolynomial([1, -3, 1])  # (x-1)(x-2) - 1, the quadratic with four unit values
 
@@ -74,30 +74,8 @@ def _certify(kind, factors, anchors, hit_t, induced, claim, claimed) -> Construc
 
 def fixed_example(kind: str) -> ConstructionCertificate:
     """The four hard-coded extremal examples of degrees 2, 3, 4 and 5."""
-    if kind not in FIXED_EXAMPLES:
-        raise ValueError(f"unknown fixed example {kind!r}; expected one of {tuple(FIXED_EXAMPLES)}")
     report_kind, factors, claimed = FIXED_EXAMPLES[kind]
     return _certify(report_kind, factors, (), None, (), "P", claimed)
-
-
-class PairingCheck(NamedTuple):
-    left: int
-    right: int
-    equal: bool
-
-
-def check_pairing(primes) -> PairingCheck:
-    """Compare prod(1 - p) with prod(-1 - p) over the given integers."""
-    ps = tuple(primes)
-    if len(set(ps)) != len(ps):
-        raise ValueError("anchor primes must be distinct")
-    if any(p in (1, -1) for p in ps):
-        raise ValueError("anchor primes must differ from +1 and -1")
-    left = right = 1
-    for p in ps:
-        left *= 1 - p
-        right *= -1 - p
-    return PairingCheck(left=left, right=right, equal=left == right)
 
 
 def pairing_primes(n: int) -> list[int]:
@@ -105,7 +83,7 @@ def pairing_primes(n: int) -> list[int]:
 
     Odd n: pairs 3, -3, 5, -5, ...  Even n: pairs from 7 upward plus the
     fixed tail 2, -3, -5 (each pair and the tail contribute equally to
-    the two products compared by `check_pairing`).
+    prod(1 - p) and prod(-1 - p), which `build_n_plus_1` compares).
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -138,7 +116,7 @@ def build_n_plus_1(n: int, t_max: int = 10 ** 6) -> ConstructionCertificate:
     """A degree-n polynomial x * (1 + t*(x-p_1)...(x-p_{n-1})) with at
     least n+1 prime values, unconditionally constructible for n >= 3."""
     ps = tuple(pairing_primes(n))
-    if not check_pairing(ps).equal:
+    if math.prod(1 - p for p in ps) != math.prod(-1 - p for p in ps):
         raise TheoremViolation("parity rule failed to balance the two products")
     hit, g = _multiplier_poly(ps, (1,), False, t_max)
     v = hit.verdicts[0]
@@ -150,7 +128,7 @@ def build_p_plus(n: int, t_max: int = 10 ** 6) -> ConstructionCertificate:
     """A degree-n polynomial with exactly n positive prime values."""
     if n < 2:
         raise ValueError("need n >= 2")
-    ps = tuple(first_primes(n - 1))
+    ps = tuple(islice(primes_stream(), n - 1))
     hit, g = _multiplier_poly(ps, (1,), True, t_max)
     v = hit.verdicts[0]
     cert = _certify("pplus", (X, g), ps, hit.t, (Induced(v.value, v.status),), "Pplus", n)

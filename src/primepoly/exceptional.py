@@ -47,8 +47,6 @@ def equivalent_to_list(f: RatPolynomial) -> Optional[Equivalence]:
     the first match in (index, sigma, tau) order with +1 before -1, or
     None.
     """
-    if f.degree not in (1, 2, 3):
-        raise ValueError("only degrees 1 to 3 can be list-equivalent")
     n = f.degree
     for index, h in _LIST_DATA:
         if h.degree != n:

@@ -99,8 +99,6 @@ X = RatPolynomial((0, 1))
 
 def compose_affine(p: RatPolynomial, sigma: int, tau: int, a: int) -> RatPolynomial:
     """Return sigma * p(tau*x + a) with sigma, tau in {+1, -1} and integer a."""
-    if sigma not in (1, -1) or tau not in (1, -1):
-        raise ValueError("sigma and tau must be +1 or -1")
     inner = RatPolynomial((a, tau))
     result = ZERO
     for c in reversed(p):

@@ -16,8 +16,8 @@ full verdict: every prime passes it, so no hit is lost, and the
 verdicts come from `is_prime` as before.
 
 The small primes come from one sieve of Eratosthenes at import
-(`_SIEVE_PRIMES`); `primes_stream` yields from that table and tests
-each integer past its end.
+(`_SIEVE_PRIMES`); `primes_stream` yields from that table and, past its
+end, from the same sieve run to twice the bound, and so on.
 """
 
 from __future__ import annotations
@@ -233,8 +233,6 @@ def find_multiplier(Ms, positive_required: bool, t_max: int) -> ProgressionHit:
     more than the hit's own values.
     """
     Ms = tuple(Ms)
-    if not Ms or 0 in Ms:
-        raise ValueError("need at least one M, each nonzero")
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
     residues, depth = [], 0  # the sieve so far: the first `depth` of _SIEVE_PRIMES
@@ -272,21 +270,11 @@ def find_multiplier(Ms, positive_required: bool, t_max: int) -> ProgressionHit:
 
 def primes_stream(start: int = 2):
     """Yield primes >= start in increasing order: from `_SIEVE_PRIMES`, and
-    past its end by testing each integer.
-
-    Candidates go to `_classify` directly: `is_prime` is the entry point for
-    testing values, and a scan for small primes is not one.
-    """
-    yield from islice(_SIEVE_PRIMES, bisect_left(_SIEVE_PRIMES, start), None)
-    n = max(_SIEVE_LIMIT, start)
+    past the end of each table from `_sieve_primes` at twice its bound,
+    resuming after the old table's primes or at start, whichever is later."""
+    table, limit, i = _SIEVE_PRIMES, _SIEVE_LIMIT, bisect_left(_SIEVE_PRIMES, start)
     while True:
-        if _classify(n)[0] != STATUS_COMPOSITE:
-            yield n
-        n += 1
-
-
-def first_primes(count: int) -> list[int]:
-    """First `count` primes, ascending."""
-    if count < 1:
-        raise ValueError("count must be positive")
-    return list(islice(primes_stream(2), count))
+        yield from islice(table, i, None)
+        limit *= 2
+        old, table = len(table), _sieve_primes(limit)
+        i = max(old, bisect_left(table, start))

@@ -64,9 +64,7 @@ def _deriv(c: list[int]) -> list[int]:
 
 
 def _eval_scaled_frac(c: list[int], num: int, den: int) -> int:
-    """den^deg * p(num/den), exact in integers (den >= 1)."""
-    if not c:
-        return 0
+    """den^deg * p(num/den), exact in integers (den >= 1, c nonempty)."""
     if den == 1:
         return eval_int_scaled(c, num)
     acc = c[-1]

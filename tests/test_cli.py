@@ -67,6 +67,8 @@ CASES = [
     ("lemmas_50_1", ["lemmas", "--trials", "50", "--seed", "1"], EXIT_OK),
     ("lemmas_trials_negative", ["lemmas", "--trials", "-2", "--seed", "0"], EXIT_BAD_INPUT),
     ("lemmas_kmax_0", ["lemmas", "--trials", "5", "--seed", "0", "--kmax", "0"], EXIT_BAD_INPUT),
+    # capped at 50 like `constant --digits`; --coord 100 alone would admit kmax 51
+    ("lemmas_kmax_51", ["lemmas", "--trials", "5", "--seed", "0", "--kmax", "51", "--coord", "100"], EXIT_BAD_INPUT),
     ("lemmas_coord_2", ["lemmas", "--trials", "5", "--seed", "0", "--coord", "2"], EXIT_BAD_INPUT),
     ("polya_integer", ["polya", "--poly=9,1,-6,-9,-6,-4,-3", "--K", "19"], EXIT_OK),
     ("polya_rational", ["polya", "--poly=1/3,0,-7/5,1/9", "--K", "5/2"], EXIT_OK),

@@ -1,3 +1,6 @@
+import math
+from itertools import islice
+
 import pytest
 
 from primepoly import constructions, primes
@@ -6,15 +9,14 @@ from primepoly.constructions import (
     ConstructionCertificate,
     build_n_plus_1,
     build_p_plus,
-    check_pairing,
     fixed_example,
     pairing_primes,
     quadratic_anchor_points,
     search_n_plus_2,
 )
-from primepoly.errors import BudgetExhausted
+from primepoly.errors import BudgetExhausted, TheoremViolation
 from primepoly.poly import RatPolynomial, evaluate
-from primepoly.primes import first_primes, is_prime
+from primepoly.primes import is_prime, primes_stream
 
 from helpers import record_types
 
@@ -32,8 +34,6 @@ def test_fixed_examples():
         assert cert.degree == degree
         assert cert.claimed == count
         assert cert.census.P == count
-    with pytest.raises(ValueError):
-        fixed_example("deg6")
 
 
 def test_deg5_witnesses_are_consecutive():
@@ -41,27 +41,28 @@ def test_deg5_witnesses_are_consecutive():
     assert [w.m for w in cert.census.witnesses] == list(range(8))
 
 
-def test_check_pairing():
-    res = check_pairing([3, -3])
-    assert (res.left, res.right, res.equal) == (-8, -8, True)
-    res = check_pairing([2, -3, -5])
-    assert (res.left, res.right, res.equal) == (-24, -24, True)
-    res = check_pairing([2, 3])
-    assert (res.left, res.right, res.equal) == (2, 12, False)
-    with pytest.raises(ValueError):
-        check_pairing([3, 3])
-    with pytest.raises(ValueError):
-        check_pairing([1, 2])
+def _pairing_products(ps):
+    return math.prod(1 - p for p in ps), math.prod(-1 - p for p in ps)
 
 
 def test_pairing_rule_balances_for_all_n():
+    assert _pairing_products([3, -3]) == (-8, -8)
+    assert _pairing_products([2, -3, -5]) == (-24, -24)
     for n in range(3, 21):
         ps = pairing_primes(n)
         assert len(ps) == n - 1
         assert len(set(ps)) == n - 1
-        assert check_pairing(ps).equal
+        left, right = _pairing_products(ps)
+        assert left == right
         if n % 2 == 0:
             assert ps[-3:] == [2, -3, -5]
+
+
+def test_unbalanced_pairing_is_a_theorem_violation(monkeypatch):
+    # prod(1 - p) = 2 and prod(-1 - p) = 12 for [2, 3]
+    monkeypatch.setattr(constructions, "pairing_primes", lambda n: [2, 3])
+    with pytest.raises(TheoremViolation, match="parity rule failed to balance the two products"):
+        build_n_plus_1(3)
 
 
 def test_build_n_plus_1_small_cases():
@@ -133,7 +134,7 @@ def test_build_p_plus_sandwich():
 def test_budget_exhaustion_propagates():
     with pytest.raises(BudgetExhausted) as info:
         build_p_plus(6, t_max=2)
-    assert info.value.anchors == tuple(first_primes(5))
+    assert info.value.anchors == tuple(islice(primes_stream(), 5)) == (2, 3, 5, 7, 11)
     assert info.value.frontier == 2
 
     with pytest.raises(BudgetExhausted) as info:

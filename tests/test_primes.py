@@ -19,7 +19,6 @@ from primepoly.primes import (
     ProgressionHit,
     _strong_probable_prime,
     find_multiplier,
-    first_primes,
     is_prime,
 )
 
@@ -285,29 +284,27 @@ def test_find_multiplier_budget_and_validation():
         # the scan-first hit t=1 value 3 is prime, so force a miss instead
         find_multiplier([8], positive_required=True, t_max=1)
     with pytest.raises(ValueError):
-        find_multiplier([0], positive_required=False, t_max=5)
-    with pytest.raises(ValueError):
-        find_multiplier([3, 0], positive_required=False, t_max=5)
-    with pytest.raises(ValueError):
-        find_multiplier([], positive_required=False, t_max=5)
-    with pytest.raises(ValueError):
         find_multiplier([5], positive_required=False, t_max=0)
 
 
-def test_first_primes():
-    assert first_primes(3) == [2, 3, 5]
-    with pytest.raises(ValueError):
-        first_primes(0)
-
-
 def test_prime_table_and_stream_match_sympy():
-    # primes_stream yields from the import-time table, then tests each
-    # integer past its end
+    # primes_stream yields from the import-time table, then from sieves to
+    # 2 * end, 4 * end, ...: the starts past 2 * end lie past the first re-sieve
     table, end = primes._SIEVE_PRIMES, primes._SIEVE_LIMIT
     assert table == tuple(sympy.primerange(end))
-    reference = list(sympy.primerange(end + 2000))
-    for start in (-5, 0, 2, 3, table[-1] - 1, table[-1], table[-1] + 1, end - 1, end, end + 1, end + 1000):
+    reference = list(sympy.primerange(3 * end + 2000))
+    starts = (-5, 0, 2, 3, table[-1] - 1, table[-1], table[-1] + 1, end - 1, end, end + 1, end + 1000)
+    for start in starts + (2 * end - 1, 2 * end, 2 * end + 1, 3 * end):
         expected = [p for p in reference if p >= start][:40]
         assert list(islice(primes.primes_stream(start), 40)) == expected
-    for count in (1, len(table) - 1, len(table), len(table) + 1, len(table) + 40):
-        assert first_primes(count) == reference[:count]
+    for count in (1, 3, len(table) - 1, len(table), len(table) + 1, len(table) + 40):
+        assert list(islice(primes.primes_stream(), count)) == reference[:count]
+
+
+def test_primes_stream_past_the_table_tests_no_integer(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"primes_stream tested {n}")
+
+    monkeypatch.setattr(primes, "_classify", refuse)
+    got = list(islice(primes.primes_stream(primes._SIEVE_LIMIT - 100), 50))
+    assert got == list(islice(sympy.primerange(primes._SIEVE_LIMIT - 100, 2 * primes._SIEVE_LIMIT), 50))
