@@ -29,10 +29,6 @@ class BadPoint(NamedTuple):
     root: IsolatedRoot
     tags: tuple[str, ...]   # one tag from TAG_ORDER (two tags would force f = +-1)
 
-    @property
-    def primary_type(self) -> str:
-        return self.tags[0]
-
 
 def bad_points(g: RatPolynomial, h: RatPolynomial) -> list[BadPoint]:
     """Ascending bad points of the pair (g, h), with no product formed: at a
@@ -83,7 +79,7 @@ def block_report(g: RatPolynomial, h: RatPolynomial) -> BlockReport:
     if k > degree:
         raise TheoremViolation(f"{k} bad points exceed the degree {degree}")
 
-    types = tuple(p.primary_type for p in pts)
+    types = tuple(p.tags[0] for p in pts)
     blocks: list[Block] = []
     i = 0
     while i < k:

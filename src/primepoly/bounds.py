@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .census import LevelCensus, level_census
 from .poly import RatPolynomial, is_integer_valued
-from .roots import MeasureBracket, sublevel_measure
+from .roots import sublevel_measure
 
 # ---------------------------------------------------------------------------
 # Difference products
@@ -261,8 +261,9 @@ def _display_root(x, n: int) -> float:
 
 
 class PolyaCheck(NamedTuple):
-    bracket: MeasureBracket
-    bound: float            # display value of 4*(K/|lead|)^(1/n)
+    measure_lower: Fraction
+    measure_upper: Fraction
+    bound: str              # repr of the display value of 4*(K/|lead|)^(1/n)
     holds: bool
 
 
@@ -271,11 +272,11 @@ def polya_measure_check(f: RatPolynomial, K, tol=Fraction(1, 100)) -> PolyaCheck
     4*(K/|lead|)^(1/n); the comparison is exact (both sides to the n-th
     power), which dominates any outward rounding."""
     K, tol = Fraction(K), Fraction(tol)
-    bracket = sublevel_measure(f, K, tol)
+    lower, upper = sublevel_measure(f, K, tol)
     n = f.degree
     ratio = K / abs(f[-1])
-    holds = bracket.upper ** n <= 4 ** n * ratio
-    return PolyaCheck(bracket=bracket, bound=4.0 * _display_root(ratio, n), holds=holds)
+    holds = upper ** n <= 4 ** n * ratio
+    return PolyaCheck(lower, upper, repr(4.0 * _display_root(ratio, n)), holds)
 
 
 class LevelBoundCheck(NamedTuple):

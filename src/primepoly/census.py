@@ -13,34 +13,14 @@ Pplus restricts to f(m) a positive prime.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import TheoremViolation
-from .poly import ONE, RatPolynomial, eval_int_scaled, is_integer_valued, scale_to_integer
+from .poly import RatPolynomial, eval_int_scaled, is_integer_valued, scale_to_integer
 from .primes import is_prime
 from .roots import _integer_roots, _plus, integer_solutions
-
-
-class FactoredPolynomial(NamedTuple):
-    """A polynomial given as an ordered product of nonconstant factors."""
-
-    factors: tuple[RatPolynomial, ...]
-    product: RatPolynomial
-    degree: int
-
-
-def factored(factors) -> FactoredPolynomial:
-    """Build a FactoredPolynomial from a sequence of nonconstant factors."""
-    factors = tuple(factors)
-    if not factors:
-        raise ValueError("need at least one factor")
-    product = ONE
-    for g in factors:
-        if g.degree < 1:
-            raise ValueError("every factor must be nonconstant")
-        product = product * g
-    return FactoredPolynomial(factors, product, product.degree)
 
 
 class UnitFibers(NamedTuple):
@@ -79,35 +59,41 @@ class Census(NamedTuple):
     fibers: tuple[UnitFibers, ...]  # one per factor, the candidate certificate
 
 
-def prime_census(f: FactoredPolynomial) -> Census:
-    """Count the integers where f takes a prime value, with certificates.
+def prime_census(factors) -> Census:
+    """Count the integers where f = g1 * ... * gr takes a prime value, with
+    certificates; f(m) is the product of the factor values gi(m).
 
-    Requires at least two factors (so the unit-fiber argument applies) and
-    every factor integer-valued (otherwise a factored value could be prime
-    with no factor at a unit, and no finite certificate would exist).
+    Requires every factor nonconstant, at least two factors (so the
+    unit-fiber argument applies) and every factor integer-valued (otherwise
+    a factored value could be prime with no factor at a unit, and no finite
+    certificate would exist).
     """
-    if len(f.factors) < 2:
+    factors = tuple(factors)
+    if any(g.degree < 1 for g in factors):
+        raise ValueError("every factor must be nonconstant")
+    if len(factors) < 2:
         raise ValueError("need at least two factors; irreducible census is out of scope")
-    for g in f.factors:
-        if not is_integer_valued(g):
-            raise ValueError("every factor must be integer-valued for a certified census")
+    if not all(is_integer_valued(g) for g in factors):
+        raise ValueError("every factor must be integer-valued for a certified census")
 
-    fibers = tuple(unit_fibers(g)._replace(factor=i) for i, g in enumerate(f.factors))
+    fibers = tuple(unit_fibers(g)._replace(factor=i) for i, g in enumerate(factors))
     candidates = sorted({m for fib in fibers for m in fib.eplus + fib.eminus})
-
-    int_coeffs, denom = scale_to_integer(f.product)
+    scaled = [scale_to_integer(g) for g in factors]
 
     witnesses = []
     pplus = 0
     for m in candidates:
-        num = eval_int_scaled(int_coeffs, m)
-        value, rem = divmod(num, denom)
-        if rem:
-            raise TheoremViolation(f"f({m}) = {Fraction(num, denom)} is not an integer")
+        values = []
+        for i, (c, d) in enumerate(scaled):
+            num = eval_int_scaled(c, m)
+            if num % d:
+                raise TheoremViolation(f"g{i}({m}) = {Fraction(num, d)} is not an integer")
+            values.append(num // d)
+        value = math.prod(values)
         verdict = is_prime(value)
         if not verdict.is_prime:
             continue
-        units = tuple(i for i, fib in enumerate(fibers) if m in fib.eplus or m in fib.eminus)
+        units = tuple(i for i, v in enumerate(values) if abs(v) == 1)
         witnesses.append(Witness(m, value, verdict.status, units))
         if value > 0:
             pplus += 1

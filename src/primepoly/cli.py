@@ -35,7 +35,7 @@ from .bounds import (
     polya_measure_check,
     solve_constant,
 )
-from .census import factored, level_census, prime_census
+from .census import level_census, prime_census
 from .constructions import FIXED_EXAMPLES, build_n_plus_1, build_p_plus, fixed_example, search_n_plus_2
 from .errors import BudgetExhausted, TheoremViolation
 from .exceptional import search_exceptional
@@ -115,8 +115,9 @@ def _emit(report: dict, as_json: bool) -> None:
 
 
 def _cmd_analyze(args) -> tuple[dict, int]:
-    f = factored(_parse_factors(args.factors))
-    return {"factors": f.factors, "degree": f.degree, **prime_census(f)._asdict()}, EXIT_OK
+    factors = _parse_factors(args.factors)
+    census = prime_census(factors)
+    return {"factors": factors, "degree": sum(g.degree for g in factors), **census._asdict()}, EXIT_OK
 
 
 def _cmd_levels(args) -> tuple[dict, int]:
@@ -170,6 +171,8 @@ def _cmd_lemmas(args) -> tuple[dict, int]:
         raise ValueError("--kmax must be at most 50")
     if args.coord < args.kmax:  # 2*kmax distinct integers are drawn from [-coord, coord]
         raise ValueError("--coord must be at least --kmax")
+    if args.coord > 10 ** 18:  # len(range(-coord, coord + 1)) must fit a C ssize_t
+        raise ValueError("--coord must be at most 1000000000000000000")
     rng = random.Random(args.seed)
     kmax, coord = args.kmax, args.coord
     violations: list[dict] = []
@@ -204,15 +207,7 @@ def _cmd_lemmas(args) -> tuple[dict, int]:
 def _cmd_polya(args) -> tuple[dict, int]:
     poly, K, tol = parse_poly(args.poly), Fraction(args.K), Fraction(args.tol)
     check = polya_measure_check(poly, K, tol)
-    return {
-        "poly": poly,
-        "K": K,
-        "tol": tol,
-        "measure_lower": check.bracket.lower,
-        "measure_upper": check.bracket.upper,
-        "bound": repr(check.bound),
-        "holds": check.holds,
-    }, EXIT_OK if check.holds else EXIT_VIOLATION
+    return {"poly": poly, "K": K, "tol": tol, **check._asdict()}, EXIT_OK if check.holds else EXIT_VIOLATION
 
 
 def _cmd_statement41(args) -> tuple[dict, int]:

@@ -20,7 +20,7 @@ import math
 from itertools import islice
 from typing import NamedTuple, Optional
 
-from .census import Census, factored, prime_census
+from .census import Census, prime_census
 from .errors import BudgetExhausted, TheoremViolation
 from .poly import X, RatPolynomial, evaluate
 from .primes import find_multiplier, is_prime, primes_stream
@@ -60,15 +60,15 @@ class ConstructionCertificate(NamedTuple):
 
 
 def _certify(kind, factors, anchors, hit_t, induced, claim, claimed) -> ConstructionCertificate:
-    f = factored(factors)
-    census = prime_census(f)
+    census = prime_census(factors)
     got = census.Pplus if claim == "Pplus" else census.P
     if got < claimed:
         raise TheoremViolation(
             f"{kind}: census {claim}={got} fell short of the claimed {claimed}"
         )
+    product = math.prod(factors)
     return ConstructionCertificate(
-        kind, f.factors, f.product, f.degree, anchors, hit_t, induced, claim, claimed, census
+        kind, factors, product, product.degree, anchors, hit_t, induced, claim, claimed, census
     )
 
 
@@ -88,12 +88,8 @@ def pairing_primes(n: int) -> list[int]:
     if n < 3:
         raise ValueError("need n >= 3")
     start, tail = (3, []) if n % 2 == 1 else (7, [2, -3, -5])
-    out: list[int] = []
-    for p in primes_stream(start):
-        if len(out) == n - 1 - len(tail):
-            break
-        out.extend((p, -p))
-    return out + tail
+    pairs = islice(primes_stream(start), (n - 1 - len(tail)) // 2)
+    return [v for p in pairs for v in (p, -p)] + tail
 
 
 def _multiplier_poly(anchors, points, positive: bool, t_max: int):

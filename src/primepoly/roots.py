@@ -263,13 +263,6 @@ class IsolatedRoot(NamedTuple):
         return f"({self.lo},{self.hi})"
 
 
-class MeasureBracket(NamedTuple):
-    """Two-sided rational bracket for a Lebesgue measure."""
-
-    lower: Fraction
-    upper: Fraction
-
-
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
@@ -302,8 +295,6 @@ def _isolate(c: list[int]) -> list[IsolatedRoot]:
     levels above only drop empty outer halves, so the same intervals result."""
     chain = _sturm(c)
     c = chain[0]
-    if len(c) <= 1:
-        return []
     defining = tuple(c)
     if len(c) == 2:
         return [IsolatedRoot(defining, Fraction(-c[0], c[1]), Fraction(-c[0], c[1]))]
@@ -442,8 +433,8 @@ def _separate(entries: list[tuple[IsolatedRoot, object]]) -> list[tuple[Isolated
     return entries
 
 
-def sublevel_measure(p: RatPolynomial, K, tol) -> MeasureBracket:
-    """Bracket the Lebesgue measure of {x real : |p(x)| <= K}.
+def sublevel_measure(p: RatPolynomial, K, tol) -> tuple[Fraction, Fraction]:
+    """Bracket the Lebesgue measure of {x real : |p(x)| <= K} as (lower, upper).
 
     The set is a finite union of closed intervals whose endpoints are
     roots of p - K or p + K; those roots are isolated exactly and refined
@@ -455,8 +446,6 @@ def sublevel_measure(p: RatPolynomial, K, tol) -> MeasureBracket:
     if K <= 0 or tol <= 0:
         raise ValueError("K and tol must be positive")
     boundary = isolate_roots(p - K) + isolate_roots(p + K)
-    if not boundary:
-        return MeasureBracket(Fraction(0), Fraction(0))
     boundary = [r for r, _ in _separate([(r, None) for r in boundary])]
 
     def inside_between(i: int) -> bool:
@@ -466,7 +455,7 @@ def sublevel_measure(p: RatPolynomial, K, tol) -> MeasureBracket:
 
     contributing = [i for i in range(len(boundary) - 1) if inside_between(i)]
     if not contributing:
-        return MeasureBracket(Fraction(0), Fraction(0))
+        return Fraction(0), Fraction(0)
     involved = sorted({i for i in contributing} | {i + 1 for i in contributing})
     target = tol / (2 * len(involved))
     for i in involved:
@@ -477,4 +466,4 @@ def sublevel_measure(p: RatPolynomial, K, tol) -> MeasureBracket:
         a, b = boundary[i], boundary[i + 1]
         lower += max(Fraction(0), b.lo - a.hi)
         upper += b.hi - a.lo
-    return MeasureBracket(lower, upper)
+    return lower, upper

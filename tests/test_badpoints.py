@@ -72,7 +72,7 @@ def test_bad_points_separates_overlapping_candidates_with_their_tags():
     assert [p.tags for p in pts] == [("h+",), ("g+",), ("h-",), ("g-",)]
     at = {"g+": g - 1, "g-": g + 1, "h+": h - 1, "h-": h + 1}
     for p in pts:
-        assert _sign_at(_to_int(at[p.primary_type]), p.root) == 0
+        assert _sign_at(_to_int(at[p.tags[0]]), p.root) == 0
     for a, b in zip(pts, pts[1:]):
         assert a.root.hi < b.root.lo
 

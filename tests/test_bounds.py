@@ -227,12 +227,12 @@ def test_all_three_bounds_hold_randomly():
 
 def test_polya_examples():
     chk = polya_measure_check(RatPolynomial([0, 0, 1]), 4)
-    assert chk.holds and chk.bracket.upper == 4 and chk.bound == 8.0
+    assert chk.holds and chk.measure_upper == 4 and chk.bound == "8.0"
     chk = polya_measure_check(RatPolynomial([-2, 0, 1]), 1)
-    assert chk.holds and chk.bound == 4.0
-    assert F(145, 100) < chk.bracket.upper < F(148, 100)
+    assert chk.holds and chk.bound == "4.0"
+    assert F(145, 100) < chk.measure_upper < F(148, 100)
     chk = polya_measure_check(RatPolynomial([2, 0, 1]), 1)
-    assert chk.holds and chk.bracket.upper == 0
+    assert chk.holds and chk.measure_upper == 0
 
 
 def test_polya_random_suite():

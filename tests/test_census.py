@@ -4,7 +4,9 @@ from fractions import Fraction as F
 import pytest
 import sympy
 
-from primepoly.census import factored, level_census, prime_census, unit_fibers
+from primepoly import census as census_module
+from primepoly.census import level_census, prime_census, unit_fibers
+from primepoly.errors import TheoremViolation
 from primepoly.poly import RatPolynomial, evaluate
 
 from helpers import random_int_poly
@@ -25,20 +27,20 @@ def test_unit_fibers_examples():
 
 
 def test_prime_census_paper_examples():
-    census = prime_census(factored([H2, RatPolynomial([29, -11, 1])]))
+    census = prime_census([H2, RatPolynomial([29, -11, 1])])
     assert census.P == 8
     assert [w.m for w in census.witnesses] == list(range(8))
 
-    census = prime_census(factored([X, RatPolynomial([-4, 1])]))
+    census = prime_census([X, RatPolynomial([-4, 1])])
     assert census.P == 4
     assert [w.m for w in census.witnesses] == [-1, 1, 3, 5]
 
-    census = prime_census(factored([X, X]))
+    census = prime_census([X, X])
     assert census.P == 0 and census.Pplus == 0
 
 
 def test_prime_census_counts_negative_prime_values():
-    census = prime_census(factored([X, RatPolynomial([-4, 1])]))
+    census = prime_census([X, RatPolynomial([-4, 1])])
     values = {w.m: w.value for w in census.witnesses}
     assert values[1] == -3 and values[3] == -3  # negative primes counted in P
     assert census.Pplus == 2  # only m = -1, 5 give positive primes
@@ -46,16 +48,24 @@ def test_prime_census_counts_negative_prime_values():
 
 def test_prime_census_validation():
     with pytest.raises(ValueError):
-        prime_census(factored([H2]))
+        prime_census([H2])
     with pytest.raises(ValueError):
-        factored([H2, RatPolynomial([7])])
+        prime_census([H2, RatPolynomial([7])])
     with pytest.raises(ValueError):
         # x/2 is not integer-valued: the fiber certificate would be unsound
-        prime_census(factored([RatPolynomial([0, F(1, 2)]), RatPolynomial([0, 2])]))
+        prime_census([RatPolynomial([0, F(1, 2)]), RatPolynomial([0, 2])])
+
+
+def test_prime_census_non_integer_factor_value_is_a_violation(monkeypatch):
+    # x/3 is not integer-valued: with that check bypassed, the candidate
+    # m = 2 (where x - 1 = 1) gives x/3 = 2/3, which must raise
+    monkeypatch.setattr(census_module, "is_integer_valued", lambda g: True)
+    with pytest.raises(TheoremViolation, match=r"g0\(2\) = 2/3 is not an integer"):
+        prime_census([RatPolynomial([0, F(1, 3)]), RatPolynomial([-1, 1])])
 
 
 def test_prime_census_three_factors():
-    census = prime_census(factored([X, RatPolynomial([-2, 1]), RatPolynomial([-4, 1])]))
+    census = prime_census([X, RatPolynomial([-2, 1]), RatPolynomial([-4, 1])])
     scan = [
         m for m in range(-100, 101)
         if sympy.isprime(abs(m * (m - 2) * (m - 4)))
@@ -65,7 +75,7 @@ def test_prime_census_three_factors():
 
 
 def test_witness_certificate_fields():
-    census = prime_census(factored([H2, RatPolynomial([-5, 1])]))
+    census = prime_census([H2, RatPolynomial([-5, 1])])
     assert census.P == 5
     for w in census.witnesses:
         assert abs(evaluate(H2, w.m)) == 1 or abs(evaluate(RatPolynomial([-5, 1]), w.m)) == 1
@@ -84,15 +94,13 @@ def test_prime_census_brute_scan_oracle():
     for _ in range(40):
         g = random_int_poly(rng, rng.randint(1, 3), 9)
         h = random_int_poly(rng, rng.randint(1, 3), 9)
-        f = factored([g, h])
-        census = prime_census(f)
-        assert f.product == g * h
+        census = prime_census([g, h])
         for w in census.witnesses:
-            assert w.unit_factors == tuple(i for i, gi in enumerate(f.factors) if abs(evaluate(gi, w.m)) == 1)
+            assert w.unit_factors == tuple(i for i, gi in enumerate((g, h)) if abs(evaluate(gi, w.m)) == 1)
         got = {w.m for w in census.witnesses if abs(w.m) <= 500}
         expect = set()
         for m in range(-500, 501):
-            v = evaluate(f.product, m)
+            v = evaluate(g * h, m)
             assert v.denominator == 1
             if sympy.isprime(abs(int(v))):
                 expect.add(m)
@@ -107,7 +115,7 @@ def test_stackel_bound_and_theorems_on_random():
     for _ in range(60):
         g = random_int_poly(rng, rng.randint(1, 3), 9)
         h = random_int_poly(rng, rng.randint(1, 3), 9)
-        census = prime_census(factored([g, h]))
+        census = prime_census([g, h])
         n = int(g.degree + h.degree)
         assert census.Pplus <= census.P <= census.fiber_bound
         assert census.P <= n + 4

@@ -70,6 +70,9 @@ CASES = [
     # capped at 50 like `constant --digits`; --coord 100 alone would admit kmax 51
     ("lemmas_kmax_51", ["lemmas", "--trials", "5", "--seed", "0", "--kmax", "51", "--coord", "100"], EXIT_BAD_INPUT),
     ("lemmas_coord_2", ["lemmas", "--trials", "5", "--seed", "0", "--coord", "2"], EXIT_BAD_INPUT),
+    # capped at 10^18: past about 4.6e18 the sample range's len overflows
+    ("lemmas_coord_max", ["lemmas", "--trials", "2", "--seed", "0", "--coord", "1000000000000000000"], EXIT_OK),
+    ("lemmas_coord_big", ["lemmas", "--trials", "2", "--seed", "0", "--coord", "1000000000000000001"], EXIT_BAD_INPUT),
     ("polya_integer", ["polya", "--poly=9,1,-6,-9,-6,-4,-3", "--K", "19"], EXIT_OK),
     ("polya_rational", ["polya", "--poly=1/3,0,-7/5,1/9", "--K", "5/2"], EXIT_OK),
     ("polya_double_root", ["polya", "--poly=1,-2,1", "--K", "3"], EXIT_OK),
@@ -87,6 +90,8 @@ CASES = [
     ("polya_constant", ["polya", "--poly=5", "--K", "1"], EXIT_BAD_INPUT),
     ("statement41_zero_factor", ["statement41", "--g=0", "--h=1,1"], EXIT_BAD_INPUT),
     ("analyze_zero_factor", ["analyze", "--factors=0;0,1"], EXIT_BAD_INPUT),
+    # the nonconstant check runs before the two-factor check
+    ("analyze_single_zero_factor", ["analyze", "--factors=0"], EXIT_BAD_INPUT),
     # rejected by the argument parser itself: usage and error on stderr
     ("usage_no_subcommand", [], EXIT_BAD_INPUT),
     ("usage_unknown_subcommand", ["frobnicate"], EXIT_BAD_INPUT),

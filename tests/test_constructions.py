@@ -4,7 +4,7 @@ from itertools import islice
 import pytest
 
 from primepoly import constructions, primes
-from primepoly.census import factored, prime_census
+from primepoly.census import prime_census
 from primepoly.constructions import (
     ConstructionCertificate,
     build_n_plus_1,
@@ -89,7 +89,7 @@ def test_build_n_plus_1_range_and_consistency():
         cert = build_n_plus_1(n)
         assert cert.census.P >= n + 1
         # re-run the census from scratch: certificate must reproduce
-        again = prime_census(factored(cert.factors))
+        again = prime_census(cert.factors)
         assert again == cert.census
         assert record_types(again) == record_types(cert.census)
         if n >= 6:
@@ -158,7 +158,7 @@ def test_search_n_plus_2_small_n():
         assert isinstance(result, ConstructionCertificate)
         assert result.census.P >= n + 2
         assert len(result.induced) == 4
-        again = prime_census(factored(result.factors))
+        again = prime_census(result.factors)
         assert again == result.census
         assert record_types(again) == record_types(result.census)
 

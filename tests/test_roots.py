@@ -371,28 +371,28 @@ def test_sign_at_exact_root():
 
 
 def test_sublevel_measure_examples():
-    b = sublevel_measure(RatPolynomial([0, 0, 1]), 4, F(1, 100))
-    assert b.lower == b.upper == 4  # exact endpoints +-2
+    lo, hi = sublevel_measure(RatPolynomial([0, 0, 1]), 4, F(1, 100))
+    assert lo == hi == 4  # exact endpoints +-2
 
-    b = sublevel_measure(RatPolynomial([-2, 0, 1]), 1, F(1, 100))
+    lo, hi = sublevel_measure(RatPolynomial([-2, 0, 1]), 1, F(1, 100))
     # true measure 2*(sqrt(3) - 1)
-    assert b.upper - b.lower <= F(1, 100)
-    assert (b.lower / 2 + 1) ** 2 <= 3 <= (b.upper / 2 + 1) ** 2
+    assert hi - lo <= F(1, 100)
+    assert (lo / 2 + 1) ** 2 <= 3 <= (hi / 2 + 1) ** 2
 
-    b = sublevel_measure(RatPolynomial([2, 0, 1]), 1, F(1, 100))
-    assert b.lower == b.upper == 0
+    lo, hi = sublevel_measure(RatPolynomial([2, 0, 1]), 1, F(1, 100))
+    assert lo == hi == 0
 
 
 def test_sublevel_measure_rational_boundaries_exact():
     # |x(x-2)| <= 1 on [1-sqrt2, 1+sqrt2] minus nothing; engineered rational case:
     # |2x| <= 4 is [-2, 2], all endpoints rational
-    b = sublevel_measure(RatPolynomial([0, 2]), 4, F(1, 1000))
-    assert b.lower == b.upper == 4
+    lo, hi = sublevel_measure(RatPolynomial([0, 2]), 4, F(1, 1000))
+    assert lo == hi == 4
     # |x^2 - 1| <= 1: the set is [-sqrt2, sqrt2]; 0 is an interior double
     # touch of the lower boundary and must not split the measure
-    b = sublevel_measure(RatPolynomial([-1, 0, 1]), 1, F(1, 10 ** 6))
-    assert (b.lower / 2) ** 2 <= 2 <= (b.upper / 2) ** 2
-    assert b.upper - b.lower <= F(1, 10 ** 6)
+    lo, hi = sublevel_measure(RatPolynomial([-1, 0, 1]), 1, F(1, 10 ** 6))
+    assert (lo / 2) ** 2 <= 2 <= (hi / 2) ** 2
+    assert hi - lo <= F(1, 10 ** 6)
 
 
 def test_sublevel_measure_validation():
