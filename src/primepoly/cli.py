@@ -64,21 +64,15 @@ def _parse_int_set(text: str):
 
 def _render_text(obj, indent: int = 0) -> list[str]:
     pad = "  " * indent
+    pairs = ([(f"{key}:", value) for key, value in obj.items()] if isinstance(obj, dict)
+             else [("-", value) for value in obj])
     lines: list[str] = []
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            if isinstance(value, (dict, list)):
-                lines.append(f"{pad}{key}:")
-                lines.extend(_render_text(value, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {value}")
-    else:
-        for value in obj:
-            if isinstance(value, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.extend(_render_text(value, indent + 1))
-            else:
-                lines.append(f"{pad}- {value}")
+    for head, value in pairs:
+        if isinstance(value, (dict, list)):
+            lines.append(f"{pad}{head}")
+            lines.extend(_render_text(value, indent + 1))
+        else:
+            lines.append(f"{pad}{head} {value}")
     return lines
 
 

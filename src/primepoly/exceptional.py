@@ -13,12 +13,11 @@ so every unit point lies in {a, ..., a+4} with a the least one.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .census import unit_fibers
 from .errors import TheoremViolation
-from .poly import ZERO, RatPolynomial, compose_affine
+from .poly import RatPolynomial, _interpolate, compose_affine
 
 _LIST_DATA = (
     # (index, list polynomial)
@@ -79,18 +78,6 @@ class SearchReport(NamedTuple):
     scanned: int
     hit_count: int
     hits: tuple[ExceptionalHit, ...]
-
-
-def _interpolate(points: tuple[int, ...], values: tuple[int, ...]) -> RatPolynomial:
-    """The Lagrange interpolant of degree < len(points) through the pairs."""
-    h = ZERO
-    for t, v in zip(points, values):
-        term = RatPolynomial((v,))
-        for s in points:
-            if s != t:
-                term = term * RatPolynomial((Fraction(-s, t - s), Fraction(1, t - s)))
-        h = h + term
-    return h
 
 
 def search_exceptional(degree: int, coeff_bound: int) -> SearchReport:

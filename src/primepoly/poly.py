@@ -3,12 +3,13 @@
 A polynomial is the tuple of its `Fraction` coefficients in ascending
 degree, trailing zeros trimmed, so the zero polynomial is the empty tuple
 and has degree -1.  Besides ring arithmetic the module provides the one
-denominator-clearing routine `scale_to_integer`, the binomial
-(falling-factorial) basis, the integer-valuedness test by the values
-p(0), ..., p(deg p), affine substitution, and exact evaluation at
-rational points.  Points in a quadratic extension are evaluated only by
-the complex counterexample, with its own pair-valued Horner in
-`badpoints`.
+denominator-clearing routine `scale_to_integer`, the integer-valuedness
+test by the values p(0), ..., p(deg p), and exact evaluation at rational
+points.  Every polynomial built from data comes from one Horner loop over
+linear factors, `_nested`: affine substitution, the binomial
+(falling-factorial) basis and Newton interpolation.  Points in a
+quadratic extension are evaluated only by the complex counterexample,
+with its own pair-valued Horner in `badpoints`.
 """
 
 from __future__ import annotations
@@ -93,17 +94,21 @@ def _as_poly(x) -> RatPolynomial:
 
 
 ZERO = RatPolynomial()
-ONE = RatPolynomial((1,))
 X = RatPolynomial((0, 1))
 
 
+def _nested(coeffs: Sequence[RationalLike], inners: Sequence[RatPolynomial]) -> RatPolynomial:
+    """c_0 + l_0*(c_1 + l_1*(c_2 + ... + l_(n-1)*c_n)) for linear l_k =
+    inners[k], by one Horner loop: every polynomial built from data."""
+    acc = RatPolynomial(coeffs[-1:])
+    for c, inner in zip(reversed(coeffs[:-1]), reversed(inners)):
+        acc = acc * inner + c
+    return acc
+
+
 def compose_affine(p: RatPolynomial, sigma: int, tau: int, a: int) -> RatPolynomial:
-    """Return sigma * p(tau*x + a) with sigma, tau in {+1, -1} and integer a."""
-    inner = RatPolynomial((a, tau))
-    result = ZERO
-    for c in reversed(p):
-        result = result * inner + c
-    return sigma * result
+    """sigma * p(tau*x + a), sigma and tau = +-1, a an integer: l_k = tau*x + a."""
+    return sigma * _nested(p, [RatPolynomial((a, tau))] * p.degree)
 
 
 def scale_to_integer(p: RatPolynomial) -> tuple[list[int], int]:
@@ -119,14 +124,20 @@ def scale_to_integer(p: RatPolynomial) -> tuple[list[int], int]:
 
 
 def from_binomial(coeffs: Sequence[RationalLike]) -> RatPolynomial:
-    """The polynomial sum c_k * C(x, k) of ascending coefficients c_k, the
-    basis kept as one running product C(x, k+1) = C(x, k) * (x - k) / (k + 1)."""
-    result, basis = ZERO, ONE
-    for k, c in enumerate(coeffs):
-        if c != 0:
-            result = result + c * basis
-        basis = basis * RatPolynomial((Fraction(-k, k + 1), Fraction(1, k + 1)))
-    return result
+    """The polynomial sum c_k * C(x, k) of ascending coefficients c_k, nested
+    by C(x, k+1) = C(x, k) * (x - k)/(k + 1): l_k = (x - k)/(k + 1)."""
+    return _nested(coeffs, [RatPolynomial((Fraction(-k, k + 1), Fraction(1, k + 1)))
+                            for k in range(len(coeffs) - 1)])
+
+
+def _interpolate(points: Sequence[int], values: Sequence[RationalLike]) -> RatPolynomial:
+    """The interpolant of degree < len(points) through the pairs (x_k, v_k),
+    in Newton's form: divided differences v[x_0..x_k] with l_k = x - x_k."""
+    d = list(map(Fraction, values))
+    for j in range(1, len(points)):
+        for i in reversed(range(j, len(points))):
+            d[i] = (d[i] - d[i - 1]) / (points[i] - points[i - j])
+    return _nested(d, [RatPolynomial((-x, 1)) for x in points[:-1]])
 
 
 def is_integer_valued(p: RatPolynomial) -> bool:

@@ -3,8 +3,9 @@
 Below 2**64 the strong-pseudoprime test with the first twelve prime
 witnesses is deterministic, so verdicts there are `prime`/`composite`.
 Above 2**64 a Baillie-PSW combination (strong base-2 test plus a strong
-Lucas test with Selfridge parameters) is used and positives are honestly
-reported as `probable_prime`; no counterexample to BPSW is known.
+Lucas test with Selfridge parameters, computed on the V sequence alone by
+one ladder) is used and positives are honestly reported as
+`probable_prime`; no counterexample to BPSW is known.
 
 `find_multiplier` sieves |t| in windows that grow with the scan: each
 window clears every t with a small prime q dividing 1 + t*M (the sieve
@@ -103,7 +104,12 @@ def _jacobi(a: int, n: int) -> int:
 
 
 def _strong_lucas_probable_prime(n: int) -> bool:
-    # Selfridge parameter choice: first D in 5, -7, 9, -11, ... with (D|n) = -1.
+    """Strong Lucas test of odd non-square n (Baillie and Wagstaff 1980): P = 1,
+    Q = (1 - D)/4 for the first D in 5, -7, 9, -11, ... with (D|n) = -1, and
+    n + 1 = 2^s t, t odd, passes if U_t or a V_(2^r t), r < s, is 0 mod n.
+    V alone runs, by the ladder of Joye and Quisquater (1996) over the bits of t:
+    V_2k = V_k^2 - 2Q^k, V_(2k+1) = V_k V_(k+1) - Q^k.  U_t = 0 iff 2V_(t+1) = V_t,
+    as D U_k = 2V_(k+1) - P V_k and D is a unit mod n."""
     d = 5
     while True:
         j = _jacobi(d, n)
@@ -112,26 +118,16 @@ def _strong_lucas_probable_prime(n: int) -> bool:
         if j == 0 and abs(d) != n:
             return False
         d = -(d + 2) if d > 0 else -(d - 2)
-    p, q = 1, (1 - d) // 4
-
-    delta = n + 1
-    s = (delta & -delta).bit_length() - 1
-    t = delta >> s
-
-    u, v, qk = 1, p, q
-    for bit in bin(t)[3:]:
-        u = u * v % n
-        v = (v * v - 2 * qk) % n
-        qk = qk * qk % n
-        if bit == "1":
-            u, v = (p * u + v) % n, (d * u + p * v) % n
-            if u & 1:
-                u += n
-            if v & 1:
-                v += n
-            u, v = u // 2 % n, v // 2 % n
-            qk = qk * q % n
-    if u == 0 or v == 0:
+    q = (1 - d) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    t = (n + 1) >> s
+    v, w, qk = 2, 1, 1  # V_k, V_(k+1) and Q^k at k = 0, with P = 1
+    for bit in bin(t)[2:]:
+        if bit == "1":  # k -> 2k + 1
+            v, w, qk = (v * w - qk) % n, (w * w - 2 * qk * q) % n, qk * qk * q % n
+        else:  # k -> 2k
+            v, w, qk = (v * v - 2 * qk) % n, (v * w - qk) % n, qk * qk % n
+    if (2 * w - v) % n == 0 or v == 0:
         return True
     for _ in range(s - 1):
         v = (v * v - 2 * qk) % n
@@ -157,13 +153,8 @@ def _classify(n: int) -> tuple[str, str]:
             if not _strong_probable_prime(n, a):
                 return STATUS_COMPOSITE, "miller_rabin_det"
         return STATUS_PRIME, "miller_rabin_det"
-    if not _strong_probable_prime(n, 2):
-        return STATUS_COMPOSITE, "bpsw"
-    if math.isqrt(n) ** 2 == n:
-        return STATUS_COMPOSITE, "bpsw"
-    if not _strong_lucas_probable_prime(n):
-        return STATUS_COMPOSITE, "bpsw"
-    return STATUS_PROBABLE, "bpsw"
+    bpsw = _strong_probable_prime(n, 2) and math.isqrt(n) ** 2 != n and _strong_lucas_probable_prime(n)
+    return (STATUS_PROBABLE if bpsw else STATUS_COMPOSITE), "bpsw"
 
 
 def is_prime(n: int) -> PrimalityVerdict:

@@ -353,11 +353,12 @@ def _refine_new(defining: IntCoeffs, lo: int, hi: int, den: int) -> IsolatedRoot
     return IsolatedRoot(defining, Fraction(lo, den), Fraction(hi, den))
 
 
-def integer_solutions(p: RatPolynomial, v) -> list[int]:
-    """All integers m with p(m) = v, ascending (see `_integer_roots`)."""
+def integer_solutions(p: RatPolynomial, v: int) -> list[int]:
+    """All integers m with p(m) = v, an integer, ascending (see `_integer_roots`)."""
     if p.degree < 1:
         raise ValueError("p must be nonconstant")
-    return _integer_roots(_to_int(p - Fraction(v)))
+    c, d = scale_to_integer(p)
+    return _integer_roots(_plus(c, -v * d))
 
 
 def _integer_roots(c: list[int]) -> list[int]:

@@ -11,8 +11,8 @@ from primepoly.badpoints import TAG_ORDER, BadPoint
 from primepoly.bounds import BoundCheck, ConstantSolution, SetPairData, truncate_decimal
 from primepoly.errors import BudgetExhausted, TheoremViolation
 from primepoly.exceptional import _LIST_DATA, ExceptionalHit, SearchReport, equivalent_to_list
-from primepoly.poly import RatPolynomial, compose_affine, eval_int_scaled, evaluate
-from primepoly.primes import ProgressionHit, is_prime
+from primepoly.poly import ZERO, RatPolynomial, compose_affine, eval_int_scaled, evaluate
+from primepoly.primes import ProgressionHit, _jacobi, is_prime
 from primepoly.roots import (
     IsolatedRoot,
     _cauchy_bound,
@@ -86,6 +86,58 @@ def sturm_integer_solutions(p: RatPolynomial, v) -> list[int]:
                 out.add(m)
             m += 1
     return sorted(out)
+
+
+def uv_strong_lucas_probable_prime(n: int) -> bool:
+    """Reference for `primes._strong_lucas_probable_prime`: the same test by
+    the U and V sequences together, with the halving steps of a 1 bit
+    (U_(2k+1) = (P U_2k + V_2k)/2, V_(2k+1) = (D U_2k + P V_2k)/2 mod n)."""
+    d = 5
+    while True:
+        j = _jacobi(d, n)
+        if j == -1:
+            break
+        if j == 0 and abs(d) != n:
+            return False
+        d = -(d + 2) if d > 0 else -(d - 2)
+    p, q = 1, (1 - d) // 4
+    delta = n + 1
+    s = (delta & -delta).bit_length() - 1
+    t = delta >> s
+    u, v, qk = 1, p, q
+    for bit in bin(t)[3:]:
+        u = u * v % n
+        v = (v * v - 2 * qk) % n
+        qk = qk * qk % n
+        if bit == "1":
+            u, v = (p * u + v) % n, (d * u + p * v) % n
+            if u & 1:
+                u += n
+            if v & 1:
+                v += n
+            u, v = u // 2 % n, v // 2 % n
+            qk = qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v = (v * v - 2 * qk) % n
+        if v == 0:
+            return True
+        qk = qk * qk % n
+    return False
+
+
+def lagrange_interpolate(points, values) -> RatPolynomial:
+    """Reference for `poly._interpolate`: the sum over k of
+    v_k * prod_(j != k) (x - x_j)/(x_k - x_j)."""
+    h = ZERO
+    for t, v in zip(points, values):
+        term = RatPolynomial((v,))
+        for s in points:
+            if s != t:
+                term = term * RatPolynomial((Fraction(-s, t - s), Fraction(1, t - s)))
+        h = h + term
+    return h
 
 
 def record_types(x):

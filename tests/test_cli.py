@@ -92,6 +92,22 @@ CASES = [
     ("analyze_zero_factor", ["analyze", "--factors=0;0,1"], EXIT_BAD_INPUT),
     # the nonconstant check runs before the two-factor check
     ("analyze_single_zero_factor", ["analyze", "--factors=0"], EXIT_BAD_INPUT),
+    # the checks on command-line input, one case each
+    ("analyze_one_factor", ["analyze", "--factors=0,1"], EXIT_BAD_INPUT),
+    ("analyze_no_factors", ["analyze", "--factors=;"], EXIT_BAD_INPUT),
+    ("levels_bad_set", ["levels", "--poly=0,1", "--set=a"], EXIT_BAD_INPUT),
+    ("levels_empty_set", ["levels", "--poly=0,1", "--set=,"], EXIT_BAD_INPUT),
+    ("levels_empty_poly", ["levels", "--poly=", "--set=1"], EXIT_BAD_INPUT),
+    ("construct_nplus1_no_n", ["construct", "nplus1"], EXIT_BAD_INPUT),
+    ("construct_nplus1_n_2", ["construct", "nplus1", "--n", "2"], EXIT_BAD_INPUT),
+    ("construct_pplus_n_1", ["construct", "pplus", "--n", "1"], EXIT_BAD_INPUT),
+    ("construct_nplus2_n_2", ["construct", "nplus2", "--n", "2"], EXIT_BAD_INPUT),
+    ("exceptional_degree_5", ["exceptional", "--degree", "5", "--bound", "1"], EXIT_BAD_INPUT),
+    ("exceptional_bound_0", ["exceptional", "--degree", "2", "--bound", "0"], EXIT_BAD_INPUT),
+    ("polya_K_0", ["polya", "--poly=0,1", "--K", "0"], EXIT_BAD_INPUT),
+    ("polya_tol_0", ["polya", "--poly=0,1", "--K", "1", "--tol", "0"], EXIT_BAD_INPUT),
+    ("statement41_random_no_trials", ["statement41", "--random"], EXIT_BAD_INPUT),
+    ("statement41_no_factors", ["statement41"], EXIT_BAD_INPUT),
     # rejected by the argument parser itself: usage and error on stderr
     ("usage_no_subcommand", [], EXIT_BAD_INPUT),
     ("usage_unknown_subcommand", ["frobnicate"], EXIT_BAD_INPUT),

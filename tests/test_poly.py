@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from primepoly.poly import (
     RatPolynomial,
+    _interpolate,
     compose_affine,
     evaluate,
     from_binomial,
@@ -16,7 +18,7 @@ from primepoly.poly import (
     scale_to_integer,
 )
 
-from helpers import binomial_coefficients, random_rat_poly
+from helpers import binomial_coefficients, lagrange_interpolate, random_rat_poly
 
 H2 = RatPolynomial([1, -3, 1])
 
@@ -189,6 +191,38 @@ def test_compose_affine_inverse_round_trip():
         # undo: sigma * q(tau*x - tau*a) = p
         back = compose_affine(q, sigma, tau, -tau * a)
         assert back == p
+
+
+def test_compose_affine_by_evaluation():
+    rng = random.Random(505)
+    for _ in range(20):
+        p = random_rat_poly(rng, rng.randint(0, 5), 6)
+        for sigma, tau, a in itertools.product((1, -1), (1, -1), range(-3, 4)):
+            q = compose_affine(p, sigma, tau, a)
+            assert q.degree == p.degree
+            assert all(evaluate(q, m) == sigma * evaluate(p, tau * m + a) for m in range(-5, 6))
+
+
+_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-10, 10), min_size=1, max_size=6, unique=True).flatmap(
+    lambda xs: st.tuples(st.just(xs), st.lists(_fractions, min_size=len(xs), max_size=len(xs)))))
+def test_interpolate_matches_lagrange(points_values):
+    points, values = points_values
+    h = _interpolate(points, values)
+    assert h == lagrange_interpolate(points, values)
+    assert h.degree < len(points)
+
+
+def test_interpolate_matches_lagrange_on_every_exceptional_configuration():
+    # the (points, signs) pairs that search_exceptional interpolates
+    for degree in range(1, 5):
+        for rest in itertools.combinations(range(1, 5), degree):
+            for signs in itertools.product((1, -1), repeat=degree + 1):
+                points = (0,) + rest
+                assert _interpolate(points, signs) == lagrange_interpolate(points, signs)
 
 
 def test_cross_representation_evaluation_agreement():

@@ -5,10 +5,10 @@ from itertools import islice
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import unsieved_find_multiplier
+from helpers import unsieved_find_multiplier, uv_strong_lucas_probable_prime
 from primepoly import primes
 from primepoly.constructions import quadratic_anchor_points
 from primepoly.errors import BudgetExhausted
@@ -17,6 +17,7 @@ from primepoly.primes import (
     STATUS_PRIME,
     STATUS_PROBABLE,
     ProgressionHit,
+    _strong_lucas_probable_prime,
     _strong_probable_prime,
     find_multiplier,
     is_prime,
@@ -84,6 +85,38 @@ def test_agrees_with_sympy_on_random_large():
     for _ in range(25):
         n = rng.randrange(2 ** 64, 2 ** 80)
         assert is_prime(n).is_prime == sympy.isprime(n)
+
+
+def test_lucas_ladder_matches_uv_oracle_below_50000():
+    mismatches = [
+        n
+        for n in range(3, 50000, 2)
+        if math.isqrt(n) ** 2 != n and _strong_lucas_probable_prime(n) != uv_strong_lucas_probable_prime(n)
+    ]
+    assert mismatches == []
+
+
+# the strong Lucas pseudoprimes with Selfridge's parameters below 131,000
+_STRONG_LUCAS_PSEUDOPRIMES = (
+    5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199,
+    40309, 58519, 75077, 97439, 100127, 113573, 115639, 130139,
+)
+
+
+@pytest.mark.parametrize("n", _STRONG_LUCAS_PSEUDOPRIMES)
+def test_lucas_ladder_passes_strong_lucas_pseudoprimes(n):
+    assert not sympy.isprime(n)
+    assert _strong_lucas_probable_prime(n) and uv_strong_lucas_probable_prime(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(65, 3000).flatmap(lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1)))
+@example(2 ** 127 - 1)  # Mersenne primes: t = 1, a one-bit ladder
+@example(2 ** 1279 - 1)
+def test_lucas_ladder_matches_uv_oracle_on_large_n(n):
+    n |= 1
+    assume(math.isqrt(n) ** 2 != n)
+    assert _strong_lucas_probable_prime(n) == uv_strong_lucas_probable_prime(n)
 
 
 def test_find_multiplier_examples():
