@@ -72,8 +72,6 @@ class RatPolynomial(tuple):
 
     def __mul__(self, other) -> "RatPolynomial":
         other = _as_poly(other)
-        if not self or not other:
-            return ZERO
         out = [Fraction(0)] * (len(self) + len(other) - 1)
         for i, a in enumerate(self):
             if a == 0:
@@ -93,7 +91,6 @@ def _as_poly(x) -> RatPolynomial:
     return x if isinstance(x, RatPolynomial) else RatPolynomial((x,))
 
 
-ZERO = RatPolynomial()
 X = RatPolynomial((0, 1))
 
 

@@ -11,8 +11,17 @@ from primepoly.badpoints import TAG_ORDER, BadPoint
 from primepoly.bounds import BoundCheck, ConstantSolution, SetPairData, truncate_decimal
 from primepoly.errors import BudgetExhausted, TheoremViolation
 from primepoly.exceptional import _LIST_DATA, ExceptionalHit, SearchReport, equivalent_to_list
-from primepoly.poly import ZERO, RatPolynomial, compose_affine, eval_int_scaled, evaluate
-from primepoly.primes import ProgressionHit, _jacobi, is_prime
+from primepoly.poly import RatPolynomial, compose_affine, eval_int_scaled, evaluate
+from primepoly.primes import (
+    _SMALL_PRIMES,
+    STATUS_COMPOSITE,
+    STATUS_PRIME,
+    STATUS_PROBABLE,
+    ProgressionHit,
+    _jacobi,
+    _strong_lucas_probable_prime,
+    is_prime,
+)
 from primepoly.roots import (
     IsolatedRoot,
     _cauchy_bound,
@@ -127,10 +136,53 @@ def uv_strong_lucas_probable_prime(n: int) -> bool:
     return False
 
 
+def strong_probable_prime(n: int, base: int) -> bool:
+    """Reference strong test of n >= 2 to any base (`primes._strong_probable_prime`
+    is the base-2 case)."""
+    if base % n == 0:
+        return True
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    x = pow(base, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # deterministic below 2**64
+
+
+def three_tier_classify(n: int) -> tuple[str, str]:
+    """Reference for `primes._classify`: trial division below 97**2, the
+    strong test to the first twelve prime bases from 97**2 to 2**64, where
+    no composite passes all twelve, and BPSW above."""
+    if n < 2:
+        return STATUS_COMPOSITE, "unit_or_zero"
+    for p in _SMALL_PRIMES:
+        if n == p:
+            return STATUS_PRIME, "trial_division"
+        if n % p == 0:
+            return STATUS_COMPOSITE, "trial_division"
+    if n < _SMALL_PRIMES[-1] ** 2:
+        return STATUS_PRIME, "trial_division"
+    if n < 1 << 64:
+        for a in _MR_WITNESSES:
+            if not strong_probable_prime(n, a):
+                return STATUS_COMPOSITE, "miller_rabin_det"
+        return STATUS_PRIME, "miller_rabin_det"
+    bpsw = strong_probable_prime(n, 2) and math.isqrt(n) ** 2 != n and _strong_lucas_probable_prime(n)
+    return (STATUS_PROBABLE if bpsw else STATUS_COMPOSITE), "bpsw"
+
+
 def lagrange_interpolate(points, values) -> RatPolynomial:
     """Reference for `poly._interpolate`: the sum over k of
     v_k * prod_(j != k) (x - x_j)/(x_k - x_j)."""
-    h = ZERO
+    h = RatPolynomial()
     for t, v in zip(points, values):
         term = RatPolynomial((v,))
         for s in points:

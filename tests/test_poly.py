@@ -40,6 +40,12 @@ def test_arithmetic():
     assert (2 * x) * (2 * x) * (2 * x) == RatPolynomial([0, 0, 0, 8])
 
 
+def test_multiplication_by_zero():
+    zero = RatPolynomial()
+    for got in (H2 * zero, zero * H2, zero * zero, 3 * zero, H2 * 0, 0 * H2):
+        assert type(got) is RatPolynomial and got == () and got.degree == -1
+
+
 _x = sympy.Symbol("x")
 _rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 # ascending coefficients, some ending in zeros that construction trims

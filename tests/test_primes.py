@@ -8,7 +8,12 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import unsieved_find_multiplier, uv_strong_lucas_probable_prime
+from helpers import (
+    strong_probable_prime,
+    three_tier_classify,
+    unsieved_find_multiplier,
+    uv_strong_lucas_probable_prime,
+)
 from primepoly import primes
 from primepoly.constructions import quadratic_anchor_points
 from primepoly.errors import BudgetExhausted
@@ -58,9 +63,30 @@ def test_strong_pseudoprime_to_the_first_eleven_bases():
     # 149491 * 747451 * 34233211 passes the strong test to every base
     # 2, ..., 31 and fails only at 37, the twelfth witness
     n = 3825123056546413051
-    assert all(_strong_probable_prime(n, a) for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31))
-    assert not _strong_probable_prime(n, 37)
+    assert _strong_probable_prime(n)
+    assert all(strong_probable_prime(n, a) for a in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31))
+    assert not strong_probable_prime(n, 37)
     assert is_prime(n).status == STATUS_COMPOSITE
+
+
+_TRIAL_LIMIT = 97 ** 2
+_ODD_IN_RANGE = st.integers(_TRIAL_LIMIT // 2, (2 ** 64 - 2) // 2).map(lambda k: 2 * k + 1)
+# sympy.nextprime of anything up to 2**32 - 6 is at most 2**32 - 5, the largest 32-bit prime
+_PRIME_16_32 = st.integers(1 << 15, (1 << 32) - 6).map(sympy.nextprime)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ODD_IN_RANGE | st.tuples(_PRIME_16_32, _PRIME_16_32).map(lambda pq: pq[0] * pq[1]))
+@example(3215031751)  # strong pseudoprime to the bases 2, 3, 5 and 7
+@example(3825123056546413051)  # to the first eleven prime bases
+@example(1093 ** 2)  # base-2 strong pseudoprimes with no factor below 100
+@example(3511 ** 2)
+@example(22499)  # 149 * 151, a strong Lucas pseudoprime
+@example(2 ** 64 - 59)  # the largest prime below 2**64
+@example(2 ** 61 - 1)
+def test_bpsw_matches_three_tier_oracle_below_2_64(n):
+    status, method = three_tier_classify(n)
+    assert is_prime(n) == (n, status, "bpsw" if method == "miller_rabin_det" else method)
 
 
 def test_status_above_deterministic_range():
@@ -284,7 +310,7 @@ _STRONG_PSEUDOPRIMES_BASE_2 = (2047, 3277, 4033, 4681, 8321, 1093 ** 2, 3511 ** 
 
 @pytest.mark.parametrize("n", _STRONG_PSEUDOPRIMES_BASE_2)
 def test_strong_pseudoprimes_pass_the_screen_and_fail_is_prime(n):
-    assert _strong_probable_prime(n, 2) and not sympy.isprime(n)
+    assert _strong_probable_prime(n) and not sympy.isprime(n)
     assert is_prime(n).status == STATUS_COMPOSITE
     assert is_prime(-n).status == STATUS_COMPOSITE
 
