@@ -69,8 +69,7 @@ def test_strong_pseudoprime_to_the_first_eleven_bases():
     assert is_prime(n).status == STATUS_COMPOSITE
 
 
-_TRIAL_LIMIT = 97 ** 2
-_ODD_IN_RANGE = st.integers(_TRIAL_LIMIT // 2, (2 ** 64 - 2) // 2).map(lambda k: 2 * k + 1)
+_ODD_IN_RANGE = st.integers(97 ** 2 // 2, 2 ** 63 - 1).map(lambda k: 2 * k + 1)  # [97**2, 2**64)
 # sympy.nextprime of anything up to 2**32 - 6 is at most 2**32 - 5, the largest 32-bit prime
 _PRIME_16_32 = st.integers(1 << 15, (1 << 32) - 6).map(sympy.nextprime)
 
