@@ -8,16 +8,17 @@ endpoint is carried as two integers, k over 2^e, and becomes a `Fraction`
 only where an `IsolatedRoot` leaves the routine.  `_sturm(c)`, the chain of
 c and c' divided by gcd(c, c'), gives counts of distinct real roots on an
 interval, root isolation with on-demand refinement, and two-sided brackets
-for the Lebesgue measure of {x : |p(x)| <= K}.  The exact sign of a
-polynomial at an isolated algebraic point comes from one Sturm-Tarski query
-on the isolating interval, not from refining it.  Each public routine clears
-its `RatPolynomial` and calls a private one on primitive integer lists.
+for the Lebesgue measure of {x : |p(x)| <= K}; its variations at +-inf come
+from leads and degree parities.  The sign of q at an isolated root of p is
+one Sturm-Tarski query on the isolating interval, not a refinement: the
+Cauchy index of p'q/p, which depends only on p'q mod p.  Each public routine
+clears its `RatPolynomial` and calls a private one on primitive integer lists.
 
 Complete integer solution sets of p(x) = v need no real roots: they come
 from p-adic lifting (Loos, "Computing rational zeros of integral polynomials
 by p-adic expansion", SIAM J. Comput. 1983) from a prime at which every root
-of p - v is simple, up to Fujiwara's root bound; see `_integer_roots` for
-when the square-free part is taken.
+of p - v is simple, up to Fujiwara's root bound; a residue scan stops at its
+first multiple root, yet `_integer_roots` charges its budget the full scan.
 """
 
 from __future__ import annotations
@@ -135,13 +136,19 @@ def _var_at(chain: list[list[int]], num: int, den: int) -> int:
     return _variations(_signs(chain, num, den))
 
 
+def _var_coeffs(chain: list[list[int]]) -> tuple[int, ...]:
+    """V(-inf), V(0), V(+inf), unevaluated: at s inf an entry has its lead's sign times s^deg."""
+    return tuple(_variations([_sign(e[k]) * s ** (len(e) - 1) for e in chain])
+                 for k, s in ((-1, -1), (0, 1), (-1, 1)))
+
+
 def _count(chain: list[list[int]], lo: Fraction, hi: Fraction) -> int:
     """V(lo) - V(hi), lo < hi.  For _sturm(c) it counts the distinct roots of
     c in (lo, hi], endpoints roots or not: at a root x0 of the head s the
     second entry is nonzero and s has its sign just right of x0, so
-    V(x0) = V(x0+).  For _chain(p, p'q), p square-free and neither end a
-    root of p, it is the Tarski query: the sum of sign q(x) over the roots x
-    of p in (lo, hi) (Sturm-Tarski theorem)."""
+    V(x0) = V(x0+).  For _chain(p, r), r a positive multiple of p'q mod p,
+    p square-free and neither end a root of p, it is the Tarski query: the
+    sum of sign q(x) over the roots x of p in (lo, hi) (Sturm-Tarski)."""
     return _var_at(chain, lo.numerator, lo.denominator) - _var_at(chain, hi.numerator, hi.denominator)
 
 
@@ -269,10 +276,10 @@ class IsolatedRoot(NamedTuple):
 
 
 def _count_roots(c: list[int]) -> int:
-    """Number of distinct real roots of the nonzero integer list c."""
-    chain = _sturm(c)
-    bound = Fraction(_fujiwara_bound(chain[0]))
-    return _count(chain, -bound, bound)
+    """Number of distinct real roots of the nonzero integer list c:
+    V(-inf) - V(+inf) of its Sturm chain, read from leads and degree parities."""
+    v_lo, _, v_hi = _var_coeffs(_sturm(c))
+    return v_lo - v_hi
 
 
 def isolate_roots(p: RatPolynomial) -> list[IsolatedRoot]:
@@ -292,8 +299,10 @@ def _isolate(c: list[int]) -> list[IsolatedRoot]:
     midpoint is lo + hi at exponent e + 1.  For c(0) != 0 it starts from the
     smallest cells (-B/2^j, 0] and (0, B/2^j] of the bisection of (-B, B],
     B = _cauchy_bound(c), that hold (-F, F), F = _fujiwara_bound(c): the
-    levels above only drop empty outer halves, so the same intervals result."""
-    chain = _sturm(c)
+    levels above only drop empty outer halves, so the same intervals result.
+    V moves only at roots of the head, so V(+-B/2^j) = V(+-inf); it and V(0)
+    are read from the coefficients."""
+    chain = _sturm(c) if len(c) > 2 else [c]
     c = chain[0]
     defining = tuple(c)
     if len(c) == 2:
@@ -301,12 +310,12 @@ def _isolate(c: list[int]) -> list[IsolatedRoot]:
     bound = _cauchy_bound(c)
 
     found: list[IsolatedRoot] = []
+    v_lo, v_0, v_hi = _var_coeffs(chain)
     if c[0]:
         j = max(0, (bound // _fujiwara_bound(c)).bit_length() - 1)
-        v_lo, v_0, v_hi = (_var_at(chain, x, 1 << j) for x in (-bound, 0, bound))
         stack = [(-bound, 0, j, v_lo, v_0), (0, bound, j, v_0, v_hi)]
     else:
-        stack = [(-bound, bound, 0, _var_at(chain, -bound, 1), _var_at(chain, bound, 1))]
+        stack = [(-bound, bound, 0, v_lo, v_hi)]
     while stack:
         lo, hi, e, vlo, vhi = stack.pop()
         n = vlo - vhi
@@ -373,18 +382,21 @@ def _integer_roots(c: list[int]) -> list[int]:
     integer root z is a simple root mod q, so its lift is unique and is
     z mod q^(2^k), which is z as |z| < B.  A repeated root fails at every
     q, a square-free c at each q | disc(c): for g - 1 = t prod (x - a_i) at
-    each q leaving two anchors congruent.  So c becomes its square-free part
-    _sturm(c)[0] once the failed scans, sum q (n + 1) Horner steps, pass
-    (n + 1)^3, less than the chain costs: a square-free c never pays more
-    than by reducing at its first failing prime, a repeated root one chain's
-    worth of scans more.  After that only the q dividing lc(c) disc(c) fail.
+    each q leaving two anchors congruent.  A scan stops at its first multiple
+    root, but the budget charges a failed q a full scan, q (n + 1) Horner
+    steps, so the primes drawn do not change: c becomes _sturm(c)[0], its
+    square-free part, once the charges pass (n + 1)^3, less than the chain
+    costs.  After that only the q dividing lc(c) disc(c) fail.
     """
     dc, budget = _deriv(c), len(c) ** 2
     for q in primes_stream(3):
         if c[-1] % q:
-            cq = [v % q for v in c]
-            roots = [r for r in range(q) if _eval_mod(cq, r, q) == 0]
-            if all(_eval_mod(dc, r, q) for r in roots):
+            cq, roots = [v % q for v in c], []
+            for r in (r for r in range(q) if _eval_mod(cq, r, q) == 0):
+                if _eval_mod(dc, r, q) == 0:
+                    break
+                roots.append(r)
+            else:
                 break
             budget -= q
             if budget < 0:
@@ -406,11 +418,13 @@ def _integer_roots(c: list[int]) -> list[int]:
 
 def _sign_at(cq: list[int], r: IsolatedRoot) -> int:
     """Exact sign of a nonzero q at the algebraic point r (0 iff q(r) = 0),
-    given as the integer coefficients cq of a positive multiple of q."""
+    given as the integer coefficients cq of a positive multiple of q: the
+    Cauchy index of p'q/p, which depends only on p'q mod p, zero iff p | q."""
     if r.is_exact:
         return _sign(_eval_scaled_frac(cq, r.lo.numerator, r.lo.denominator))
     p = list(r.defining)
-    return _count(_chain(p, _mul(_deriv(p), cq)), r.lo, r.hi)
+    rem, s = _pseudo_rem(_mul(_deriv(p), cq), p)
+    return _count(_chain(p, [s * v for v in rem]), r.lo, r.hi) if rem else 0
 
 
 def _separate(entries: list[tuple[IsolatedRoot, object]]) -> list[tuple[IsolatedRoot, object]]:

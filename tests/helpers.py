@@ -7,6 +7,7 @@ import math
 import random
 from fractions import Fraction
 
+from primepoly import roots
 from primepoly.badpoints import TAG_ORDER, BadPoint
 from primepoly.bounds import BoundCheck, ConstantSolution, SetPairData, truncate_decimal
 from primepoly.errors import BudgetExhausted, TheoremViolation
@@ -25,7 +26,13 @@ from primepoly.primes import (
 from primepoly.roots import (
     IsolatedRoot,
     _cauchy_bound,
+    _chain,
+    _count,
+    _deriv,
+    _eval_mod,
     _eval_scaled_frac,
+    _fujiwara_bound,
+    _mul,
     _separate,
     _sign,
     _sign_at,
@@ -277,6 +284,45 @@ def fraction_isolate_roots(p: RatPolynomial) -> list[IsolatedRoot]:
             stack.append((mid, hi, vmid, vhi))
     found.sort(key=lambda r: (r.lo, r.hi))
     return found
+
+
+def pq_chain_sign_at(cq: list[int], r: IsolatedRoot) -> int:
+    """Reference for `_sign_at`: the Tarski query on the chain of p and p'q
+    itself, p'q not reduced mod p."""
+    if r.is_exact:
+        return _sign(_eval_scaled_frac(cq, r.lo.numerator, r.lo.denominator))
+    p = list(r.defining)
+    return _count(_chain(p, _mul(_deriv(p), cq)), r.lo, r.hi)
+
+
+def full_scan_integer_roots(c: list[int]) -> list[int]:
+    """Reference for `_integer_roots`: each prime lists every root of c mod q
+    before c' is checked at them.  It draws its primes from
+    `roots.primes_stream` and reduces by `roots._sturm`, looked up at each
+    call, so a test that replaces either sees both routines use it."""
+    dc, budget = _deriv(c), len(c) ** 2
+    for q in roots.primes_stream(3):
+        if c[-1] % q:
+            cq = [v % q for v in c]
+            found = [r for r in range(q) if _eval_mod(cq, r, q) == 0]
+            if all(_eval_mod(dc, r, q) for r in found):
+                break
+            budget -= q
+            if budget < 0:
+                c, budget = roots._sturm(c)[0], math.inf
+                dc = _deriv(c)
+    limit = 2 * _fujiwara_bound(c)
+    out = []
+    for r in found:
+        m = q
+        while m <= limit:
+            m *= m
+            r = (r - _eval_mod(c, r, m) * pow(_eval_mod(dc, r, m), -1, m)) % m
+        if r > m // 2:
+            r -= m
+        if eval_int_scaled(c, r) == 0:
+            out.append(r)
+    return sorted(out)
 
 
 def power_2k_factorial_bound(data: SetPairData) -> BoundCheck:

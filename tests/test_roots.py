@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 import sympy
@@ -21,6 +22,8 @@ from primepoly.roots import (
     _sign_at,
     _sturm,
     _to_int,
+    _var_at,
+    _var_coeffs,
     integer_solutions,
     isolate_roots,
     sublevel_measure,
@@ -30,7 +33,9 @@ from helpers import (
     brute_integer_solutions,
     fraction_isolate_roots,
     fraction_refine,
+    full_scan_integer_roots,
     power,
+    pq_chain_sign_at,
     record_types,
     random_int_poly,
     random_rat_poly,
@@ -536,3 +541,78 @@ def test_real_root_routines_search_no_prime(monkeypatch):
     found = isolate_roots(p)
     assert len(found) == 3
     assert [_sign_at(_to_int(RatPolynomial([0, 1])), r) for r in found] == [-1, 1, 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_dense_polys(), _linear_products(), _roots_far_inside_the_bound()))
+@example(power(RatPolynomial([-1, 1]), 3))  # its chain ends at 3 (x - 1)^2, divided out
+@example(RatPolynomial([0, 0, -3, 1]))      # x^2 (x - 3): 0 a root of the head
+def test_variations_read_from_the_coefficients(p):
+    # past every root of the head V is V(+-inf): 2F lies past them all
+    chain = _sturm(_to_int(p))
+    far = 2 * _fujiwara_bound(chain[0])
+    assert _var_coeffs(chain) == (_var_at(chain, -far, 1), _var_at(chain, 0, 1), _var_at(chain, far, 1))
+
+
+def _int_poly(min_degree: int, max_degree: int):
+    """Integer polynomials of the given degrees, coefficients in -9..9."""
+    low = st.integers(min_degree, max_degree).flatmap(lambda d: st.lists(st.integers(-9, 9), min_size=d, max_size=d))
+    return st.builds(lambda c, lead: RatPolynomial(c + [lead]), low, st.integers(-9, 9).filter(bool))
+
+
+@st.composite
+def _tarski_cases(draw):
+    """p = a b and q random, or q sharing the factor a with p, or q a multiple of p."""
+    a, b, q = draw(_int_poly(1, 3)), draw(_int_poly(0, 3)), draw(_int_poly(0, 7))
+    return a * b, draw(st.sampled_from([q, a * q, a * b * q]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tarski_cases())
+@example((RatPolynomial([-2, 0, 1]), RatPolynomial([0, 1])))                  # p'q of degree deg p
+@example((RatPolynomial([-2, 0, 1]), RatPolynomial([-2, 0, 1]) * RatPolynomial([3, 1])))  # p | q
+def test_sign_at_matches_pq_chain_oracle(case):
+    # the query runs on p'q mod p; the oracle on p'q itself
+    p, q = case
+    cq = _to_int(q)
+    for r in isolate_roots(p):
+        assert _sign_at(cq, r) == pq_chain_sign_at(cq, r)
+
+
+def _traced(integer_roots, c):
+    """integer_roots(c), the primes it drew from `roots.primes_stream` and
+    the arguments of its `roots._sturm` calls."""
+    drawn, calls = [], []
+    stream, sturm = roots.primes_stream, roots._sturm
+
+    def recorded(start):
+        for q in stream(start):
+            drawn.append(q)
+            yield q
+
+    def counted(c):
+        calls.append(list(c))
+        return sturm(c)
+
+    with mock.patch.object(roots, "primes_stream", recorded), mock.patch.object(roots, "_sturm", counted):
+        return integer_roots(c), drawn, calls
+
+
+@st.composite
+def _with_repeated_integer_root(draw):
+    """(x - z)^j p: a multiple root mod every prime, so the scans use up the
+    budget and c is reduced to its square-free part."""
+    z, j = draw(st.integers(-20, 20)), draw(st.integers(2, 3))
+    return power(RatPolynomial([-z, 1]), j) * draw(_dense_polys())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_dense_polys(), _linear_products(), _with_repeated_integer_root()))
+@example(power(RatPolynomial([-5, 1]), 2) * RatPolynomial([1, 1]))
+@example(RatPolynomial([0, 1]) * RatPolynomial([-105, 1]) * RatPolynomial([1, 2]))  # 0 and 105 collide mod 3, 5, 7
+def test_integer_roots_match_full_scan_oracle(p):
+    # a scan that stops at its first multiple root still draws the same
+    # primes and reduces at the same one
+    c = _to_int(p)
+    got, want = _traced(_integer_roots, c), _traced(full_scan_integer_roots, c)
+    assert got == want
