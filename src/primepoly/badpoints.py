@@ -89,9 +89,7 @@ def block_report(g: RatPolynomial, h: RatPolynomial) -> BlockReport:
         blocks.append(Block(type=types[i], start=i, end=j, central=(i > 0 and j < k - 1)))
         i = j + 1
 
-    droots_g, droots_h = (
-        _count_roots(_primitive(_deriv(scale_to_integer(p)[0]))) if p.degree >= 2 else 0 for p in (g, h)
-    )
+    droots_g, droots_h = (_count_roots(_primitive(_deriv(scale_to_integer(p)[0]))) for p in (g, h))
     if droots_g + droots_h < k - 2:
         raise TheoremViolation(
             f"derivative root counts {droots_g}+{droots_h} below k-2 = {k - 2}"

@@ -306,6 +306,9 @@ def run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        empty = [k for k, v in vars(args).items() if v == []]  # argparse drops a `--name=--` value, storing []
+        if empty:
+            parser.error(f"argument --{empty[0]}: expected one argument")
     except SystemExit as exc:
         return EXIT_BAD_INPUT if exc.code not in (0, None) else EXIT_OK
     try:

@@ -137,11 +137,9 @@ def build_p_plus(n: int, t_max: int = 10 ** 6) -> ConstructionCertificate:
 
 def quadratic_anchor_points(limit: int):
     """Integers b with |b^2 - 3b + 1| prime, ascending by |b| (positive
-    first on ties), skipping the unit fiber {0, 1, 2, 3}."""
+    first on ties); the unit fiber {0, 1, 2, 3} fails the prime test."""
     for magnitude in range(1, limit + 1):
         for b in (magnitude, -magnitude):
-            if b in (0, 1, 2, 3):
-                continue
             if is_prime(abs(int(evaluate(H2, b)))).is_prime:
                 yield b
 

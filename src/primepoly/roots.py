@@ -13,6 +13,7 @@ from leads and degree parities.  The sign of q at an isolated root of p is
 one Sturm-Tarski query on the isolating interval, not a refinement: the
 Cauchy index of p'q/p, which depends only on p'q mod p.  Each public routine
 clears its `RatPolynomial` and calls a private one on primitive integer lists.
+Signs use `poly`'s one rational Horner; integers, the faster `eval_int_scaled`.
 
 Complete integer solution sets of p(x) = v need no real roots: they come
 from p-adic lifting (Loos, "Computing rational zeros of integral polynomials
@@ -27,7 +28,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .poly import RatPolynomial, eval_int_scaled, evaluate, scale_to_integer
+from .poly import RatPolynomial, _eval_scaled_frac, eval_int_scaled, evaluate, scale_to_integer
 from .primes import primes_stream
 
 IntCoeffs = tuple[int, ...]
@@ -62,18 +63,6 @@ def _to_int(p: RatPolynomial) -> list[int]:
 
 def _deriv(c: list[int]) -> list[int]:
     return _strip([i * v for i, v in enumerate(c) if i > 0])
-
-
-def _eval_scaled_frac(c: list[int], num: int, den: int) -> int:
-    """den^deg * p(num/den), exact in integers (den >= 1, c nonempty)."""
-    if den == 1:
-        return eval_int_scaled(c, num)
-    acc = c[-1]
-    dp = 1
-    for v in reversed(c[:-1]):
-        dp *= den
-        acc = acc * num + v * dp
-    return acc
 
 
 def _sign(x: int) -> int:
@@ -283,13 +272,9 @@ def _count_roots(c: list[int]) -> int:
 
 
 def isolate_roots(p: RatPolynomial) -> list[IsolatedRoot]:
-    """Disjoint isolating intervals, one per distinct real root, ascending.
-
-    Intervals are refined to width at most 1; rational roots found along
-    the way are returned as exact (degenerate) intervals.
-    """
-    if not p:
-        raise ValueError("zero polynomial")
+    """Disjoint isolating intervals, one per distinct real root of p != 0,
+    ascending, refined to width at most 1; rational roots found along the
+    way are returned as exact (degenerate) intervals."""
     return _isolate(_to_int(p))
 
 
@@ -351,14 +336,12 @@ def _isolate(c: list[int]) -> list[IsolatedRoot]:
 
 def _refine_new(defining: IntCoeffs, lo: int, hi: int, den: int) -> IsolatedRoot:
     lo, hi, den = _bisect(defining, lo, hi, den, Fraction(1))
-    if lo != hi:
-        # snap integer roots to exact form; non-integer rational roots of
-        # degree >= 2 keep their interval (nothing downstream needs more)
-        m = lo // den + 1
-        while m * den < hi:
-            if eval_int_scaled(defining, m) == 0:
-                return IsolatedRoot(defining, Fraction(m), Fraction(m))
-            m += 1
+    # snap an integer root to exact form: m, the least integer above lo/den,
+    # is the only one that can lie strictly inside (lo/den, hi/den), at most
+    # 1 wide; non-integer rational roots of degree >= 2 keep their interval
+    m = lo // den + 1
+    if m * den < hi and eval_int_scaled(defining, m) == 0:
+        return IsolatedRoot(defining, Fraction(m), Fraction(m))
     return IsolatedRoot(defining, Fraction(lo, den), Fraction(hi, den))
 
 

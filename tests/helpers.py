@@ -12,7 +12,7 @@ from primepoly.badpoints import TAG_ORDER, BadPoint
 from primepoly.bounds import BoundCheck, ConstantSolution, SetPairData, truncate_decimal
 from primepoly.errors import BudgetExhausted, TheoremViolation
 from primepoly.exceptional import _LIST_DATA, ExceptionalHit, SearchReport, equivalent_to_list
-from primepoly.poly import RatPolynomial, compose_affine, eval_int_scaled, evaluate
+from primepoly.poly import RatPolynomial, _eval_scaled_frac, compose_affine, eval_int_scaled, evaluate
 from primepoly.primes import (
     _SMALL_PRIMES,
     STATUS_COMPOSITE,
@@ -30,7 +30,6 @@ from primepoly.roots import (
     _count,
     _deriv,
     _eval_mod,
-    _eval_scaled_frac,
     _fujiwara_bound,
     _mul,
     _separate,
@@ -197,6 +196,28 @@ def lagrange_interpolate(points, values) -> RatPolynomial:
                 term = term * RatPolynomial((Fraction(-s, t - s), Fraction(1, t - s)))
         h = h + term
     return h
+
+
+def fraction_evaluate(p: RatPolynomial, x) -> Fraction:
+    """Reference for `evaluate`: Horner on `Fraction`s."""
+    x = Fraction(x)
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def forked_eval_scaled_frac(c: list[int], num: int, den: int) -> int:
+    """Reference for `_eval_scaled_frac` on nonempty c: the plain integer
+    Horner when den == 1, else the power of den grown one step per term."""
+    if den == 1:
+        return eval_int_scaled(c, num)
+    acc = c[-1]
+    dp = 1
+    for v in reversed(c[:-1]):
+        dp *= den
+        acc = acc * num + v * dp
+    return acc
 
 
 def record_types(x):

@@ -114,6 +114,8 @@ CASES = [
     ("usage_analyze_no_factors", ["analyze"], EXIT_BAD_INPUT),
     ("usage_construct_deg9", ["construct", "deg9"], EXIT_BAD_INPUT),
     ("usage_exceptional_degree_x", ["exceptional", "--degree", "x"], EXIT_BAD_INPUT),
+    # argparse drops the value `--` and stores [], which gave a traceback
+    ("usage_exceptional_degree_dashdash", ["exceptional", "--degree=--", "--bound", "0"], EXIT_BAD_INPUT),
 ]
 
 # argparse wraps its usage lines to the terminal width, read from COLUMNS
