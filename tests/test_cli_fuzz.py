@@ -73,12 +73,15 @@ _SET = _mostly(
     st.sampled_from(["", ",", "a", "1,,2", "1.5", "1,x", "-", "--"]),
 )
 _RATIONAL = _mostly(
-    st.integers(1, 50).map(str) | _HUGE.map(str) | st.builds("{}/{}".format, st.integers(1, 99), st.integers(1, 9)),
-    st.integers(-3, 0).map(str) | st.sampled_from(["", "x", "1/0", "1.5", "2e2", "0x10", "-2/3", "--"]),
+    st.integers(1, 50).map(str)
+    | _HUGE.map(str)
+    | st.builds("{}/{}".format, st.integers(1, 99), st.integers(1, 9))
+    | st.sampled_from(["1.5", "2e2"]),
+    st.integers(-3, 0).map(str) | st.sampled_from(["", "x", "1/0", "0x10", "-2/3", "--"]),
 )
 _TOL = _mostly(
-    st.builds("{}/{}".format, st.integers(1, 9), st.integers(1, 1000)),
-    st.sampled_from(["0", "-1", "x", "1/0", "5", "0.25", "--"]),
+    st.builds("{}/{}".format, st.integers(1, 9), st.integers(1, 1000)) | st.sampled_from(["5", "0.25"]),
+    st.sampled_from(["0", "-1", "x", "1/0", "--"]),
 )
 _SEED = _int_words(st.integers(-5, 5) | _SIGNED_HUGE, st.nothing())
 

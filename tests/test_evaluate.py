@@ -6,7 +6,7 @@ from fractions import Fraction as F
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from primepoly.poly import RatPolynomial, _eval_scaled_frac, evaluate, scale_to_integer
+from primepoly.poly import RatPolynomial, _eval_scaled_frac, evaluate
 
 from helpers import forked_eval_scaled_frac, fraction_evaluate
 
@@ -39,4 +39,3 @@ def test_eval_scaled_frac_matches_forked_loop(c, num, den):
 
 def test_eval_scaled_frac_of_the_empty_list_is_zero():
     assert _eval_scaled_frac([], 3, 4) == 0
-    assert scale_to_integer(RatPolynomial()) == ([], 1)
