@@ -17,6 +17,8 @@ prime values outgrow JSON numbers.  `_report` is the one serializer.
 Exit codes: 0 success, 1 a theorem-backed property failed (a bug by
 definition), 2 malformed input, 3 a construction's search budget ran out
 (the report then names the anchors tried and the frontier |t| reached).
+Help (`-h`, with `--json` or not) is outside the report contract: it
+prints the argparse text, not JSON, and exits 0.
 """
 
 from __future__ import annotations
@@ -236,65 +238,76 @@ def _cmd_counterexample(args) -> tuple[dict, int]:
     return complex_counterexample(), EXIT_OK
 
 
+class _Subparser:
+    """A subcommand's parser, built only if argparse dispatches to it.
+    `add_parser` creates one per subcommand, and `_SubParsersAction` then
+    calls only `parse_known_args(args, None)`, on the one the command line
+    names; the recorded arguments are added to a real `ArgumentParser`
+    there, so usage, error and help bytes are those of an eager build."""
+
+    def __init__(self, handler, **kwargs):
+        self.handler, self.kwargs, self.arguments = handler, kwargs, []
+
+    def add_argument(self, *args, **kwargs):
+        self.arguments.append((args, kwargs))
+
+    def parse_known_args(self, args, namespace):
+        parser = argparse.ArgumentParser(**self.kwargs)
+        # accept --json on either side of the subcommand
+        parser.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
+        for a, kw in self.arguments:
+            parser.add_argument(*a, **kw)
+        parser.set_defaults(handler=self.handler)
+        return parser.parse_known_args(args, namespace)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="primepoly",
         description="Exact census of prime values of reducible polynomials.",
     )
     parser.add_argument("--json", action="store_true", help="emit the report as JSON")
-    # accept --json on either side of the subcommand
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
-    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=lambda **kw: argparse.ArgumentParser(parents=[shared], **kw))
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Subparser)
 
-    p = sub.add_parser("analyze", help="prime-value census of a factored polynomial")
+    p = sub.add_parser("analyze", help="prime-value census of a factored polynomial", handler=_cmd_analyze)
     p.add_argument("--factors", required=True, help="factors, ';'-separated coefficient lists")
-    p.set_defaults(handler=_cmd_analyze)
 
-    p = sub.add_parser("levels", help="count integers with f(m) in a finite set")
+    p = sub.add_parser("levels", help="count integers with f(m) in a finite set", handler=_cmd_levels)
     p.add_argument("--poly", required=True)
     p.add_argument("--set", required=True, help="comma-separated integers")
-    p.set_defaults(handler=_cmd_levels)
 
-    p = sub.add_parser("construct", help="build a certified prime-rich polynomial")
+    p = sub.add_parser("construct", help="build a certified prime-rich polynomial", handler=_cmd_construct)
     p.add_argument("kind", choices=[*FIXED_EXAMPLES, "nplus1", "pplus", "nplus2"])
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--tmax", type=int, default=10 ** 6)
     p.add_argument("--bmax", type=int, default=200)
-    p.set_defaults(handler=_cmd_construct)
 
-    p = sub.add_parser("exceptional", help="search for polynomials with E(f) > deg f")
+    p = sub.add_parser("exceptional", help="search for polynomials with E(f) > deg f", handler=_cmd_exceptional)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
-    p.set_defaults(handler=_cmd_exceptional)
 
-    p = sub.add_parser("constant", help="solve t*(2 ln t + 1/2) = 2 ln 2 - 1/2")
+    p = sub.add_parser("constant", help="solve t*(2 ln t + 1/2) = 2 ln 2 - 1/2", handler=_cmd_constant)
     p.add_argument("--digits", type=int, default=10)
-    p.set_defaults(handler=_cmd_constant)
 
-    p = sub.add_parser("lemmas", help="randomized difference-product bound suite")
+    p = sub.add_parser("lemmas", help="randomized difference-product bound suite", handler=_cmd_lemmas)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--kmax", type=int, default=6)
     p.add_argument("--coord", type=int, default=50)
-    p.set_defaults(handler=_cmd_lemmas)
 
-    p = sub.add_parser("polya", help="sublevel-measure bound check")
+    p = sub.add_parser("polya", help="sublevel-measure bound check", handler=_cmd_polya)
     p.add_argument("--poly", required=True)
     p.add_argument("--K", required=True)
     p.add_argument("--tol", default="1/100")
-    p.set_defaults(handler=_cmd_polya)
 
-    p = sub.add_parser("statement41", help="bad-point and block analysis of a factor pair")
+    p = sub.add_parser("statement41", help="bad-point and block analysis of a factor pair", handler=_cmd_statement41)
     p.add_argument("--g")
     p.add_argument("--h")
     p.add_argument("--random", action="store_true")
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
-    p.set_defaults(handler=_cmd_statement41)
 
-    p = sub.add_parser("counterexample", help="exact complex pair beating the real bad-point cap")
-    p.set_defaults(handler=_cmd_counterexample)
+    sub.add_parser("counterexample", help="exact complex pair beating the real bad-point cap", handler=_cmd_counterexample)
 
     return parser
 

@@ -11,6 +11,7 @@ and review the diff: any other change of bytes is a regression.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -118,6 +119,16 @@ CASES = [
     ("usage_exceptional_degree_dashdash", ["exceptional", "--degree=--", "--bound", "0"], EXIT_BAD_INPUT),
 ]
 
+# (name, argv before -h): help is outside the report contract, so each
+# prints the argparse text with exit 0, `--json` or not
+HELP_CASES = [
+    ("help", []),
+    *((f"help_{sub}", [sub]) for sub in (
+        "analyze", "levels", "construct", "exceptional", "constant", "lemmas", "polya", "statement41", "counterexample",
+    )),
+    ("help_counterexample_json", ["counterexample", "--json"]),
+]
+
 # argparse wraps its usage lines to the terminal width, read from COLUMNS
 COLUMNS = "80"
 
@@ -139,6 +150,27 @@ def test_cli_golden(name, argv, code, as_json, monkeypatch):
     assert out == golden.read_text()
     golden_err = golden.with_name(golden.name + ".stderr")
     assert err == (golden_err.read_text() if golden_err.exists() else "")
+
+
+@pytest.mark.parametrize("name,argv", HELP_CASES, ids=[c[0] for c in HELP_CASES])
+def test_cli_help_golden(name, argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", COLUMNS)
+    assert _capture(argv + ["-h"]) == (EXIT_OK, (GOLDEN / f"{name}.txt").read_text(), "")
+
+
+@pytest.mark.parametrize("argv", [["construct", "deg2"], ["construct", "nplus1", "--n", "40"]], ids=["deg2", "nplus1"])
+def test_cli_builds_only_the_dispatched_subparser(argv, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    code, _, err = _capture(argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert built == ["primepoly", "primepoly construct"]
 
 
 def test_cli_theorem_violation_exits_1(monkeypatch):
@@ -250,6 +282,11 @@ def _record() -> None:
                 stderr.write_text(err)
             else:
                 stderr.unlink(missing_ok=True)
+    for name, argv in HELP_CASES:
+        got_code, out, err = _capture(argv + ["-h"])
+        if (got_code, err) != (EXIT_OK, ""):
+            sys.exit(f"{name}: exit code {got_code}, stderr {err!r}")
+        (GOLDEN / f"{name}.txt").write_text(out)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,9 @@ once with `--json` and once more as text, and must keep the contract:
 - stderr is empty on exit 0, and exit 2 prints an `error:` or `usage:`
   line and no report;
 - the `--json` report parses and has the text report's top-level keys in
-  the same order;
+  the same order, unless the command line asks for help (`-h` or
+  `--help`): help is outside the report contract, so it prints the same
+  argparse text with `--json` or not;
 - the second text run gives the same bytes.
 
 Valid draws keep each call to milliseconds: `construct --n` <= 12,
@@ -95,10 +97,11 @@ def _option(name: str, values) -> st.SearchStrategy[list[str]]:
 def _command(draw, sub: str, options, positional=st.just([])) -> list[str]:
     """sub, its positional words, then each option mostly once, sometimes
     missing or twice (argparse keeps the last), in any order, and sometimes
-    an option the subcommand does not have."""
+    an option the subcommand does not have or a request for help."""
     times = st.sampled_from([1, 1, 1, 1, 1, 0, 2])
     groups = [[draw(_option(name, values)) for _ in range(draw(times))] for name, values in options]
-    groups.append(draw(st.sampled_from([[]] * 7 + [[["--bogus"]], [["--random"]], [["-n", "3"]]])))
+    extra = [[["--bogus"]], [["--random"]], [["-n", "3"]], [["-h"]], [["--help"]]]
+    groups.append(draw(st.sampled_from([[]] * 7 + extra)))
     words = [w for i in draw(st.permutations(range(len(groups)))) for occurrence in groups[i] for w in occurrence]
     return [sub, *draw(positional), *words]
 
@@ -142,7 +145,7 @@ _ARGV = st.one_of(
         st.lists(st.just("--random"), max_size=1),
     ),
     _command("counterexample", []),
-    st.sampled_from([[], ["frobnicate"], ["--json"], ["analyze", "analyze"]]),
+    st.sampled_from([[], ["frobnicate"], ["--json"], ["analyze", "analyze"], ["-h"], ["frobnicate", "-h"]]),
 )
 
 
@@ -160,6 +163,10 @@ def _top_level_keys(text: str) -> list[str]:
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_ARGV)
 @example(["exceptional", "--degree=--", "--bound", "0"]).via("argparse drops a `--` value and stores []")
+@example(["construct", "nplus2", "--n", "12", "--tmax", "1"]).via("exit 3: the multiplier budget runs out")
+@example(["construct", "nplus2", "--n", "12", "--bmax", "1"]).via("exit 3: the anchor scan runs out")
+@example(["construct", "pplus", "--n", "12", "--tmax", "1"]).via("exit 3: the multiplier budget runs out")
+@example(["counterexample", "--json", "-h"]).via("help with --json prints the argparse text")
 def test_exit_code_contract(argv):
     code, out, err = _capture(argv)
     assert code in (EXIT_OK, EXIT_BAD_INPUT, EXIT_BUDGET), (argv, code, err)
@@ -171,6 +178,8 @@ def test_exit_code_contract(argv):
         assert any(line.startswith(("error:", "usage:")) for line in err.splitlines()), err
     json_code, json_out, json_err = _capture(argv + ["--json"])
     assert (json_code, json_err) == (code, err)
-    if out:
+    if {"-h", "--help"} & set(argv):
+        assert json_out == out
+    elif out:
         assert list(json.loads(json_out)) == _top_level_keys(out)
     assert _capture(argv) == (code, out, err)
