@@ -41,7 +41,7 @@ from .census import level_census, prime_census
 from .constructions import FIXED_EXAMPLES, build_n_plus_1, build_p_plus, fixed_example, search_n_plus_2
 from .errors import BudgetExhausted, TheoremViolation
 from .exceptional import search_exceptional
-from .poly import RatPolynomial, parse_poly
+from .poly import RatPolynomial, parse_poly, parse_rational
 from .roots import IsolatedRoot
 
 EXIT_OK = 0
@@ -201,7 +201,7 @@ def _cmd_lemmas(args) -> tuple[dict, int]:
 
 
 def _cmd_polya(args) -> tuple[dict, int]:
-    poly, K, tol = parse_poly(args.poly), Fraction(args.K), Fraction(args.tol)
+    poly, K, tol = parse_poly(args.poly), parse_rational(args.K), parse_rational(args.tol)
     check = polya_measure_check(poly, K, tol)
     return {"poly": poly, "K": K, "tol": tol, **check._asdict()}, EXIT_OK if check.holds else EXIT_VIOLATION
 

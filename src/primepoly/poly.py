@@ -180,6 +180,14 @@ def eval_int_scaled(int_coeffs: Sequence[int], m: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def parse_rational(text: str) -> Fraction:
+    """Parse `int` or `int/int`.  `Fraction` alone also reads a decimal
+    point and an exponent, and `1e999999` builds a million-digit integer."""
+    if any(ch in text for ch in ".eE"):
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
+    return Fraction(text)
+
+
 def parse_poly(text: str) -> RatPolynomial:
     """Parse the comma-separated ascending-coefficient grammar.
 
@@ -194,7 +202,7 @@ def parse_poly(text: str) -> RatPolynomial:
     if not text:
         raise ValueError("empty polynomial")
     try:
-        coeffs = tuple(Fraction(part.strip()) for part in text.split(","))
+        coeffs = tuple(parse_rational(part.strip()) for part in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad polynomial {text!r}: {exc}") from None
     if binom:

@@ -15,8 +15,8 @@ of Eratosthenes over arithmetic progressions), and a longer window
 sieves deeper, because the screens a sieving prime saves grow with the
 window's survivors while its cost per window stays fixed.  A survivor's
 values then pass one strong base-2 test each before any of them gets a
-full verdict: every prime passes it, so no hit is lost, and the
-verdicts come from `is_prime` as before.
+full verdict: every prime passes it, so no hit is lost, and a hit's
+verdicts come from `is_prime`.
 
 The small primes come from one sieve of Eratosthenes at import
 (`_SIEVE_PRIMES`); `primes_stream` yields from that table and, past its
@@ -26,7 +26,6 @@ end, from the same sieve run to twice the bound, and so on.
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_left
 from itertools import compress, islice
 from typing import NamedTuple
@@ -193,11 +192,13 @@ def find_multiplier(Ms, positive_required: bool, t_max: int) -> ProgressionHit:
     BudgetExhausted if no multiplier up to t_max works.
 
     |t| runs in the windows of `_windows`, with one survivor flag per t of
-    each sign.  For each prime q below the window's sieve bound and not
-    dividing M, the t with t*M = -1 (mod q) are cleared, up to the first
-    q >= |M| - 1: below it |1 + t*M| >= |M| - 1 > q, so a cleared value
-    is a proper multiple of q (for M = 2 the guard keeps t = 1, whose
-    value is the prime 3).  Only composites are cleared, so testing the
+    each sign in one buffer, in scan order: flag 2i is t = start + i and
+    flag 2i + 1 is t = -start - i.  For each prime q below the window's
+    sieve bound and not dividing M, the t with t*M = -1 (mod q) are
+    cleared by one slice of step 2q per sign, up to the first q >= |M| - 1:
+    below it |1 + t*M| >= |M| - 1 > q, so a cleared value is a proper
+    multiple of q (for M = 2 the guard keeps t = 1, whose value is the
+    prime 3).  Only composites are cleared, so testing the
     survivors in scan order finds the same first t with the same
     verdicts, whatever the windows and their bounds.
 
@@ -238,23 +239,20 @@ def find_multiplier(Ms, positive_required: bool, t_max: int) -> ProgressionHit:
             for q in added
             if q < abs(M) - 1 and M % q
         ]
-        pos, neg = bytearray([1]) * n, bytearray([1]) * n
+        flags = bytearray([1]) * (2 * n)  # flag 2i: t = start + i; flag 2i + 1: t = -start - i
         for q, inv in residues:
-            for buf, r in ((pos, -inv), (neg, inv)):
-                i = (r - start) % q
-                buf[i::q] = bytes(len(range(i, n, q)))
-        for i in compress(range(n), map(operator.or_, pos, neg)):
-            for t, buf in ((start + i, pos), (-start - i, neg)):
-                if not buf[i]:
-                    continue
-                values = [1 + t * M for M in Ms]
-                if positive_required and min(values) <= 0:
-                    continue
-                if not all(abs(v) >= 2 and _strong_probable_prime(abs(v)) for v in values):
-                    continue
-                verdicts = tuple(map(is_prime, values))
-                if all(v.is_prime for v in verdicts):
-                    return ProgressionHit(t, verdicts)
+            for k in (2 * ((-inv - start) % q), 2 * ((inv - start) % q) + 1):
+                flags[k :: 2 * q] = bytes(len(range(k, 2 * n, 2 * q)))
+        for k in compress(range(2 * n), flags):
+            t = -start - k // 2 if k % 2 else start + k // 2
+            values = [1 + t * M for M in Ms]
+            if positive_required and min(values) <= 0:
+                continue
+            if not all(abs(v) >= 2 and _strong_probable_prime(abs(v)) for v in values):
+                continue
+            verdicts = tuple(map(is_prime, values))
+            if all(v.is_prime for v in verdicts):
+                return ProgressionHit(t, verdicts)
     raise BudgetExhausted(
         f"no multiplier with |t| <= {t_max} makes 1 + t*{' and 1 + t*'.join(map(str, Ms))} prime",
         frontier=t_max,

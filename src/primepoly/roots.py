@@ -126,9 +126,8 @@ def _var_at(chain: list[list[int]], num: int, den: int) -> int:
 
 
 def _var_coeffs(chain: list[list[int]]) -> tuple[int, ...]:
-    """V(-inf), V(0), V(+inf), unevaluated: at s inf an entry has its lead's sign times s^deg."""
-    return tuple(_variations([_sign(e[k]) * s ** (len(e) - 1) for e in chain])
-                 for k, s in ((-1, -1), (0, 1), (-1, 1)))
+    """V(-inf), V(+inf), unevaluated: at s inf an entry has its lead's sign times s^deg."""
+    return tuple(_variations([_sign(e[-1]) * s ** (len(e) - 1) for e in chain]) for s in (-1, 1))
 
 
 def _count(chain: list[list[int]], lo: Fraction, hi: Fraction) -> int:
@@ -267,7 +266,7 @@ class IsolatedRoot(NamedTuple):
 def _count_roots(c: list[int]) -> int:
     """Number of distinct real roots of the nonzero integer list c:
     V(-inf) - V(+inf) of its Sturm chain, read from leads and degree parities."""
-    v_lo, _, v_hi = _var_coeffs(_sturm(c))
+    v_lo, v_hi = _var_coeffs(_sturm(c))
     return v_lo - v_hi
 
 
@@ -281,12 +280,13 @@ def isolate_roots(p: RatPolynomial) -> list[IsolatedRoot]:
 def _isolate(c: list[int]) -> list[IsolatedRoot]:
     """`isolate_roots` of the primitive integer list c.  The stack holds
     (lo, hi, e, V(lo), V(hi)) for the interval (lo/2^e, hi/2^e]; its
-    midpoint is lo + hi at exponent e + 1.  For c(0) != 0 it starts from the
-    smallest cells (-B/2^j, 0] and (0, B/2^j] of the bisection of (-B, B],
-    B = _cauchy_bound(c), that hold (-F, F), F = _fujiwara_bound(c): the
-    levels above only drop empty outer halves, so the same intervals result.
-    V moves only at roots of the head, so V(+-B/2^j) = V(+-inf); it and V(0)
-    are read from the coefficients."""
+    midpoint is lo + hi at exponent e + 1.  It starts from the one cell
+    (-B/2^j, B/2^j], B = _cauchy_bound(c), with V(+-B/2^j) = V(+-inf) read
+    from the coefficients, as V moves only at roots of the head.  For
+    c(0) != 0, j is the largest with B/2^j >= F = _fujiwara_bound(c), or 0;
+    its midpoint 0 gives the halves that bisecting (-B, B] reaches by levels
+    that only drop empty outer cells, so the same intervals result.  For
+    c(0) = 0, j stays 0: the window around the root 0 scales with the cell."""
     chain = _sturm(c) if len(c) > 2 else [c]
     c = chain[0]
     defining = tuple(c)
@@ -295,12 +295,8 @@ def _isolate(c: list[int]) -> list[IsolatedRoot]:
     bound = _cauchy_bound(c)
 
     found: list[IsolatedRoot] = []
-    v_lo, v_0, v_hi = _var_coeffs(chain)
-    if c[0]:
-        j = max(0, (bound // _fujiwara_bound(c)).bit_length() - 1)
-        stack = [(-bound, 0, j, v_lo, v_0), (0, bound, j, v_0, v_hi)]
-    else:
-        stack = [(-bound, bound, 0, v_lo, v_hi)]
+    j = max(0, (bound // _fujiwara_bound(c)).bit_length() - 1) if c[0] else 0
+    stack = [(-bound, bound, j, *_var_coeffs(chain))]
     while stack:
         lo, hi, e, vlo, vhi = stack.pop()
         n = vlo - vhi
@@ -423,7 +419,7 @@ def _separate(entries: list[tuple[IsolatedRoot, object]]) -> list[tuple[Isolated
         changed = False
         for i in range(len(entries) - 1):
             (a, a_tag), (b, b_tag) = entries[i], entries[i + 1]
-            if a.hi >= b.lo and not (a.is_exact and b.is_exact):
+            if a.hi >= b.lo:
                 entries[i] = a.refine(a.width / 4), a_tag
                 entries[i + 1] = b.refine(b.width / 4), b_tag
                 changed = True

@@ -107,6 +107,9 @@ CASES = [
     ("exceptional_bound_0", ["exceptional", "--degree", "2", "--bound", "0"], EXIT_BAD_INPUT),
     ("polya_K_0", ["polya", "--poly=0,1", "--K", "0"], EXIT_BAD_INPUT),
     ("polya_tol_0", ["polya", "--poly=0,1", "--K", "1", "--tol", "0"], EXIT_BAD_INPUT),
+    # a rational is int or int/int: 1e999999 would build a million-digit integer
+    ("polya_K_decimal", ["polya", "--poly=0,1", "--K", "1.5"], EXIT_BAD_INPUT),
+    ("levels_exponent", ["levels", "--poly=1e999999,1", "--set=1"], EXIT_BAD_INPUT),
     ("statement41_random_no_trials", ["statement41", "--random"], EXIT_BAD_INPUT),
     ("statement41_no_factors", ["statement41"], EXIT_BAD_INPUT),
     # rejected by the argument parser itself: usage and error on stderr
@@ -228,9 +231,9 @@ def test_cli_census_non_integer_value_exits_1(monkeypatch):
 @pytest.mark.parametrize(
     "argv,digits",
     [
-        (["polya", "--poly=0,1", "--K", "1e5000"], 5000),
-        (["statement41", "--g=0,1e4400", "--h=1,1"], 4400),
-        (["analyze", "--factors=0,1e4400;1,1"], 4400),
+        (["polya", "--poly=0,1", "--K", "1" + "0" * 5000], 5000),
+        (["statement41", f"--g=0,1{'0' * 4400}", "--h=1,1"], 4400),
+        (["analyze", f"--factors=0,1{'0' * 4400};1,1"], 4400),
     ],
     ids=["polya", "statement41", "analyze"],
 )
