@@ -10,7 +10,8 @@ degree-5 pair with six bad points.
 
 All reals are handled as isolated algebraic numbers.  A real where g and
 h both sit at +-1 has f = +-1, so it is never a bad point; every
-bad point therefore carries exactly one tag.
+bad point therefore carries exactly one tag.  Where g = s = +-1, f = 1 only
+where h = s too, so Tarski queries run only where those intervals meet.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import TheoremViolation
-from .poly import RatPolynomial, evaluate, scale_to_integer
-from .roots import IsolatedRoot, _count_roots, _deriv, _isolate, _plus, _primitive, _separate, _sign_at
+from .poly import RatPolynomial, _eval_scaled_frac, evaluate, scale_to_integer
+from .roots import IsolatedRoot, _count_roots, _deriv, _isolate, _plus, _primitive, _separate, _sign, _sign_at
 
 TAG_ORDER = ("g+", "g-", "h+", "h-")
 
@@ -35,19 +36,30 @@ def bad_points(g: RatPolynomial, h: RatPolynomial) -> list[BadPoint]:
     root of g - s (s = +-1), f - 1 = s*h - 1, and symmetrically for h.  A real
     where two of g - 1, g + 1, h - 1, h + 1 vanish has f = +-1 and fails the
     f > 1 filter, so the kept roots are pairwise distinct reals.  g and h are
-    cleared once; every polynomial asked about is an integer list."""
+    cleared once; every polynomial asked about is an integer list.  Each q
+    is +-(the partner unit), g - s with h - s, so its real roots lie in the
+    partner's intervals: at an exact candidate, or one whose closed interval
+    misses them all, q has the sign of q(lo); only the rest take a query."""
     if g.degree < 1 or h.degree < 1:
         raise ValueError("both factors must be nonconstant")
     (cg, dg), (ch, dh) = scale_to_integer(g), scale_to_integer(h)
     g_minus, g_plus, h_minus, h_plus = _plus(cg, -dg), _plus(cg, dg), _plus(ch, -dh), _plus(ch, dh)
     f_minus_1 = (h_minus, [-v for v in h_plus], g_minus, [-v for v in g_plus])
+    isolated = [_isolate(unit) for unit in (g_minus, g_plus, h_minus, h_plus)]
     kept = [
         (root, tag)
-        for tag, unit, q in zip(TAG_ORDER, (g_minus, g_plus, h_minus, h_plus), f_minus_1)
-        for root in _isolate(unit)
-        if _sign_at(q, root) == 1
+        for i, (tag, q) in enumerate(zip(TAG_ORDER, f_minus_1))
+        for root in isolated[i]
+        if _sign_near(q, root, isolated[i ^ 2]) == 1
     ]
     return [BadPoint(root=root, tags=(tag,)) for root, tag in _separate(kept)]
+
+
+def _sign_near(q: list[int], root: IsolatedRoot, partner: list[IsolatedRoot]) -> int:
+    """Sign of q at root, where every real root of q lies in a `partner` interval."""
+    if root.is_exact or all(root.hi < p.lo or p.hi < root.lo for p in partner):
+        return _sign(_eval_scaled_frac(q, root.lo.numerator, root.lo.denominator))
+    return _sign_at(q, root)
 
 
 class Block(NamedTuple):

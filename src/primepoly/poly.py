@@ -36,8 +36,8 @@ class RatPolynomial(tuple):
     the tuple of its coefficients.
 
     Construction converts each coefficient to a `Fraction` (a float raises
-    TypeError) and trims trailing zeros.  The ring operators are redefined
-    on both sides, so `3 * p` is a scalar multiple, not tuple repetition.
+    TypeError) and trims trailing zeros.  `+` and `*` are redefined on both
+    sides, so `3 * p` is a scalar multiple, not tuple repetition.
     """
 
     __slots__ = ()
@@ -68,9 +68,6 @@ class RatPolynomial(tuple):
 
     def __sub__(self, other) -> "RatPolynomial":
         return self + (-_as_poly(other))
-
-    def __rsub__(self, other) -> "RatPolynomial":
-        return _as_poly(other) + (-self)
 
     def __mul__(self, other) -> "RatPolynomial":
         other = _as_poly(other)

@@ -11,9 +11,10 @@ interval, root isolation with on-demand refinement, and two-sided brackets
 for the Lebesgue measure of {x : |p(x)| <= K}; its variations at +-inf come
 from leads and degree parities.  The sign of q at an isolated root of p is
 one Sturm-Tarski query on the isolating interval, not a refinement: the
-Cauchy index of p'q/p, which depends only on p'q mod p.  Each public routine
-clears its `RatPolynomial` and calls a private one on primitive integer lists.
-Signs use `poly`'s one rational Horner; integers, the faster `eval_int_scaled`.
+Cauchy index of p'q/p, which depends only on p'q mod p; `bad_points` asks
+for one only where intervals overlap.  Each public routine clears its
+`RatPolynomial` and calls a private one on primitive integer lists.  Signs
+use `poly`'s one rational Horner; integers, the faster `eval_int_scaled`.
 
 Complete integer solution sets of p(x) = v need no real roots: they come
 from p-adic lifting (Loos, "Computing rational zeros of integral polynomials

@@ -3,8 +3,10 @@
     python tests/byte_sweep.py SRC_ROOT [--exclude NAME ...]
 
 imports `primepoly` from SRC_ROOT/src and runs, in one process through
-`cli.run`, every `CASES` line of tests/test_cli.py and seeds 0-5 of each
-workload of perfbench/workloads.py, each as text and with `--json`.  The
+`cli.run`, every `CASES` line of tests/test_cli.py, seeds 0-5 of each
+workload of perfbench/workloads.py and `PAIRS` `statement41 --g --h` lines
+drawn as `--random` draws its pairs (its report prints only `max_k`, these
+print the bad-point intervals), each as text and with `--json`.  The
 command lines come from the checkout holding this script, so one copy of
 it sweeps two source trees with the same inputs.  It prints the number of
 runs and one sha256 over each run's argv, exit code, stdout and stderr:
@@ -19,11 +21,24 @@ import argparse
 import hashlib
 import importlib.util
 import os
+import random
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(6)
+PAIRS = 100
+
+
+def _statement41_pairs(count: int) -> list[list[str]]:
+    """The first `count` pairs of `statement41 --random --seed 1`, each as
+    its own `--g --h` line, whose report prints the bad-point intervals."""
+    rng, lines = random.Random(1), []
+    for _ in range(count):
+        dg, dh = rng.randint(1, 4), rng.randint(1, 4)
+        g, h = ([rng.randint(-5, 5) for _ in range(d)] + [rng.choice([c for c in range(-5, 6) if c])] for d in (dg, dh))
+        lines.append(["statement41", "--g=" + ",".join(map(str, g)), "--h=" + ",".join(map(str, h))])
+    return lines
 
 
 def _load(name: str, path: Path):
@@ -47,6 +62,7 @@ def main() -> None:
     os.environ["COLUMNS"] = test_cli.COLUMNS
     lines = [argv for name, argv, _ in test_cli.CASES if name not in args.exclude]
     lines += [argv for w in workloads.WORKLOADS for seed in SEEDS for argv in workloads.generate(w, seed)]
+    lines += _statement41_pairs(PAIRS)
     digest, runs = hashlib.sha256(), 0
     for argv in lines:
         for full in (argv, argv + ["--json"]):

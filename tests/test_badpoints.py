@@ -1,3 +1,5 @@
+import contextlib
+import io
 import random
 from fractions import Fraction as F
 
@@ -6,6 +8,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from primepoly import badpoints
 from primepoly.badpoints import (
     _at,
     _positive,
@@ -13,6 +16,7 @@ from primepoly.badpoints import (
     block_report,
     complex_counterexample,
 )
+from primepoly.cli import run
 from primepoly.poly import RatPolynomial, evaluate
 from primepoly.roots import _sign_at, _to_int, isolate_roots
 
@@ -78,12 +82,17 @@ def test_bad_points_separates_overlapping_candidates_with_their_tags():
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2 ** 32), st.sampled_from(["random", "h=g", "h=-g", "h=g+2"]))
+@given(st.integers(0, 2 ** 32), st.sampled_from(["random", "h=g", "h=-g", "h=g+2", "h=2g-1"]))
 def test_bad_points_match_product_filter(seed, shape):
-    # h = g, -g and g + 2 put both factors at +-1 on the same reals
+    # h = g, -g, g + 2 and 1 + 2(g - 1) put both factors at +-1 on the same
+    # reals; with h - 1 = 2(g - 1) every candidate's interval meets its
+    # partner's, so each sign falls back to the Tarski query, and f = 1 there
     rng = random.Random(seed)
     g = random_rat_poly(rng, rng.randint(1, 4), 5)
-    h = {"random": random_rat_poly(rng, rng.randint(1, 4), 5), "h=g": g, "h=-g": -g, "h=g+2": g + 2}[shape]
+    h = {
+        "random": random_rat_poly(rng, rng.randint(1, 4), 5),
+        "h=g": g, "h=-g": -g, "h=g+2": g + 2, "h=2g-1": 2 * g - 1,
+    }[shape]
     got, want = bad_points(g, h), product_bad_points(g, h)
     assert got == want and record_types(got) == record_types(want)
 
@@ -97,6 +106,33 @@ def test_bad_points_match_product_filter_with_denominators():
     for g, h in ((g0, h0), (h0, g0), (g0, -h0), (-g0, h0 * F(3, 2))):
         got, want = bad_points(g, h), product_bad_points(g, h)
         assert got == want and record_types(got) == record_types(want)
+
+
+def test_bad_points_partner_root_at_the_candidate_endpoint():
+    # h - 1 = x - lo has its exact root at the left end lo of sqrt(2)'s
+    # interval, the candidate of g - 1 = x^2 - 2: the closed intervals meet,
+    # so the sign comes from the Tarski query, not from q(lo) = 0
+    g = RatPolynomial([-1, 0, 1])
+    lo = isolate_roots(RatPolynomial([-2, 0, 1]))[1].lo
+    h = RatPolynomial([1 - lo, 1])
+    pts = bad_points(g, h)
+    assert [(p.root.lo, p.root.hi, p.tags) for p in pts] == [(lo, isolate_roots(g - 1)[1].hi, ("g+",))]
+    assert pts == product_bad_points(g, h)
+
+
+def test_bad_points_ask_few_tarski_queries(monkeypatch):
+    # seed 771534 is the statement41 line of the theorem_checks workload at
+    # seed 0; asking every non-exact candidate made 5,219 queries there
+    calls = []
+
+    def counted(cq, r, _original=badpoints._sign_at):
+        calls.append(r)
+        return _original(cq, r)
+
+    monkeypatch.setattr(badpoints, "_sign_at", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["statement41", "--random", "--trials", "1000", "--seed", "771534"]) == 0
+    assert 0 < len(calls) <= 1300
 
 
 def test_bad_points_builds_no_rational_polynomial(monkeypatch):

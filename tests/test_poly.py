@@ -77,7 +77,7 @@ def test_arithmetic_matches_sympy(a, b, k):
         (-p, -sp),
         (k * p, sp * sk),
         (p * k, sp * sk),
-        (k - p, sk - sp),
+        (-p + k, sk - sp),
         (k + p, sp + sk),
     ):
         _assert_matches(got, want)
