@@ -11,7 +11,7 @@ degree-5 pair with six bad points.
 All reals are handled as isolated algebraic numbers.  A real where g and
 h both sit at +-1 has f = +-1, so it is never a bad point; every
 bad point therefore carries exactly one tag.  Where g = s = +-1, f = 1 only
-where h = s too, so Tarski queries run only where those intervals meet.
+where h = s too; Tarski queries run only where g - s and h - s intervals meet.
 """
 
 from __future__ import annotations

@@ -122,7 +122,7 @@ def test_bad_points_partner_root_at_the_candidate_endpoint():
 
 def test_bad_points_ask_few_tarski_queries(monkeypatch):
     # seed 771534 is the statement41 line of the theorem_checks workload at
-    # seed 0; asking every non-exact candidate made 5,219 queries there
+    # seed 0; a query for every candidate's sign made 5,219 calls there
     calls = []
 
     def counted(cq, r, _original=badpoints._sign_at):
