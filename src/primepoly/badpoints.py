@@ -33,24 +33,22 @@ class BadPoint(NamedTuple):
 
 def bad_points(g: RatPolynomial, h: RatPolynomial) -> list[BadPoint]:
     """Ascending bad points of the pair (g, h), with no product formed: at a
-    root of g - s (s = +-1), f - 1 = s*h - 1, and symmetrically for h.  A real
-    where two of g - 1, g + 1, h - 1, h + 1 vanish has f = +-1 and fails the
-    f > 1 filter, so the kept roots are pairwise distinct reals.  g and h are
-    cleared once; every polynomial asked about is an integer list.  Each q
-    is +-(the partner unit), g - s with h - s, so its real roots lie in the
-    partner's intervals: at an exact candidate, or one whose closed interval
-    misses them all, q has the sign of q(lo); only the rest take a query."""
+    root of g - s (s = +-1), f - 1 = s*(h - s), so f > 1 where the partner
+    unit h - s has sign s, and symmetrically for h.  A real where two units
+    vanish has f = +-1, so the kept roots are distinct reals.  g and h are
+    cleared once.  A partner's real roots lie in its own intervals: at an
+    exact candidate, or one whose closed interval misses them all, it has
+    its sign at lo; only the rest take a query."""
     if g.degree < 1 or h.degree < 1:
         raise ValueError("both factors must be nonconstant")
     (cg, dg), (ch, dh) = scale_to_integer(g), scale_to_integer(h)
-    g_minus, g_plus, h_minus, h_plus = _plus(cg, -dg), _plus(cg, dg), _plus(ch, -dh), _plus(ch, dh)
-    f_minus_1 = (h_minus, [-v for v in h_plus], g_minus, [-v for v in g_plus])
-    isolated = [_isolate(unit) for unit in (g_minus, g_plus, h_minus, h_plus)]
+    units = (_plus(cg, -dg), _plus(cg, dg), _plus(ch, -dh), _plus(ch, dh))
+    isolated = [_isolate(unit) for unit in units]
     kept = [
         (root, tag)
-        for i, (tag, q) in enumerate(zip(TAG_ORDER, f_minus_1))
+        for i, tag in enumerate(TAG_ORDER)
         for root in isolated[i]
-        if _sign_near(q, root, isolated[i ^ 2]) == 1
+        if _sign_near(units[i ^ 2], root, isolated[i ^ 2]) == (1, -1)[i % 2]
     ]
     return [BadPoint(root=root, tags=(tag,)) for root, tag in _separate(kept)]
 

@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 from .errors import TheoremViolation
 from .poly import RatPolynomial, eval_int_scaled, is_integer_valued, scale_to_integer
 from .primes import is_prime
-from .roots import _integer_roots, _plus, integer_solutions
+from .roots import integer_solutions
 
 
 class UnitFibers(NamedTuple):
@@ -36,7 +36,7 @@ class UnitFibers(NamedTuple):
 def unit_fibers(g: RatPolynomial) -> UnitFibers:
     """Exact fibers g^-1(+1) and g^-1(-1) over the integers; a constant g
     raises ValueError in `integer_solutions`."""
-    eplus, eminus = tuple(integer_solutions(g, 1)), tuple(integer_solutions(g, -1))
+    eplus, eminus = map(tuple, integer_solutions(g, (1, -1)))
     return UnitFibers(None, eplus, eminus, len(eplus) + len(eminus))
 
 
@@ -121,9 +121,5 @@ def level_census(f: RatPolynomial, S) -> LevelCensus:
         raise ValueError("S must be nonempty")
     if f.degree < 1:
         raise ValueError("f must be nonconstant")
-    c, d = scale_to_integer(f)
-    hits: set[int] = set()
-    for s in targets:
-        hits.update(_integer_roots(_plus(c, -s * d)))
-    witnesses = tuple(sorted(hits))
+    witnesses = tuple(sorted({m for level in integer_solutions(f, targets) for m in level}))
     return LevelCensus(targets, len(witnesses), witnesses)

@@ -342,12 +342,13 @@ def _refine_new(defining: IntCoeffs, lo: int, hi: int, den: int) -> IsolatedRoot
     return IsolatedRoot(defining, Fraction(lo, den), Fraction(hi, den))
 
 
-def integer_solutions(p: RatPolynomial, v: int) -> list[int]:
-    """All integers m with p(m) = v, an integer, ascending (see `_integer_roots`)."""
+def integer_solutions(p: RatPolynomial, values) -> list[list[int]]:
+    """For each integer v in `values`, in order, all integers m with
+    p(m) = v, ascending; p is cleared once (see `_integer_roots`)."""
     if p.degree < 1:
         raise ValueError("p must be nonconstant")
     c, d = scale_to_integer(p)
-    return _integer_roots(_plus(c, -v * d))
+    return [_integer_roots(_plus(c, -v * d)) for v in values]
 
 
 def _integer_roots(c: list[int]) -> list[int]:

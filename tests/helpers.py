@@ -34,7 +34,6 @@ from primepoly.roots import (
     _mul,
     _separate,
     _sign,
-    _sign_at,
     _sturm,
     _to_int,
     _var_at,
@@ -430,13 +429,14 @@ def fraction_solve_constant(digits: int) -> ConstantSolution:
 
 def product_bad_points(g: RatPolynomial, h: RatPolynomial) -> list[BadPoint]:
     """Reference for `bad_points`: keep each root of g -+ 1 and h -+ 1 where
-    the product f = g*h exceeds 1, tested on f - 1 itself."""
+    the product f = g*h exceeds 1, tested on f - 1 itself by the unreduced
+    Tarski query `pq_chain_sign_at`."""
     f_minus_1 = g * h - 1
     kept = [
         (root, tag)
         for tag, poly in zip(TAG_ORDER, (g - 1, g + 1, h - 1, h + 1))
         for root in isolate_roots(poly)
-        if _sign_at(_to_int(f_minus_1), root) == 1
+        if pq_chain_sign_at(_to_int(f_minus_1), root) == 1
     ]
     return [BadPoint(root=root, tags=(tag,)) for root, tag in _separate(kept)]
 
@@ -478,10 +478,9 @@ def brute_search_exceptional(degree: int, coeff_bound: int) -> SearchReport:
             if coeffs[0] % 2 == 0 and sum(coeffs) % 2 == 0:
                 continue
             f = RatPolynomial(coeffs)
-            eplus = integer_solutions(f, 1)
+            eplus, eminus = integer_solutions(f, (1, -1))
             if not eplus:
                 continue  # f = -1 has at most `degree` solutions, so E <= degree
-            eminus = integer_solutions(f, -1)
             E = len(eplus) + len(eminus)
             if E <= degree:
                 continue

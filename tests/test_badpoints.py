@@ -18,9 +18,9 @@ from primepoly.badpoints import (
 )
 from primepoly.cli import run
 from primepoly.poly import RatPolynomial, evaluate
-from primepoly.roots import _sign_at, _to_int, isolate_roots
+from primepoly.roots import _to_int, isolate_roots
 
-from helpers import product_bad_points, random_int_poly, random_rat_poly, record_types
+from helpers import pq_chain_sign_at, product_bad_points, random_int_poly, random_rat_poly, record_types
 
 H2 = RatPolynomial([1, -3, 1])
 
@@ -61,7 +61,7 @@ def test_bad_points_merges_shared_real():
     assert [p.tags for p in pts] == [("g-",)]
     x2_minus_2 = RatPolynomial([-2, 0, 1])
     for p in pts:
-        assert _sign_at(_to_int(x2_minus_2), p.root) != 0   # not at +-sqrt(2)
+        assert pq_chain_sign_at(_to_int(x2_minus_2), p.root) != 0   # not at +-sqrt(2)
         assert len(p.tags) == 1
 
 
@@ -76,7 +76,7 @@ def test_bad_points_separates_overlapping_candidates_with_their_tags():
     assert [p.tags for p in pts] == [("h+",), ("g+",), ("h-",), ("g-",)]
     at = {"g+": g - 1, "g-": g + 1, "h+": h - 1, "h-": h + 1}
     for p in pts:
-        assert _sign_at(_to_int(at[p.tags[0]]), p.root) == 0
+        assert pq_chain_sign_at(_to_int(at[p.tags[0]]), p.root) == 0
     for a, b in zip(pts, pts[1:]):
         assert a.root.hi < b.root.lo
 

@@ -1,13 +1,16 @@
+import importlib.util
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 import sympy
 
 from primepoly import census as census_module
+from primepoly import roots
 from primepoly.census import level_census, prime_census, unit_fibers
 from primepoly.errors import TheoremViolation
-from primepoly.poly import RatPolynomial, evaluate
+from primepoly.poly import RatPolynomial, evaluate, parse_poly
 
 from helpers import random_int_poly
 
@@ -147,3 +150,51 @@ def test_level_census_brute_scan_oracle():
             m for m in range(-500, 501) if int(evaluate(f, m)) in S
         )
         assert tuple(m for m in cen.witnesses if abs(m) <= 500) == expect
+
+
+def _count_preimage_work(monkeypatch) -> tuple[list, list]:
+    """Record each polynomial passed to `census.integer_solutions` and each
+    one `roots` clears with `scale_to_integer`."""
+    calls, cleared = [], []
+    solve, scale = census_module.integer_solutions, roots.scale_to_integer
+
+    def counted_solve(p, values):
+        calls.append(p)
+        return solve(p, values)
+
+    def counted_scale(p):
+        cleared.append(p)
+        return scale(p)
+
+    monkeypatch.setattr(census_module, "integer_solutions", counted_solve)
+    monkeypatch.setattr(roots, "scale_to_integer", counted_scale)
+    return calls, cleared
+
+
+def test_prime_census_solves_each_factor_once(monkeypatch):
+    # x * (1 + 3(x + 3)(x + 1)(x - 1)(x - 3)(x - 5)): both unit fibers of a
+    # factor come from one call, which clears the factor once
+    g = RatPolynomial([1])
+    for a in (-3, -1, 1, 3, 5):
+        g = g * RatPolynomial([-a, 1])
+    factors = [X, 3 * g + 1]
+    calls, cleared = _count_preimage_work(monkeypatch)
+    census = prime_census(factors)
+    assert calls == cleared == factors
+    assert [fib.factor for fib in census.fibers] == [0, 1]
+
+
+def test_level_census_solves_all_targets_in_one_call(monkeypatch):
+    # the first `levels` line of the unit_search benchmark workload at seed 0
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    argv = next(a for a in workloads.generate("unit_search", 0) if a[0] == "levels")
+    f = parse_poly(argv[1].removeprefix("--poly="))
+    targets = [int(v) for v in argv[2].removeprefix("--set=").split(",")]
+    assert len(targets) == 200
+    calls, cleared = _count_preimage_work(monkeypatch)
+    cen = level_census(f, targets)
+    assert calls == cleared == [f]
+    assert cen.count == len(cen.witnesses) > 0

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from primepoly import roots
 from primepoly.constructions import build_n_plus_1, build_p_plus
-from primepoly.poly import RatPolynomial
+from primepoly.poly import RatPolynomial, from_binomial
 from primepoly.roots import (
     IsolatedRoot,
     _chain,
@@ -159,11 +159,12 @@ def test_isolate_roots_matches_fraction_bisection(p, widths):
 
 
 def test_integer_solutions_examples():
-    assert integer_solutions(H2, 1) == [0, 3]
-    assert integer_solutions(H2, -1) == [1, 2]
-    assert integer_solutions(RatPolynomial([0, 0, 1]), 2) == []
-    with pytest.raises(ValueError):
-        integer_solutions(RatPolynomial([5]), 5)
+    assert integer_solutions(H2, [1])[0] == [0, 3]
+    assert integer_solutions(H2, [-1])[0] == [1, 2]
+    assert integer_solutions(RatPolynomial([0, 0, 1]), [2])[0] == []
+    for constant, values in ((5, [5]), (5, []), (0, [0, 1])):
+        with pytest.raises(ValueError):
+            integer_solutions(RatPolynomial([constant]), values)
 
 
 def test_integer_solutions_huge_constant_term():
@@ -171,7 +172,7 @@ def test_integer_solutions_huge_constant_term():
     # term would be hopeless, isolation is not
     a, b = 10 ** 40, -(10 ** 40) - 1
     p = RatPolynomial([-a, 1]) * RatPolynomial([-b, 1])
-    assert integer_solutions(p, 0) == [b, a]
+    assert integer_solutions(p, [0])[0] == [b, a]
 
 
 def test_integer_solutions_against_brute_scan():
@@ -179,7 +180,7 @@ def test_integer_solutions_against_brute_scan():
     for _ in range(60):
         p = random_int_poly(rng, rng.randint(1, 6), 9)
         v = rng.randint(-5, 5)
-        got = integer_solutions(p, v)
+        got = integer_solutions(p, [v])[0]
         assert got == brute_integer_solutions(p, v, 1000)
         assert all(abs(m) <= 1000 for m in got)
 
@@ -232,8 +233,8 @@ def _linear_products(draw):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(_dense_polys(), _linear_products()), st.integers(-3, 3))
 def test_integer_solutions_match_sympy(p, v):
-    assert integer_solutions(p, v) == _sympy_integer_roots(p, v)
-    assert integer_solutions(p + v, v) == _sympy_integer_roots(p, 0)
+    assert integer_solutions(p, [v])[0] == _sympy_integer_roots(p, v)
+    assert integer_solutions(p + v, [v])[0] == _sympy_integer_roots(p, 0)
 
 
 @st.composite
@@ -265,7 +266,7 @@ def test_isolate_roots_from_fujiwara_cells_matches_full_start(p):
 def test_integer_solutions_match_sturm_on_n_plus_1_fibers(n):
     g = build_n_plus_1(n).factors[1]
     for v in (1, -1):
-        assert integer_solutions(g, v) == sturm_integer_solutions(g, v)
+        assert integer_solutions(g, [v])[0] == sturm_integer_solutions(g, v)
 
 
 @pytest.mark.parametrize("build,n", [(build_n_plus_1, 60), (build_p_plus, 40)], ids=["nplus1_60", "pplus_40"])
@@ -280,8 +281,8 @@ def test_square_free_unit_fibers_never_reach_the_chain(build, n, monkeypatch):
     cert = build(n)
     monkeypatch.setattr(roots, "_sturm", no_reduction)
     g = cert.factors[1]
-    assert integer_solutions(g, 1) == sorted(cert.anchors)
-    assert integer_solutions(g, -1) == []
+    assert integer_solutions(g, [1])[0] == sorted(cert.anchors)
+    assert integer_solutions(g, [-1])[0] == []
 
 
 @pytest.mark.parametrize(
@@ -311,7 +312,7 @@ def test_integer_solutions_reduce_once_on_a_repeated_root(p, monkeypatch):
 
     monkeypatch.setattr(roots, "_sturm", counted)
     monkeypatch.setattr(roots, "primes_stream", recorded)
-    assert integer_solutions(p, 0) == _sympy_integer_roots(p, 0)
+    assert integer_solutions(p, [0])[0] == _sympy_integer_roots(p, 0)
     assert len(calls) == 1 and calls[0] <= (p.degree + 1) ** 2
 
 
@@ -340,8 +341,8 @@ def test_integer_solutions_skips_primes_with_colliding_roots():
     # roots 0, 105 and -1/2: 0 and 105 collide mod 3, 5 and 7, so 0 is a
     # multiple root modulo those primes and the lift starts at 11
     p = RatPolynomial([0, 1]) * RatPolynomial([-105, 1]) * RatPolynomial([1, 2])
-    assert integer_solutions(p, 0) == [0, 105] == sturm_integer_solutions(p, 0)
-    assert integer_solutions(power(p, 2) + 1, 1) == [0, 105]
+    assert integer_solutions(p, [0])[0] == [0, 105] == sturm_integer_solutions(p, 0)
+    assert integer_solutions(power(p, 2) + 1, [1])[0] == [0, 105]
 
 
 def test_sign_at_examples():
@@ -509,7 +510,7 @@ def test_integer_solutions_with_repeated_integer_root_match_sympy(seed, z, j, v)
     for _ in range(rng.randint(0, 3)):
         b = b * RatPolynomial([rng.randint(-12, 12), rng.randint(1, 3)])
     p = power(a, rng.randint(1, 3)) * b * power(RatPolynomial([-z, 1]), j) + v
-    assert integer_solutions(p, v) == _sympy_integer_roots(p, v)
+    assert integer_solutions(p, [v])[0] == _sympy_integer_roots(p, v)
 
 
 def test_integer_solutions_first_prime_without_reduction(monkeypatch):
@@ -519,7 +520,7 @@ def test_integer_solutions_first_prime_without_reduction(monkeypatch):
         raise AssertionError("reduced to the square-free part")
 
     monkeypatch.setattr(roots, "_sturm", no_reduction)
-    assert integer_solutions(RatPolynomial([0, 1]) * power(RatPolynomial([1, 0, 1]), 2), 0) == [0]
+    assert integer_solutions(RatPolynomial([0, 1]) * power(RatPolynomial([1, 0, 1]), 2), [0])[0] == [0]
 
 
 def test_sturm_divides_by_a_primitive_gcd():
@@ -616,3 +617,32 @@ def test_integer_roots_match_full_scan_oracle(p):
     c = _to_int(p)
     got, want = _traced(_integer_roots, c), _traced(full_scan_integer_roots, c)
     assert got == want
+
+
+@st.composite
+def _integer_polys(draw):
+    """Degree 1-6, integer coefficients in [-9, 9]."""
+    degree = draw(st.integers(1, 6))
+    lead = draw(st.integers(-9, 9).filter(lambda c: c != 0))
+    return RatPolynomial(draw(st.lists(st.integers(-9, 9), min_size=degree, max_size=degree)) + [lead])
+
+
+@st.composite
+def _binomial_polys(draw):
+    """sum c_k C(x, k) with integer c_k, degree 1-6: integer-valued with
+    rational coefficients, so many integers share a value."""
+    degree = draw(st.integers(1, 6))
+    lead = draw(st.integers(-6, 6).filter(lambda c: c != 0))
+    return from_binomial(draw(st.lists(st.integers(-6, 6), min_size=degree, max_size=degree)) + [lead])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(_integer_polys(), _binomial_polys(), _with_repeated_integer_root()),
+    st.lists(st.integers(-20, 20), max_size=20),
+)
+@example(RatPolynomial([1, -3, 1]), [1, -1, 1, 0, -1])
+@example(from_binomial([0, 0, 0, 0, 1]), [])
+def test_integer_solutions_per_value_match_sturm(p, values):
+    # one clearing of p serves every value, repeats included, in order
+    assert integer_solutions(p, values) == [sturm_integer_solutions(p, v) for v in values]
