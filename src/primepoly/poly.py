@@ -9,8 +9,9 @@ test by the values p(0), ..., p(deg p), and one rational Horner,
 points keep the plain loop `eval_int_scaled`, for the census and integer
 roots: 17 against 24 us at degree 40 (2,400-bit coefficients, 2-vCPU x86_64).
 Every polynomial built from data comes from one Horner loop over linear
-factors, `_nested`: affine substitution, the binomial (falling-factorial)
-basis and Newton interpolation.  Points in a quadratic extension have their
+factors (u + v*x)/w, `_nested`, on integer lists like `_eval_scaled_frac`:
+affine substitution, the binomial (falling-factorial) basis and Newton
+interpolation.  Points in a quadratic extension have their
 own pair-valued Horner, in the complex counterexample (`badpoints._at`).
 """
 
@@ -93,21 +94,26 @@ def _as_poly(x) -> RatPolynomial:
 X = RatPolynomial((0, 1))
 
 
-def _nested(coeffs: Sequence[RationalLike], inners: Sequence[RatPolynomial]) -> RatPolynomial:
-    """c_0 + l_0*(c_1 + l_1*(c_2 + ... + l_(n-1)*c_n)) for linear l_k =
-    inners[k], by one Horner loop: every polynomial built from data."""
-    acc = RatPolynomial(coeffs[-1:])
-    for c, inner in zip(reversed(coeffs[:-1]), reversed(inners)):
-        acc = acc * inner + c
-    return acc
+def _nested(coeffs: Sequence[RationalLike], inners: Sequence[tuple[int, int, int]]) -> RatPolynomial:
+    """c_0 + l_0*(c_1 + l_1*(c_2 + ... + l_(n-1)*c_n)) for l_k = (u + v*x)/w,
+    inners[k] = (u, v, w) integers, w >= 1: every polynomial built from data.
+    With c_k = a_k/D and W_k = w_k...w_(n-1), one Horner loop keeps the
+    integer list S_k = (u_k + v_k*x)*S_(k+1) + a_k*W_k, so p = S_0/(D*W_0)."""
+    a, d = scale_to_integer(coeffs)
+    acc, wk = a[-1:], 1
+    for ak, (u, v, w) in zip(reversed(a[:-1]), reversed(inners)):
+        wk *= w
+        acc = [u * x + v * y for x, y in zip(acc + [0], [0] + acc)]
+        acc[0] += ak * wk
+    return RatPolynomial([Fraction(x, d * wk) for x in acc])
 
 
 def compose_affine(p: RatPolynomial, sigma: int, tau: int, a: int) -> RatPolynomial:
     """sigma * p(tau*x + a), sigma and tau = +-1, a an integer: l_k = tau*x + a."""
-    return sigma * _nested(p, [RatPolynomial((a, tau))] * p.degree)
+    return _nested([sigma * c for c in p], [(a, tau, 1)] * p.degree)
 
 
-def scale_to_integer(p: RatPolynomial) -> tuple[list[int], int]:
+def scale_to_integer(p: Sequence[RationalLike]) -> tuple[list[int], int]:
     """Return (c, d): d is the least common denominator of p's coefficients
     and c the ascending integer coefficients of d*p; ([], 1) for p = 0."""
     d = math.lcm(*(v.denominator for v in p))
@@ -122,8 +128,7 @@ def scale_to_integer(p: RatPolynomial) -> tuple[list[int], int]:
 def from_binomial(coeffs: Sequence[RationalLike]) -> RatPolynomial:
     """The polynomial sum c_k * C(x, k) of ascending coefficients c_k, nested
     by C(x, k+1) = C(x, k) * (x - k)/(k + 1): l_k = (x - k)/(k + 1)."""
-    return _nested(coeffs, [RatPolynomial((Fraction(-k, k + 1), Fraction(1, k + 1)))
-                            for k in range(len(coeffs) - 1)])
+    return _nested(coeffs, [(-k, 1, k + 1) for k in range(len(coeffs) - 1)])
 
 
 def _interpolate(points: Sequence[int], values: Sequence[RationalLike]) -> RatPolynomial:
@@ -133,7 +138,7 @@ def _interpolate(points: Sequence[int], values: Sequence[RationalLike]) -> RatPo
     for j in range(1, len(points)):
         for i in reversed(range(j, len(points))):
             d[i] = (d[i] - d[i - 1]) / (points[i] - points[i - j])
-    return _nested(d, [RatPolynomial((-x, 1)) for x in points[:-1]])
+    return _nested(d, [(-x, 1, 1) for x in points[:-1]])
 
 
 def is_integer_valued(p: RatPolynomial) -> bool:

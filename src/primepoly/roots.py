@@ -29,6 +29,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
+from .errors import TheoremViolation
 from .poly import RatPolynomial, _eval_scaled_frac, eval_int_scaled, evaluate, scale_to_integer
 from .primes import primes_stream
 
@@ -408,9 +409,22 @@ def _sign_at(cq: list[int], r: IsolatedRoot) -> int:
     return _count(_chain(p, [s * v for v in rem]), r.lo, r.hi) if rem else 0
 
 
+def _same_real(a: IsolatedRoot, b: IsolatedRoot) -> bool:
+    """Whether a and b are one real: whether gcd(a.defining, b.defining) has
+    a root in the intersection of their closed intervals.  At a single point
+    it does iff both lists vanish there.  Only an exact entry has a root of
+    its list at an endpoint, so an intersection of positive length holds
+    none at its ends, and a Sturm count of the gcd on it decides."""
+    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+    if lo == hi:
+        return not any(_eval_scaled_frac(e.defining, lo.numerator, lo.denominator) for e in (a, b))
+    return lo < hi and _count(_sturm(_chain(a.defining, b.defining)[-1]), lo, hi) > 0
+
+
 def _separate(entries: list[tuple[IsolatedRoot, object]]) -> list[tuple[IsolatedRoot, object]]:
     """Refine (root, tag) pairs, the roots of distinct reals, until their
-    intervals are pairwise disjoint; ascending, each tag kept with its root."""
+    intervals are pairwise disjoint; ascending, each tag kept with its root.
+    An overlapping pair that is one real raises TheoremViolation."""
 
     def key(e: tuple[IsolatedRoot, object]) -> tuple[Fraction, Fraction]:
         return e[0].lo, e[0].hi
@@ -422,6 +436,8 @@ def _separate(entries: list[tuple[IsolatedRoot, object]]) -> list[tuple[Isolated
         for i in range(len(entries) - 1):
             (a, a_tag), (b, b_tag) = entries[i], entries[i + 1]
             if a.hi >= b.lo:
+                if _same_real(a, b):
+                    raise TheoremViolation(f"{a} and {b} are the same real")
                 entries[i] = a.refine(a.width / 4), a_tag
                 entries[i + 1] = b.refine(b.width / 4), b_tag
                 changed = True

@@ -184,6 +184,15 @@ def three_tier_classify(n: int) -> tuple[str, str]:
     return (STATUS_PROBABLE if bpsw else STATUS_COMPOSITE), "bpsw"
 
 
+def rational_nested(coeffs, inners) -> RatPolynomial:
+    """Reference for `poly._nested`: c_0 + l_0*(c_1 + ... + l_(n-1)*c_n) by
+    one Horner loop on `RatPolynomial`s, each l_k = inners[k] linear."""
+    acc = RatPolynomial(coeffs[-1:])
+    for c, inner in zip(reversed(coeffs[:-1]), reversed(inners)):
+        acc = acc * inner + c
+    return acc
+
+
 def lagrange_interpolate(points, values) -> RatPolynomial:
     """Reference for `poly._interpolate`: the sum over k of
     v_k * prod_(j != k) (x - x_j)/(x_k - x_j)."""

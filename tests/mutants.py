@@ -35,6 +35,8 @@ class Mutant(NamedTuple):
 
 
 _CENSUS, _ROOTS, _BAD = "src/primepoly/census.py", "src/primepoly/roots.py", "src/primepoly/badpoints.py"
+_POLY = "src/primepoly/poly.py"
+_NESTED_TESTS = ("tests/test_poly.py::test_nested_matches_rational_horner",)
 _LEVEL_TESTS = ("tests/test_census.py::test_level_census_examples", "tests/test_census.py::test_level_census_brute_scan_oracle")
 _PRODUCT_FILTER = "tests/test_badpoints.py::test_bad_points_match_product_filter"
 
@@ -56,10 +58,18 @@ MUTANTS = (
     Mutant("_sign_near compares open intervals", _BAD,
            "root.hi < p.lo or p.hi < root.lo", "root.hi <= p.lo or p.hi <= root.lo",
            ("tests/test_badpoints.py::test_bad_points_partner_root_at_the_candidate_endpoint",)),
-    # keeps a real where g - 1 and h - 1 both vanish, twice: _separate loops
+    # keeps a real where g - 1 and h - 1 both vanish, twice: _separate raises
     Mutant("_sign_near evaluates at lo without the disjointness test", _BAD,
            "root.is_exact or all(root.hi < p.lo or p.hi < root.lo for p in partner)", "True",
            ("tests/test_badpoints.py::test_bad_points_merges_shared_real",)),
+    Mutant("_nested drops W_k from a_k*W_k", _POLY,
+           "acc[0] += ak * wk", "acc[0] += ak", _NESTED_TESTS),
+    Mutant("_nested divides by D alone", _POLY,
+           "Fraction(x, d * wk)", "Fraction(x, d)", _NESTED_TESTS),
+    Mutant("_nested swaps u and v", _POLY,
+           "for ak, (u, v, w) in zip", "for ak, (v, u, w) in zip", _NESTED_TESTS),
+    Mutant("compose_affine drops sigma", _POLY,
+           "[sigma * c for c in p]", "list(p)", _NESTED_TESTS),
 )
 
 

@@ -7,9 +7,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primepoly.exceptional import search_exceptional
 from primepoly.poly import (
     RatPolynomial,
     _interpolate,
+    _nested,
     compose_affine,
     evaluate,
     from_binomial,
@@ -18,7 +20,7 @@ from primepoly.poly import (
     scale_to_integer,
 )
 
-from helpers import binomial_coefficients, lagrange_interpolate, random_rat_poly
+from helpers import binomial_coefficients, lagrange_interpolate, random_rat_poly, rational_nested
 
 H2 = RatPolynomial([1, -3, 1])
 
@@ -210,6 +212,36 @@ def test_compose_affine_by_evaluation():
 
 
 _fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+_triples = st.tuples(st.integers(-9, 9), st.integers(-9, 9).filter(bool), st.integers(1, 9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_fractions, max_size=6), st.integers(0, 2), st.integers(-20, 20), st.data())
+def test_nested_matches_rational_horner(coeffs, zeros, a, data):
+    coeffs = coeffs + [F(0)] * zeros
+    n = max(len(coeffs) - 1, 0)
+    inners = data.draw(st.lists(_triples, min_size=n, max_size=n))
+    linear = [RatPolynomial((F(u, w), F(v, w))) for u, v, w in inners]
+    assert _nested(coeffs, inners) == rational_nested(coeffs, linear)
+    p = RatPolynomial(coeffs)
+    for sigma, tau in itertools.product((1, -1), repeat=2):
+        assert compose_affine(p, sigma, tau, a) == sigma * rational_nested(p, [RatPolynomial((a, tau))] * p.degree)
+
+
+def test_builders_do_no_rational_polynomial_arithmetic(monkeypatch):
+    calls = []
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        def counted(*args, _original=getattr(RatPolynomial, name), _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(RatPolynomial, name, counted)
+    assert search_exceptional(3, 5).hit_count > 0
+    assert from_binomial([1, -2, 3, 0, F(1, 2), 5, 7]).degree == 6
+    assert compose_affine(RatPolynomial([F(1, 3), -2, 0, 5]), -1, -1, 4).degree == 3
+    assert calls == []
+    H2 * H2 + 1
+    assert calls == ["__mul__", "__add__"]  # the counter sees the arithmetic
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,5 +1,6 @@
 import math
 import random
+import signal
 from fractions import Fraction as F
 from unittest import mock
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from primepoly import roots
 from primepoly.constructions import build_n_plus_1, build_p_plus
+from primepoly.errors import TheoremViolation
 from primepoly.poly import RatPolynomial, from_binomial
 from primepoly.roots import (
     IsolatedRoot,
@@ -19,6 +21,7 @@ from primepoly.roots import (
     _deriv,
     _fujiwara_bound,
     _integer_roots,
+    _separate,
     _sign_at,
     _sturm,
     _to_int,
@@ -646,3 +649,29 @@ def _binomial_polys(draw):
 def test_integer_solutions_per_value_match_sturm(p, values):
     # one clearing of p serves every value, repeats included, in order
     assert integer_solutions(p, values) == [sturm_integer_solutions(p, v) for v in values]
+
+
+def test_separate_raises_on_one_real_given_twice():
+    def timeout(signum, frame):
+        raise TimeoutError("_separate did not return")
+
+    def positive_below_3(p):
+        return next(r for r in isolate_roots(p) if 0 < r.hi and r.lo < 3)
+
+    sqrt2 = positive_below_3(RatPolynomial([-2, 0, 1]))
+    sqrt2_cubic = positive_below_3(RatPolynomial([10, -2, -5, 1]))  # (x^2 - 2)(x - 5)
+    (half,) = isolate_roots(RatPolynomial([-1, 2]))
+    assert not sqrt2.is_exact and not sqrt2_cubic.is_exact and half.is_exact
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(5)
+    try:
+        for a, b in ((sqrt2, sqrt2), (sqrt2, sqrt2_cubic), (half, half)):
+            with pytest.raises(TheoremViolation):
+                _separate([(a, "a"), (b, "b")])
+        # a distinct real whose interval ends at the exact 1/2 still separates
+        wide = IsolatedRoot(sqrt2.defining, F(1, 2), F(3, 2))
+        out = _separate([(wide, "w"), (half, "h")])
+        assert [tag for _, tag in out] == ["h", "w"] and out[0][0].hi < out[1][0].lo
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
