@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 
 from .census import Census, prime_census
 from .errors import BudgetExhausted, TheoremViolation
-from .poly import X, RatPolynomial, evaluate
+from .poly import X, RatPolynomial, _nested, evaluate
 from .primes import find_multiplier, is_prime, primes_stream
 
 H2 = RatPolynomial([1, -3, 1])  # (x-1)(x-2) - 1, the quadratic with four unit values
@@ -102,10 +102,7 @@ def _multiplier_poly(anchors, points, positive: bool, t_max: int):
         hit = find_multiplier(Ms, positive_required=positive, t_max=t_max)
     except BudgetExhausted as exc:
         raise BudgetExhausted(str(exc), frontier=t_max, anchors=anchors) from None
-    c = [1]  # prod(x - a), ascending integer coefficients
-    for a in anchors:
-        c = [u - a * v for u, v in zip([0] + c, c + [0])]
-    return hit, RatPolynomial([1 + hit.t * c[0]] + [hit.t * v for v in c[1:]])
+    return hit, _nested([1] + [0] * (len(anchors) - 1) + [hit.t], [(-a, 1, 1) for a in anchors])
 
 
 def build_n_plus_1(n: int, t_max: int = 10 ** 6) -> ConstructionCertificate:

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import TheoremViolation
-from .poly import RatPolynomial, _eval_scaled_frac, eval_int_scaled, evaluate, scale_to_integer
+from .poly import RatPolynomial, _eval_scaled_frac, _mul, eval_int_scaled, evaluate, scale_to_integer
 from .primes import primes_stream
 
 IntCoeffs = tuple[int, ...]
@@ -140,14 +140,6 @@ def _count(chain: list[list[int]], lo: Fraction, hi: Fraction) -> int:
     p square-free and neither end a root of p, it is the Tarski query: the
     sum of sign q(x) over the roots x of p in (lo, hi) (Sturm-Tarski)."""
     return _var_at(chain, lo.numerator, lo.denominator) - _var_at(chain, hi.numerator, hi.denominator)
-
-
-def _mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, av in enumerate(a):
-        for j, bv in enumerate(b):
-            out[i + j] += av * bv
-    return out
 
 
 def _exact_div(a: list[int], b: list[int]) -> list[int]:

@@ -12,7 +12,7 @@ from primepoly.badpoints import TAG_ORDER, BadPoint
 from primepoly.bounds import BoundCheck, ConstantSolution, SetPairData, truncate_decimal
 from primepoly.errors import BudgetExhausted, TheoremViolation
 from primepoly.exceptional import _LIST_DATA, ExceptionalHit, SearchReport, equivalent_to_list
-from primepoly.poly import RatPolynomial, _eval_scaled_frac, compose_affine, eval_int_scaled, evaluate
+from primepoly.poly import RatPolynomial, _eval_scaled_frac, _mul, compose_affine, eval_int_scaled, evaluate
 from primepoly.primes import (
     _SMALL_PRIMES,
     STATUS_COMPOSITE,
@@ -31,7 +31,6 @@ from primepoly.roots import (
     _deriv,
     _eval_mod,
     _fujiwara_bound,
-    _mul,
     _separate,
     _sign,
     _sturm,
@@ -182,6 +181,29 @@ def three_tier_classify(n: int) -> tuple[str, str]:
         return STATUS_PRIME, "miller_rabin_det"
     bpsw = strong_probable_prime(n, 2) and math.isqrt(n) ** 2 != n and _strong_lucas_probable_prime(n)
     return (STATUS_PROBABLE if bpsw else STATUS_COMPOSITE), "bpsw"
+
+
+def fraction_mul(p: RatPolynomial, q) -> RatPolynomial:
+    """Reference for `RatPolynomial.__mul__`: the convolution on `Fraction`s,
+    skipping the zero coefficients of p; q may be a rational scalar."""
+    q = q if isinstance(q, RatPolynomial) else RatPolynomial((q,))
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a == 0:
+            continue
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return RatPolynomial(out)
+
+
+def anchor_multiplier_poly(anchors, t: int) -> RatPolynomial:
+    """Reference for the g of `constructions._multiplier_poly`: prod(x - a)
+    multiplied out one anchor at a time on an integer list, then
+    g = 1 + t*prod(x - a)."""
+    c = [1]  # prod(x - a), ascending integer coefficients
+    for a in anchors:
+        c = [u - a * v for u, v in zip([0] + c, c + [0])]
+    return RatPolynomial([1 + t * c[0]] + [t * v for v in c[1:]])
 
 
 def rational_nested(coeffs, inners) -> RatPolynomial:

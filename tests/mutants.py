@@ -35,8 +35,14 @@ class Mutant(NamedTuple):
 
 
 _CENSUS, _ROOTS, _BAD = "src/primepoly/census.py", "src/primepoly/roots.py", "src/primepoly/badpoints.py"
-_POLY = "src/primepoly/poly.py"
+_POLY, _PRIMES = "src/primepoly/poly.py", "src/primepoly/primes.py"
+_CONSTRUCTIONS = "src/primepoly/constructions.py"
 _NESTED_TESTS = ("tests/test_poly.py::test_nested_matches_rational_horner",)
+_MUL_TESTS = ("tests/test_poly.py::test_mul_matches_fraction_convolution",)
+_LUCAS_TESTS = (
+    "tests/test_primes.py::test_lucas_ladder_matches_uv_oracle_below_50000",
+    "tests/test_primes.py::test_lucas_ladder_passes_strong_lucas_pseudoprimes",
+)
 _LEVEL_TESTS = ("tests/test_census.py::test_level_census_examples", "tests/test_census.py::test_level_census_brute_scan_oracle")
 _PRODUCT_FILTER = "tests/test_badpoints.py::test_bad_points_match_product_filter"
 
@@ -70,6 +76,30 @@ MUTANTS = (
            "for ak, (u, v, w) in zip", "for ak, (v, u, w) in zip", _NESTED_TESTS),
     Mutant("compose_affine drops sigma", _POLY,
            "[sigma * c for c in p]", "list(p)", _NESTED_TESTS),
+    Mutant("RatPolynomial.__mul__ divides by da alone", _POLY,
+           "Fraction(v, da * db)", "Fraction(v, da)", _MUL_TESTS),
+    Mutant("_mul assigns instead of accumulating", _POLY,
+           "out[i + j] += av * bv", "out[i + j] = av * bv", _MUL_TESTS),
+    Mutant("_multiplier_poly puts t at the constant end", _CONSTRUCTIONS,
+           "[1] + [0] * (len(anchors) - 1) + [hit.t]", "[hit.t] + [0] * (len(anchors) - 1) + [1]",
+           ("tests/test_constructions.py::test_multiplier_matches_anchor_product_oracle",)),
+    Mutant("the Lucas ladder skips the U_t check", _PRIMES,
+           "if (2 * w - v) % n == 0 or v == 0:", "if v == 0:", _LUCAS_TESTS),
+    Mutant("the Lucas tail loop does not square Q^k", _PRIMES,
+           "qk = qk * qk % n", "qk = qk % n", _LUCAS_TESTS),
+    Mutant("find_multiplier swaps the residues of the two signs", _PRIMES,
+           "(2 * ((-inv - start) % q), 2 * ((inv - start) % q) + 1)",
+           "(2 * ((inv - start) % q), 2 * ((-inv - start) % q) + 1)",
+           ("tests/test_primes.py::test_find_multiplier_matches_unsieved_scan",)),
+    Mutant("_sign_at returns 1 on a zero remainder", _ROOTS,
+           "if rem else 0", "if rem else 1",
+           ("tests/test_roots.py::test_sign_at_matches_pq_chain_oracle",)),
+    Mutant("_eval_scaled_frac never raises dp", _POLY,
+           "dp * den", "dp", ("tests/test_evaluate.py::test_eval_scaled_frac_matches_forked_loop",)),
+    Mutant("_bisect's midpoint is lo + hi + 1", _ROOTS,
+           "mid, den = lo + hi, 2 * den", "mid, den = lo + hi + 1, 2 * den",
+           ("tests/test_roots.py::test_refine_non_dyadic_endpoints_matches_fraction_bisection",
+            "tests/test_roots.py::test_isolate_roots_matches_fraction_bisection")),
 )
 
 

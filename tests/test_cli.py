@@ -77,6 +77,10 @@ CASES = [
     ("polya_integer", ["polya", "--poly=9,1,-6,-9,-6,-4,-3", "--K", "19"], EXIT_OK),
     ("polya_rational", ["polya", "--poly=1/3,0,-7/5,1/9", "--K", "5/2"], EXIT_OK),
     ("polya_double_root", ["polya", "--poly=1,-2,1", "--K", "3"], EXIT_OK),
+    # 10 + x^2 > 1 everywhere: the sublevel set is empty, measure 0/0
+    ("polya_empty_sublevel", ["polya", "--poly=10,0,1", "--K", "1"], EXIT_OK),
+    # K = 10^400 overflows a float, so the bound 4*K^(1/2) takes the overflow path
+    ("polya_bound_overflow", ["polya", "--poly=0,0,1", "--K", "1" + "0" * 400], EXIT_OK),
     ("statement41_quartic", ["statement41", "--g=1,-3,1", "--h=29,-11,1"], EXIT_OK),
     ("statement41_irrational", ["statement41", "--g=-2,-4,3,1", "--h=-3,-2,2"], EXIT_OK),
     ("statement41_shared_units", ["statement41", "--g=-1,0,1", "--h=-1,0,1"], EXIT_OK),

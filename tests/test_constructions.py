@@ -3,7 +3,7 @@ from itertools import islice
 
 import pytest
 
-from primepoly import constructions, primes
+from primepoly import constructions, poly, primes
 from primepoly.census import prime_census
 from primepoly.constructions import (
     ConstructionCertificate,
@@ -18,7 +18,7 @@ from primepoly.errors import BudgetExhausted, TheoremViolation
 from primepoly.poly import RatPolynomial, evaluate
 from primepoly.primes import is_prime, primes_stream
 
-from helpers import record_types
+from helpers import anchor_multiplier_poly, record_types
 
 
 def test_fixed_examples():
@@ -129,6 +129,31 @@ def test_build_p_plus_sandwich():
         assert cert.census.Pplus == n
     with pytest.raises(ValueError):
         build_p_plus(1)
+
+
+@pytest.mark.parametrize("n", range(3, 41))
+def test_multiplier_matches_anchor_product_oracle(n):
+    for cert in (build_n_plus_1(n), build_p_plus(n)):
+        x, g = cert.factors
+        assert x == RatPolynomial([0, 1])
+        assert g == anchor_multiplier_poly(cert.anchors, cert.multiplier_t)
+
+
+def test_constructions_build_through_the_integer_kernels(monkeypatch):
+    calls = []
+    for module, name in ((poly, "_mul"), (constructions, "_nested")):
+        def counted(*args, _original=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    for build, n in ((build_n_plus_1, 12), (build_p_plus, 12), (search_n_plus_2, 6)):
+        calls.clear()
+        cert = build(n)
+        # _multiplier_poly builds g by one _nested call, and _certify
+        # multiplies 1 * f_1 * f_2 through two _mul calls
+        assert calls == ["_nested", "_mul", "_mul"]
+        assert cert.product == math.prod(cert.factors)
 
 
 def test_budget_exhaustion_propagates():

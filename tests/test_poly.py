@@ -20,7 +20,13 @@ from primepoly.poly import (
     scale_to_integer,
 )
 
-from helpers import binomial_coefficients, lagrange_interpolate, random_rat_poly, rational_nested
+from helpers import (
+    binomial_coefficients,
+    fraction_mul,
+    lagrange_interpolate,
+    random_rat_poly,
+    rational_nested,
+)
 
 H2 = RatPolynomial([1, -3, 1])
 
@@ -242,6 +248,26 @@ def test_builders_do_no_rational_polynomial_arithmetic(monkeypatch):
     assert calls == []
     H2 * H2 + 1
     assert calls == ["__mul__", "__add__"]  # the counter sees the arithmetic
+
+
+# zero coefficients drawn often, so the lists include zero polynomials
+_sparse_lists = st.lists(_fractions | st.just(F(0)), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_lists, _sparse_lists, st.integers(-20, 20) | _fractions)
+def test_mul_matches_fraction_convolution(a, b, k):
+    p, q = RatPolynomial(a), RatPolynomial(b)
+    for got, want in (
+        (p * q, fraction_mul(p, q)),
+        (q * p, fraction_mul(p, q)),
+        (k * p, fraction_mul(p, k)),
+        (p * k, fraction_mul(p, k)),
+        (3 * p, fraction_mul(p, 3)),
+        (p * F(1, 2), fraction_mul(p, F(1, 2))),
+    ):
+        assert type(got) is RatPolynomial and all(type(c) is F for c in got)
+        assert got == want
 
 
 @settings(max_examples=200, deadline=None)
