@@ -19,6 +19,10 @@ definition), 2 malformed input, 3 a construction's search budget ran out
 (the report then names the anchors tried and the frontier |t| reached).
 Help (`-h`, with `--json` or not) is outside the report contract: it
 prints the argparse text, not JSON, and exits 0.
+
+`statement41 --random` splits its trials over the CPUs the process may
+use (`_fork_map`); its bytes and exit code do not depend on how many
+there are.
 """
 
 from __future__ import annotations
@@ -102,6 +106,57 @@ def _emit(report: dict, as_json: bool) -> None:
         print(json.dumps(report, indent=2))
     else:
         print("\n".join(_render_text(report)))
+
+
+def _fork_map(func, items: list) -> list:
+    """[func(chunk) for chunk in chunks], `items` cut into one contiguous chunk
+    per CPU this process may run on.  Chunk 0 runs here; each other chunk runs
+    in a forked child that pickles back (True, result) or (False, exception),
+    or here where there is no fork.  The first failing chunk's exception is
+    raised, so a failure is the one a serial loop over `items` meets first.
+    Every child is killed and reaped before this returns or raises."""
+    import os
+    import pickle
+    import signal
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    n = min(cpus, len(items))
+    cuts = [len(items) * i // n for i in range(n + 1)]
+    chunks = [items[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    children = {}  # chunk index -> (pid, read end of its pipe)
+    try:
+        for i in range(1, n):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except (AttributeError, OSError):
+                os.close(read)
+                os.close(write)
+                continue
+            if pid == 0:
+                try:
+                    with open(write, "wb") as pipe:
+                        try:
+                            sent = True, func(chunks[i])
+                        except Exception as exc:
+                            sent = False, exc
+                        pickle.dump(sent, pipe)
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children[i] = pid, open(read, "rb")
+        results = []
+        for i, chunk in enumerate(chunks):
+            ok, value = pickle.load(children[i][1]) if i in children else (True, func(chunk))
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid, pipe in children.values():  # a child that has sent its result is exiting anyway
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +267,13 @@ def _cmd_statement41(args) -> tuple[dict, int]:
             raise ValueError("--random requires --trials and --seed")
         if args.trials < 1:
             raise ValueError("--trials must be at least 1")
-        rng = random.Random(args.seed)
-        max_k = 0
+        rng, pairs = random.Random(args.seed), []
         for _ in range(args.trials):
             dg, dh = rng.randint(1, 4), rng.randint(1, 4)
             gc = [rng.randint(-5, 5) for _ in range(dg)] + [rng.choice([c for c in range(-5, 6) if c])]
             hc = [rng.randint(-5, 5) for _ in range(dh)] + [rng.choice([c for c in range(-5, 6) if c])]
-            rep = block_report(RatPolynomial(gc), RatPolynomial(hc))
-            max_k = max(max_k, rep.k)
+            pairs.append((RatPolynomial(gc), RatPolynomial(hc)))
+        max_k = max(_fork_map(lambda chunk: max(block_report(g, h).k for g, h in chunk), pairs))
         return {
             "trials": args.trials,
             "seed": args.seed,

@@ -7,7 +7,7 @@ import math
 import random
 from fractions import Fraction
 
-from primepoly import roots
+from primepoly import cli, roots
 from primepoly.badpoints import TAG_ORDER, BadPoint
 from primepoly.bounds import BoundCheck, ConstantSolution, SetPairData, truncate_decimal
 from primepoly.errors import BudgetExhausted, TheoremViolation
@@ -470,6 +470,35 @@ def product_bad_points(g: RatPolynomial, h: RatPolynomial) -> list[BadPoint]:
         if pq_chain_sign_at(_to_int(f_minus_1), root) == 1
     ]
     return [BadPoint(root=root, tags=(tag,)) for root, tag in _separate(kept)]
+
+
+def statement41_pairs(seed: int):
+    """The (g, h) pairs of `statement41 --random --seed seed`, in draw order."""
+    rng = random.Random(seed)
+    while True:
+        dg, dh = rng.randint(1, 4), rng.randint(1, 4)
+        gc = [rng.randint(-5, 5) for _ in range(dg)] + [rng.choice([c for c in range(-5, 6) if c])]
+        hc = [rng.randint(-5, 5) for _ in range(dh)] + [rng.choice([c for c in range(-5, 6) if c])]
+        yield RatPolynomial(gc), RatPolynomial(hc)
+
+
+def serial_statement41(args) -> tuple[dict, int]:
+    """Reference handler for `statement41 --random`: one loop in this
+    process that checks each pair before it draws the next, so the first
+    failing trial raises.  It calls `cli.block_report`, looked up at each
+    call, and a test installs it as `cli._cmd_statement41` to get the bytes
+    of the chunked handler from the serial loop."""
+    max_k = 0
+    for g, h in itertools.islice(statement41_pairs(args.seed), args.trials):
+        max_k = max(max_k, cli.block_report(g, h).k)
+    return {
+        "trials": args.trials,
+        "seed": args.seed,
+        "checked": args.trials,
+        "max_k": max_k,
+        "violations": [],
+        "pass": True,
+    }, cli.EXIT_OK
 
 
 def unsieved_find_multiplier(Ms, positive_required: bool, t_max: int) -> ProgressionHit:

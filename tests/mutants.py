@@ -16,7 +16,9 @@ tests are first run on an unmutated copy, which they must pass.  It exits
 from __future__ import annotations
 
 import argparse
+import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -36,7 +38,7 @@ class Mutant(NamedTuple):
 
 _CENSUS, _ROOTS, _BAD = "src/primepoly/census.py", "src/primepoly/roots.py", "src/primepoly/badpoints.py"
 _POLY, _PRIMES = "src/primepoly/poly.py", "src/primepoly/primes.py"
-_CONSTRUCTIONS = "src/primepoly/constructions.py"
+_CONSTRUCTIONS, _CLI = "src/primepoly/constructions.py", "src/primepoly/cli.py"
 _NESTED_TESTS = ("tests/test_poly.py::test_nested_matches_rational_horner",)
 _MUL_TESTS = ("tests/test_poly.py::test_mul_matches_fraction_convolution",)
 _LUCAS_TESTS = (
@@ -45,6 +47,13 @@ _LUCAS_TESTS = (
 )
 _LEVEL_TESTS = ("tests/test_census.py::test_level_census_examples", "tests/test_census.py::test_level_census_brute_scan_oracle")
 _PRODUCT_FILTER = "tests/test_badpoints.py::test_bad_points_match_product_filter"
+_ISOLATE_TESTS = (
+    "tests/test_roots.py::test_isolate_roots_matches_fraction_bisection",
+    "tests/test_roots.py::test_isolate_roots_from_fujiwara_cells_matches_full_start",
+)
+_FULL_SCAN = ("tests/test_roots.py::test_integer_roots_match_full_scan_oracle",)
+_CHUNKS = "tests/test_fork_map.py::test_statement41_random_chunks_match_the_serial_loop"
+_FIRST_FAILING = "tests/test_fork_map.py::test_statement41_random_reports_the_first_failing_trial"
 
 MUTANTS = (
     Mutant("level_census keeps only the first target's roots", _CENSUS,
@@ -100,6 +109,23 @@ MUTANTS = (
            "mid, den = lo + hi, 2 * den", "mid, den = lo + hi + 1, 2 * den",
            ("tests/test_roots.py::test_refine_non_dyadic_endpoints_matches_fraction_bisection",
             "tests/test_roots.py::test_isolate_roots_matches_fraction_bisection")),
+    Mutant("_isolate's midpoint is lo + hi + 1", _ROOTS,
+           "mid = lo + hi\n", "mid = lo + hi + 1\n", _ISOLATE_TESTS),
+    Mutant("_integer_roots charges the budget per residue scanned", _ROOTS,
+           "budget -= q", "budget -= r + 1", _FULL_SCAN),
+    Mutant("_integer_roots starts with a budget of len(c) ** 3", _ROOTS,
+           "_deriv(c), len(c) ** 2", "_deriv(c), len(c) ** 3", _FULL_SCAN),
+    Mutant("find_multiplier swaps the flag-to-t map of the two signs", _PRIMES,
+           "t = -start - k // 2 if k % 2 else start + k // 2", "t = start + k // 2 if k % 2 else -start - k // 2",
+           ("tests/test_primes.py::test_find_multiplier_matches_unsieved_scan",)),
+    Mutant("statement41 --random keeps only chunk 0's max", _CLI,
+           "max(_fork_map(lambda chunk: max(block_report(g, h).k for g, h in chunk), pairs))",
+           "_fork_map(lambda chunk: max(block_report(g, h).k for g, h in chunk), pairs)[0]", (_CHUNKS,)),
+    Mutant("_fork_map raises the last failing chunk's exception", _CLI,
+           "for i, chunk in enumerate(chunks):", "for i, chunk in reversed(list(enumerate(chunks))):",
+           (_FIRST_FAILING,)),
+    Mutant("_fork_map's chunk bounds drop the last item", _CLI,
+           "cuts = [len(items) * i // n", "cuts = [(len(items) - 1) * i // n", (_CHUNKS, _FIRST_FAILING)),
 )
 
 
@@ -113,11 +139,14 @@ def _copy_tree(dest: Path) -> None:
 def _run_tests(tree: Path, tests: tuple[str, ...], timeout: float) -> str:
     """`passed`, `failed` or `timeout` for pytest over `tests` in `tree`."""
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
-    try:
-        done = subprocess.run(command, cwd=tree, capture_output=True, timeout=timeout)
-    except subprocess.TimeoutExpired:
-        return "timeout"
-    return "passed" if done.returncode == 0 else "failed"
+    # its own session, so a timeout kills every process the run forked too
+    with subprocess.Popen(command, cwd=tree, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                          start_new_session=True) as run:
+        try:
+            return "passed" if run.wait(timeout=timeout) == 0 else "failed"
+        except subprocess.TimeoutExpired:
+            os.killpg(run.pid, signal.SIGKILL)
+            return "timeout"
 
 
 def check(mutant: Mutant, timeout: float) -> str:

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import os
 import random
 from fractions import Fraction as F
 
@@ -122,7 +123,9 @@ def test_bad_points_partner_root_at_the_candidate_endpoint():
 
 def test_bad_points_ask_few_tarski_queries(monkeypatch):
     # seed 771534 is the statement41 line of the theorem_checks workload at
-    # seed 0; a query for every candidate's sign made 5,219 calls there
+    # seed 0; a query for every candidate's sign made 5,219 calls there.
+    # One CPU keeps all 1,000 pairs in this process, where the count sees them
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     calls = []
 
     def counted(cq, r, _original=badpoints._sign_at):
