@@ -5,7 +5,8 @@
 For each mutant in `MUTANTS` (or each one named) it copies `src/`,
 `tests/`, `perfbench/` and `pyproject.toml` to a temporary directory,
 replaces one text that must occur exactly once in one source file, runs
-the mutant's tests there with pytest under the timeout, and prints one of
+the mutant's tests there with pytest under the timeout (in a session of
+their own, so a timeout kills every process the run forked), and prints one of
 `caught` (a test failed), `caught (timeout)` (the tests did not finish:
 the mutant hangs), `survived` (every test passed) or `stale` (the text no
 longer occurs exactly once, so the mutant needs rewriting).  The named
@@ -139,7 +140,6 @@ def _copy_tree(dest: Path) -> None:
 def _run_tests(tree: Path, tests: tuple[str, ...], timeout: float) -> str:
     """`passed`, `failed` or `timeout` for pytest over `tests` in `tree`."""
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
-    # its own session, so a timeout kills every process the run forked too
     with subprocess.Popen(command, cwd=tree, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
                           start_new_session=True) as run:
         try:
