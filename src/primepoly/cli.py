@@ -21,8 +21,9 @@ Help (`-h`, with `--json` or not) is outside the report contract: it
 prints the argparse text, not JSON, and exits 0.
 
 `statement41 --random` splits its trials over the CPUs the process may
-use (`_fork_map`); its bytes and exit code do not depend on how many
-there are.
+use (`_fork_map`).  A chunk whose child sends nothing back runs here, and
+`block_report` is deterministic, so the bytes and exit code depend neither
+on how many CPUs there are nor on whether a child dies.
 """
 
 from __future__ import annotations
@@ -110,10 +111,10 @@ def _emit(report: dict, as_json: bool) -> None:
 
 def _fork_map(func, items: list) -> list:
     """[func(chunk) for chunk in chunks], `items` cut into one contiguous chunk
-    per CPU this process may run on.  Chunk 0 runs here; each other chunk runs
-    in a forked child that pickles back (True, result) or (False, exception),
-    or here where there is no fork.  The first failing chunk's exception is
-    raised, so a failure is the one a serial loop over `items` meets first.
+    per CPU this process may run on; `func` must be deterministic.  Chunk 0
+    runs here, each other chunk in a forked child that pickles back its result.
+    A chunk that sends nothing (its `func` raised, its child died, or there is
+    no fork) runs here, so a failure is the one a serial loop meets first.
     Every child is killed and reaped before this returns or raises."""
     import os
     import pickle
@@ -121,8 +122,7 @@ def _fork_map(func, items: list) -> list:
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     n = min(cpus, len(items))
-    cuts = [len(items) * i // n for i in range(n + 1)]
-    chunks = [items[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    chunks = [items[len(items) * i // n:len(items) * (i + 1) // n] for i in range(n)]
     children = {}  # chunk index -> (pid, read end of its pipe)
     try:
         for i in range(1, n):
@@ -136,21 +136,15 @@ def _fork_map(func, items: list) -> list:
             if pid == 0:
                 try:
                     with open(write, "wb") as pipe:
-                        try:
-                            sent = True, func(chunks[i])
-                        except Exception as exc:
-                            sent = False, exc
-                        pickle.dump(sent, pipe)
+                        pipe.write(pickle.dumps(func(chunks[i])))
                 finally:
                     os._exit(0)
             os.close(write)
             children[i] = pid, open(read, "rb")
         results = []
         for i, chunk in enumerate(chunks):
-            ok, value = pickle.load(children[i][1]) if i in children else (True, func(chunk))
-            if not ok:
-                raise value
-            results.append(value)
+            data = children[i][1].read() if i in children else b""
+            results.append(pickle.loads(data) if data else func(chunk))
         return results
     finally:
         for pid, pipe in children.values():  # a child that has sent its result is exiting anyway

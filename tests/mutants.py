@@ -40,7 +40,10 @@ class Mutant(NamedTuple):
 _CENSUS, _ROOTS, _BAD = "src/primepoly/census.py", "src/primepoly/roots.py", "src/primepoly/badpoints.py"
 _POLY, _PRIMES = "src/primepoly/poly.py", "src/primepoly/primes.py"
 _CONSTRUCTIONS, _CLI = "src/primepoly/constructions.py", "src/primepoly/cli.py"
-_NESTED_TESTS = ("tests/test_poly.py::test_nested_matches_rational_horner",)
+_BOUNDS, _EXCEPTIONAL = "src/primepoly/bounds.py", "src/primepoly/exceptional.py"
+# the fixed examples first: pytest runs with -x, and the property test can
+# spend most of a timeout shrinking its first failure
+_NESTED_TESTS = ("tests/test_poly.py::test_nested_examples", "tests/test_poly.py::test_nested_matches_rational_horner")
 _MUL_TESTS = ("tests/test_poly.py::test_mul_matches_fraction_convolution",)
 _LUCAS_TESTS = (
     "tests/test_primes.py::test_lucas_ladder_matches_uv_oracle_below_50000",
@@ -55,6 +58,8 @@ _ISOLATE_TESTS = (
 _FULL_SCAN = ("tests/test_roots.py::test_integer_roots_match_full_scan_oracle",)
 _CHUNKS = "tests/test_fork_map.py::test_statement41_random_chunks_match_the_serial_loop"
 _FIRST_FAILING = "tests/test_fork_map.py::test_statement41_random_reports_the_first_failing_trial"
+_KILLED_CHILD = "tests/test_fork_map.py::test_statement41_random_runs_a_killed_childs_chunk_here"
+_GOLDEN_ANALYZE = "tests/test_cli.py::test_cli_golden[text-analyze]", "tests/test_cli.py::test_cli_golden[json-analyze]"
 
 MUTANTS = (
     Mutant("level_census keeps only the first target's roots", _CENSUS,
@@ -126,7 +131,28 @@ MUTANTS = (
            "for i, chunk in enumerate(chunks):", "for i, chunk in reversed(list(enumerate(chunks))):",
            (_FIRST_FAILING,)),
     Mutant("_fork_map's chunk bounds drop the last item", _CLI,
-           "cuts = [len(items) * i // n", "cuts = [(len(items) - 1) * i // n", (_CHUNKS, _FIRST_FAILING)),
+           "len(items) * (i + 1) // n]", "(len(items) - 1) * (i + 1) // n]", (_CHUNKS, _FIRST_FAILING)),
+    Mutant("a chunk that sends nothing is dropped, not run here", _CLI,
+           "results.append(pickle.loads(data) if data else func(chunk))",
+           "results += [pickle.loads(data)] if data else [] if i in children else [func(chunk)]",
+           (_FIRST_FAILING, _KILLED_CHILD)),
+    Mutant("_var_coeffs reads V(+-inf) without the degree parity", _ROOTS,
+           "s ** (len(e) - 1)", "s", ("tests/test_roots.py::test_isolate_roots_examples",)),
+    Mutant("_integer_roots' residue scan skips the c' check", _ROOTS,
+           "if _eval_mod(dc, r, q) == 0:", "if False:", ("tests/test_roots.py::test_integer_solutions_examples",)),
+    Mutant("factorial_lower_bound raises the factorial product to q", _BOUNDS,
+           "_factorial_product(2 * k - 1) ** p", "_factorial_product(2 * k - 1) ** q",
+           ("tests/test_bounds.py::test_factorial_bound_examples",
+            "tests/test_bounds.py::test_unbalanced_factorial_bound_examples")),
+    Mutant("search_exceptional's window is {0, 1, 2}", _EXCEPTIONAL,
+           "itertools.combinations(range(1, 5), degree)", "itertools.combinations(range(1, 3), degree)",
+           ("tests/test_exceptional.py::test_search_is_complete_for_list_equivalents",)),
+    Mutant("prime_census counts unit factors by v == 1", _CENSUS,
+           "abs(v) == 1", "v == 1", ("tests/test_census.py::test_witness_certificate_fields",)),
+    Mutant("_report leaves a value key a number", _CLI,
+           'str(v) if key == "value" else _report(v)', "_report(v)", _GOLDEN_ANALYZE),
+    Mutant("_render_text indents by one space", _CLI,
+           'pad = "  " * indent', 'pad = " " * indent', _GOLDEN_ANALYZE),
 )
 
 

@@ -1,8 +1,8 @@
 """`statement41 --random` runs its trials in contiguous chunks, one per CPU
 the process may use (`cli._fork_map`).  Its bytes, exit code and stderr
 equal those of the serial loop for any number of chunks, the first
-failing trial in serial order is the one reported, and no child process
-outlives `cli.run`.
+failing trial in serial order is the one reported, a chunk whose child
+dies runs in the calling process, and no child process outlives `cli.run`.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import contextlib
 import io
 import itertools
 import os
+import signal
 import time
 
 import pytest
@@ -156,4 +157,25 @@ def test_statement41_random_kills_its_children_when_this_process_fails(raised, m
     else:
         assert _capture(_argv(300, 0)) == (EXIT_VIOLATION, "", "THEOREM VIOLATION: injected in chunk 0\n")
     assert time.monotonic() - start < 30
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 4])
+def test_statement41_random_runs_a_killed_childs_chunk_here(cpus, monkeypatch):
+    # every child kills itself before it sends a result, so this process
+    # checks every pair, in serial order
+    _pin_cpus(monkeypatch, cpus)
+    parent, real, seen = os.getpid(), cli.block_report, []
+
+    def block_report(g, h):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        seen.append((g, h))
+        return real(g, h)
+
+    monkeypatch.setattr(cli, "block_report", block_report)
+    got = _capture(_argv(200, 1))
+    assert got[0] == EXIT_OK
+    assert seen == list(itertools.islice(statement41_pairs(1), 200))
+    assert got == _serial_capture(_argv(200, 1), monkeypatch)
     _assert_no_children()

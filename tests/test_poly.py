@@ -217,6 +217,13 @@ def test_compose_affine_by_evaluation():
             assert all(evaluate(q, m) == sigma * evaluate(p, tau * m + a) for m in range(-5, 6))
 
 
+def test_nested_examples():
+    # (u + v*x)/w with u, v and w distinct, so a swapped or dropped part shows
+    assert _nested([0, 1], [(1, 2, 1)]) == RatPolynomial([1, 2])
+    assert _nested([F(1, 2), 1], [(1, 2, 3)]) == RatPolynomial([F(5, 6), F(2, 3)])
+    assert compose_affine(RatPolynomial([0, 1]), -1, 1, 2) == RatPolynomial([-2, -1])
+
+
 _fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 _triples = st.tuples(st.integers(-9, 9), st.integers(-9, 9).filter(bool), st.integers(1, 9))
 
