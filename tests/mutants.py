@@ -59,7 +59,7 @@ _FULL_SCAN = ("tests/test_roots.py::test_integer_roots_match_full_scan_oracle",)
 _CHUNKS = "tests/test_fork_map.py::test_statement41_random_chunks_match_the_serial_loop"
 _FIRST_FAILING = "tests/test_fork_map.py::test_statement41_random_reports_the_first_failing_trial"
 _KILLED_CHILD = "tests/test_fork_map.py::test_statement41_random_runs_a_killed_childs_chunk_here"
-_GOLDEN_ANALYZE = "tests/test_cli.py::test_cli_golden[text-analyze]", "tests/test_cli.py::test_cli_golden[json-analyze]"
+_GOLDEN_ANALYZE = ("tests/test_cli.py::test_cli_golden[text-analyze]", "tests/test_cli.py::test_cli_golden[json-analyze]")
 
 MUTANTS = (
     Mutant("level_census keeps only the first target's roots", _CENSUS,
