@@ -21,9 +21,9 @@ Help (`-h`, with `--json` or not) is outside the report contract: it
 prints the argparse text, not JSON, and exits 0.
 
 `statement41 --random` splits its trials over the CPUs the process may
-use (`_fork_map`).  A chunk whose child sends nothing back runs here, and
-`block_report` is deterministic, so the bytes and exit code depend neither
-on how many CPUs there are nor on whether a child dies.
+use (`forkmap.fork_map`).  A chunk whose child sends nothing back runs
+here, and `block_report` is deterministic, so the bytes and exit code
+depend neither on how many CPUs there are nor on whether a child dies.
 """
 
 from __future__ import annotations
@@ -107,50 +107,6 @@ def _emit(report: dict, as_json: bool) -> None:
         print(json.dumps(report, indent=2))
     else:
         print("\n".join(_render_text(report)))
-
-
-def _fork_map(func, items: list) -> list:
-    """[func(chunk) for chunk in chunks], `items` cut into one contiguous chunk
-    per CPU this process may run on; `func` must be deterministic.  Chunk 0
-    runs here, each other chunk in a forked child that pickles back its result.
-    A chunk that sends nothing (its `func` raised, its child died, or there is
-    no fork) runs here, so a failure is the one a serial loop meets first.
-    Every child is killed and reaped before this returns or raises."""
-    import os
-    import pickle
-    import signal
-
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    n = min(cpus, len(items))
-    chunks = [items[len(items) * i // n:len(items) * (i + 1) // n] for i in range(n)]
-    children = {}  # chunk index -> (pid, read end of its pipe)
-    try:
-        for i in range(1, n):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except (AttributeError, OSError):
-                os.close(read)
-                os.close(write)
-                continue
-            if pid == 0:
-                try:
-                    with open(write, "wb") as pipe:
-                        pipe.write(pickle.dumps(func(chunks[i])))
-                finally:
-                    os._exit(0)
-            os.close(write)
-            children[i] = pid, open(read, "rb")
-        results = []
-        for i, chunk in enumerate(chunks):
-            data = children[i][1].read() if i in children else b""
-            results.append(pickle.loads(data) if data else func(chunk))
-        return results
-    finally:
-        for pid, pipe in children.values():  # a child that has sent its result is exiting anyway
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +223,9 @@ def _cmd_statement41(args) -> tuple[dict, int]:
             gc = [rng.randint(-5, 5) for _ in range(dg)] + [rng.choice([c for c in range(-5, 6) if c])]
             hc = [rng.randint(-5, 5) for _ in range(dh)] + [rng.choice([c for c in range(-5, 6) if c])]
             pairs.append((RatPolynomial(gc), RatPolynomial(hc)))
-        max_k = max(_fork_map(lambda chunk: max(block_report(g, h).k for g, h in chunk), pairs))
+        from .forkmap import fork_map
+
+        max_k = max(fork_map(lambda chunk: max(block_report(g, h).k for g, h in chunk), pairs))
         return {
             "trials": args.trials,
             "seed": args.seed,

@@ -16,7 +16,9 @@ sieves deeper, because the screens a sieving prime saves grow with the
 window's survivors while its cost per window stays fixed.  A survivor's
 values then pass one strong base-2 test each before any of them gets a
 full verdict: every prime passes it, so no hit is lost, and a hit's
-verdicts come from `is_prime`.
+verdicts come from `is_prime`.  From the third window on, the survivors
+are screened on every CPU (`forkmap.fork_map`); the hit is the first in
+scan order, so the result does not depend on the number of CPUs.
 
 The small primes come from one sieve of Eratosthenes at import
 (`_SIEVE_PRIMES`); `primes_stream` yields from that table and, past its
@@ -205,12 +207,13 @@ def find_multiplier(Ms, positive_required: bool, t_max: int) -> ProgressionHit:
     The windows are 256, 2,048, 16,384 and then 32,768 values long, and a
     window of n values sieves with the primes below 5n/8 (160 up to
     20,480).  A screen is one modular exponentiation on a 150-250-bit
-    value, 60-150 us on a 2-vCPU x86 machine with Python 3.11, while one
-    more sieving prime q costs each window two slice assignments, about
-    3 us, and each call one `pow(M, -1, q)` per M, about 1 us.  Among the
-    S survivors of a window, q clears about S/q per M, so it pays for
-    itself while S/q is above a few hundredths: depth pays in proportion
-    to S, and S grows with the window's length, so the bound does too.
+    value, 40-100 us on a 2-vCPU x86 machine with Python 3.11, while one
+    more sieving prime q costs, per M, each window two slice assignments
+    from one zero buffer, about 1 us, and each call one `pow(M, -1, q)`,
+    about 1 us.  Among the S survivors of a window, q clears about S/q
+    per M, so it pays for itself while S/q is above a few hundredths:
+    depth pays in proportion to S, and S grows with the window's length,
+    so the bound does too.
     The short first window keeps a scan that hits early (the `nplus1` and
     `pplus` scans of n <= 40 end at |t| <= 53) as cheap as it can be; the
     long ones serve the n+2 scans, which run to |t| in the tens of
@@ -225,12 +228,40 @@ def find_multiplier(Ms, positive_required: bool, t_max: int) -> ProgressionHit:
     caught by `is_prime`, whose verdicts make up the hit.  Most t have a
     composite next to a prime, so the Lucas part of BPSW runs on little
     more than the hit's own values.
+
+    From the third window on (16,384 values and more), the survivors are
+    cut into one contiguous chunk per CPU (`forkmap.fork_map`): chunk 0 is
+    screened here and each other chunk in a forked child, which sends back
+    the t of its first hit or None.  The first hit in scan order is chunk
+    0's, or else the earliest later chunk's, so t, its verdicts and every
+    run-out are those of the serial scan on any number of CPUs.  A hit
+    screened here keeps its verdicts; a child's t gets `is_prime` here.
+    The first two windows stay in this process: the `nplus1` and `pplus`
+    scans of n <= 40 end there, and their few hundred survivors do not pay
+    for a fork (about 3 ms for two chunks, some 60-100 screens).
     """
     Ms = tuple(Ms)
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
+    found = {}  # t -> verdicts, for each hit screened in this process
+
+    def screen(ks):
+        """t of the first hit among the window's survivor flags ks, or None."""
+        for k in ks:
+            t = -start - k // 2 if k % 2 else start + k // 2
+            values = [1 + t * M for M in Ms]
+            if positive_required and min(values) <= 0:
+                continue
+            if not all(abs(v) >= 2 and _strong_probable_prime(abs(v)) for v in values):
+                continue
+            verdicts = tuple(map(is_prime, values))
+            if all(v.is_prime for v in verdicts):
+                found[t] = verdicts
+                return t
+        return None
+
     residues, depth = [], 0  # the sieve so far: the first `depth` of _SIEVE_PRIMES
-    for start, n, bound in _windows(t_max):
+    for window, (start, n, bound) in enumerate(_windows(t_max)):
         added = _SIEVE_PRIMES[depth : bisect_left(_SIEVE_PRIMES, bound)]
         depth += len(added)
         residues += [
@@ -240,19 +271,22 @@ def find_multiplier(Ms, positive_required: bool, t_max: int) -> ProgressionHit:
             if q < abs(M) - 1 and M % q
         ]
         flags = bytearray([1]) * (2 * n)  # flag 2i: t = start + i; flag 2i + 1: t = -start - i
-        for q, inv in residues:
-            for k in (2 * ((-inv - start) % q), 2 * ((inv - start) % q) + 1):
-                flags[k :: 2 * q] = bytes(len(range(k, 2 * n, 2 * q)))
-        for k in compress(range(2 * n), flags):
-            t = -start - k // 2 if k % 2 else start + k // 2
-            values = [1 + t * M for M in Ms]
-            if positive_required and min(values) <= 0:
-                continue
-            if not all(abs(v) >= 2 and _strong_probable_prime(abs(v)) for v in values):
-                continue
-            verdicts = tuple(map(is_prime, values))
-            if all(v.is_prime for v in verdicts):
-                return ProgressionHit(t, verdicts)
+        zero, last = bytes(2 * n), 2 * n - 1
+        for q, inv in residues:  # each k < 2q, so no count below is negative
+            step = 2 * q
+            k = 2 * ((-inv - start) % q)
+            flags[k::step] = zero[: (last - k) // step + 1]
+            k = 2 * ((inv - start) % q) + 1
+            flags[k::step] = zero[: (last - k) // step + 1]
+        survivors = compress(range(2 * n), flags)
+        if window < 2:
+            t = screen(survivors)
+        else:
+            from .forkmap import fork_map
+
+            t = next(filter(None, fork_map(screen, list(survivors))), None)  # the earliest chunk's hit (t != 0)
+        if t is not None:
+            return ProgressionHit(t, found.get(t) or tuple(map(is_prime, [1 + t * M for M in Ms])))
     raise BudgetExhausted(
         f"no multiplier with |t| <= {t_max} makes 1 + t*{' and 1 + t*'.join(map(str, Ms))} prime",
         frontier=t_max,

@@ -39,7 +39,7 @@ class Mutant(NamedTuple):
 
 _CENSUS, _ROOTS, _BAD = "src/primepoly/census.py", "src/primepoly/roots.py", "src/primepoly/badpoints.py"
 _POLY, _PRIMES = "src/primepoly/poly.py", "src/primepoly/primes.py"
-_CONSTRUCTIONS, _CLI = "src/primepoly/constructions.py", "src/primepoly/cli.py"
+_CONSTRUCTIONS, _CLI, _FORKMAP = "src/primepoly/constructions.py", "src/primepoly/cli.py", "src/primepoly/forkmap.py"
 _BOUNDS, _EXCEPTIONAL = "src/primepoly/bounds.py", "src/primepoly/exceptional.py"
 # the fixed examples first: pytest runs with -x, and the property test can
 # spend most of a timeout shrinking its first failure
@@ -59,6 +59,8 @@ _FULL_SCAN = ("tests/test_roots.py::test_integer_roots_match_full_scan_oracle",)
 _CHUNKS = "tests/test_fork_map.py::test_statement41_random_chunks_match_the_serial_loop"
 _FIRST_FAILING = "tests/test_fork_map.py::test_statement41_random_reports_the_first_failing_trial"
 _KILLED_CHILD = "tests/test_fork_map.py::test_statement41_random_runs_a_killed_childs_chunk_here"
+_CHUNK_0_WINS = "tests/test_fork_map.py::test_find_multiplier_takes_chunk_0s_hit_over_a_later_chunks"
+_LATER_CHUNK = "tests/test_fork_map.py::test_find_multiplier_takes_the_earliest_later_chunks_hit"
 _GOLDEN_ANALYZE = ("tests/test_cli.py::test_cli_golden[text-analyze]", "tests/test_cli.py::test_cli_golden[json-analyze]")
 
 MUTANTS = (
@@ -103,8 +105,10 @@ MUTANTS = (
     Mutant("the Lucas tail loop does not square Q^k", _PRIMES,
            "qk = qk * qk % n", "qk = qk % n", _LUCAS_TESTS),
     Mutant("find_multiplier swaps the residues of the two signs", _PRIMES,
-           "(2 * ((-inv - start) % q), 2 * ((inv - start) % q) + 1)",
-           "(2 * ((inv - start) % q), 2 * ((-inv - start) % q) + 1)",
+           "((-inv - start) % q)\n            flags[k::step] = zero[: (last - k) // step + 1]\n"
+           "            k = 2 * ((inv - start)",
+           "((inv - start) % q)\n            flags[k::step] = zero[: (last - k) // step + 1]\n"
+           "            k = 2 * ((-inv - start)",
            ("tests/test_primes.py::test_find_multiplier_matches_unsieved_scan",)),
     Mutant("_sign_at returns 1 on a zero remainder", _ROOTS,
            "if rem else 0", "if rem else 1",
@@ -125,17 +129,23 @@ MUTANTS = (
            "t = -start - k // 2 if k % 2 else start + k // 2", "t = start + k // 2 if k % 2 else -start - k // 2",
            ("tests/test_primes.py::test_find_multiplier_matches_unsieved_scan",)),
     Mutant("statement41 --random keeps only chunk 0's max", _CLI,
-           "max(_fork_map(lambda chunk: max(block_report(g, h).k for g, h in chunk), pairs))",
-           "_fork_map(lambda chunk: max(block_report(g, h).k for g, h in chunk), pairs)[0]", (_CHUNKS,)),
-    Mutant("_fork_map raises the last failing chunk's exception", _CLI,
+           "max(fork_map(lambda chunk: max(block_report(g, h).k for g, h in chunk), pairs))",
+           "next(fork_map(lambda chunk: max(block_report(g, h).k for g, h in chunk), pairs))", (_CHUNKS,)),
+    # the next two keep the helper's old name, `cli._fork_map`, which their test ids carry
+    Mutant("_fork_map raises the last failing chunk's exception", _FORKMAP,
            "for i, chunk in enumerate(chunks):", "for i, chunk in reversed(list(enumerate(chunks))):",
            (_FIRST_FAILING,)),
-    Mutant("_fork_map's chunk bounds drop the last item", _CLI,
+    Mutant("_fork_map's chunk bounds drop the last item", _FORKMAP,
            "len(items) * (i + 1) // n]", "(len(items) - 1) * (i + 1) // n]", (_CHUNKS, _FIRST_FAILING)),
-    Mutant("a chunk that sends nothing is dropped, not run here", _CLI,
-           "results.append(pickle.loads(data) if data else func(chunk))",
-           "results += [pickle.loads(data)] if data else [] if i in children else [func(chunk)]",
+    Mutant("a chunk that sends nothing is dropped, not run here", _FORKMAP,
+           "yield pickle.loads(data) if data else func(chunk)",
+           "yield from [pickle.loads(data)] if data else [] if i in children else [func(chunk)]",
            (_FIRST_FAILING, _KILLED_CHILD)),
+    Mutant("fork_map drops the item at each chunk boundary", _FORKMAP,
+           "items[len(items) * i // n:", "items[len(items) * i // n + (i > 0):", (_LATER_CHUNK,)),
+    Mutant("find_multiplier takes the last chunk's hit", _PRIMES,
+           "next(filter(None, fork_map(screen, list(survivors))), None)",
+           "next(filter(None, reversed(list(fork_map(screen, list(survivors))))), None)", (_CHUNK_0_WINS,)),
     Mutant("_var_coeffs reads V(+-inf) without the degree parity", _ROOTS,
            "s ** (len(e) - 1)", "s", ("tests/test_roots.py::test_isolate_roots_examples",)),
     Mutant("_integer_roots' residue scan skips the c' check", _ROOTS,

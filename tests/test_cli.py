@@ -54,6 +54,10 @@ CASES = [
     ("construct_nplus1_budget", ["construct", "nplus1", "--n", "20", "--tmax", "1"], EXIT_BUDGET),
     ("construct_pplus_budget", ["construct", "pplus", "--n", "20", "--tmax", "2"], EXIT_BUDGET),
     ("construct_nplus2_shortfall", ["construct", "nplus2", "--n", "12", "--bmax", "3"], EXIT_BUDGET),
+    # the n = 30 hit is t = -12923, in the third window (|t| >= 2,305): one
+    # short of it the budget runs out there, and at it the hit is found there
+    ("construct_nplus2_30_tmax_12922", ["construct", "nplus2", "--n", "30", "--tmax", "12922"], EXIT_BUDGET),
+    ("construct_nplus2_30_tmax_12923", ["construct", "nplus2", "--n", "30", "--tmax", "12923"], EXIT_OK),
     ("construct_nplus2_bmax_0", ["construct", "nplus2", "--n", "10", "--bmax", "0"], EXIT_BAD_INPUT),
     ("exceptional_2_3", ["exceptional", "--degree", "2", "--bound", "3"], EXIT_OK),
     ("exceptional_3_5", ["exceptional", "--degree", "3", "--bound", "5"], EXIT_OK),

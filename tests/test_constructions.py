@@ -1,4 +1,5 @@
 import math
+import os
 from itertools import islice
 
 import pytest
@@ -195,7 +196,9 @@ def test_search_n_plus_2_small_n():
 
 def test_search_n_plus_2_fixed_scans_and_their_work(monkeypatch):
     # count, inside the multiplier scan only, the base-2 screens made
-    # outside `is_prime` and the values that reach `is_prime`
+    # outside `is_prime` and the values that reach `is_prime`.  One CPU keeps
+    # every window's screens in this process, where the counts see them
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     screens, verdicts, depth = [], [], {"scan": 0, "is_prime": 0}
     strong, scan = primes._strong_probable_prime, constructions.find_multiplier
 
