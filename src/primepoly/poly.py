@@ -98,18 +98,18 @@ def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def _nested(coeffs: Sequence[RationalLike], inners: Sequence[tuple[int, int, int]]) -> RatPolynomial:
-    """c_0 + l_0*(c_1 + l_1*(c_2 + ... + l_(n-1)*c_n)) for l_k = (u + v*x)/w,
+def _nested(coeffs: Sequence[RationalLike], inners: Sequence[tuple[int, int, int]], den: int = 1) -> RatPolynomial:
+    """(c_0 + l_0*(c_1 + l_1*(c_2 + ... + l_(n-1)*c_n)))/den for l_k = (u + v*x)/w,
     inners[k] = (u, v, w) integers, w >= 1: every polynomial built from data.
     With c_k = a_k/D and W_k = w_k...w_(n-1), one Horner loop keeps the
-    integer list S_k = (u_k + v_k*x)*S_(k+1) + a_k*W_k, so p = S_0/(D*W_0)."""
+    integer list S_k = (u_k + v_k*x)*S_(k+1) + a_k*W_k, so p = S_0/(D*W_0*den)."""
     a, d = scale_to_integer(coeffs)
     acc, wk = a[-1:], 1
     for ak, (u, v, w) in zip(reversed(a[:-1]), reversed(inners)):
         wk *= w
         acc = [u * x + v * y for x, y in zip(acc + [0], [0] + acc)]
         acc[0] += ak * wk
-    return RatPolynomial([Fraction(x, d * wk) for x in acc])
+    return RatPolynomial([Fraction(x, d * wk * den) for x in acc])
 
 
 def compose_affine(p: RatPolynomial, sigma: int, tau: int, a: int) -> RatPolynomial:
@@ -137,12 +137,20 @@ def from_binomial(coeffs: Sequence[RationalLike]) -> RatPolynomial:
 
 def _interpolate(points: Sequence[int], values: Sequence[RationalLike]) -> RatPolynomial:
     """The interpolant of degree < len(points) through the pairs (x_k, v_k),
-    in Newton's form: divided differences v[x_0..x_k] with l_k = x - x_k."""
-    d = list(map(Fraction, values))
+    distinct integers x_k, in Newton's form: divided differences
+    v[x_0..x_k] with l_k = x - x_k.  With v_k = a_k/D and W the span of the
+    points, W! D v[...] is an integer, so the table runs on integers and
+    each step divides exactly: for each x_k of a divided difference, the
+    |x_k - x_l| below and above it are distinct integers up to x_k - min
+    and max - x_k, whose product divides (x_k - min)! (max - x_k)!, a
+    divisor of W!."""
+    a, d = scale_to_integer(values)
+    w = math.factorial(max(points) - min(points))
+    t = [v * w for v in a]
     for j in range(1, len(points)):
         for i in reversed(range(j, len(points))):
-            d[i] = (d[i] - d[i - 1]) / (points[i] - points[i - j])
-    return _nested(d, [(-x, 1, 1) for x in points[:-1]])
+            t[i] = (t[i] - t[i - 1]) // (points[i] - points[i - j])
+    return _nested(t, [(-x, 1, 1) for x in points[:-1]], d * w)
 
 
 def is_integer_valued(p: RatPolynomial) -> bool:

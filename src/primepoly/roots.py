@@ -16,11 +16,14 @@ for one only where intervals overlap.  Each public routine clears its
 `RatPolynomial` and calls a private one on primitive integer lists.  Signs
 use `poly`'s one rational Horner; integers, the faster `eval_int_scaled`.
 
-Complete integer solution sets of p(x) = v need no real roots: they come
-from p-adic lifting (Loos, "Computing rational zeros of integral polynomials
-by p-adic expansion", SIAM J. Comput. 1983) from a prime at which every root
-of p - v is simple, up to Fujiwara's root bound; a residue scan stops at its
-first multiple root, yet `_integer_roots` charges its budget the full scan.
+Complete integer solution sets of p(x) = v need no real roots.  For few
+targets v they come from p-adic lifting (Loos, "Computing rational zeros of
+integral polynomials by p-adic expansion", SIAM J. Comput. 1983) from a prime
+at which every root of p - v is simple, up to Fujiwara's root bound; a
+residue scan stops at its first multiple root, yet `_integer_roots` charges
+its budget the full scan.  For many targets in a short range one Fujiwara
+bound B covers them all, and `integer_solutions` evaluates p at the 2B - 1
+integers below it instead, when that is the cheaper path (`_SCAN_PER_LIFT`).
 """
 
 from __future__ import annotations
@@ -34,6 +37,11 @@ from .poly import RatPolynomial, _eval_scaled_frac, _mul, eval_int_scaled, evalu
 from .primes import primes_stream
 
 IntCoeffs = tuple[int, ...]
+
+# `integer_solutions` scans the 2B - 1 integers below its bound B instead of
+# lifting each value when that is at most this many integers per value; a
+# lifted value costs 17-24 scanned integers, so 8 keeps a margin of two
+_SCAN_PER_LIFT = 8
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +345,34 @@ def _refine_new(defining: IntCoeffs, lo: int, hi: int, den: int) -> IsolatedRoot
 
 def integer_solutions(p: RatPolynomial, values) -> list[list[int]]:
     """For each integer v in `values`, in order, all integers m with
-    p(m) = v, ascending; p is cleared once (see `_integer_roots`)."""
+    p(m) = v, ascending.  p is cleared once to c/d; then either each v is
+    lifted, `_integer_roots(c - v d)`, or one scan of the integers |m| < B
+    puts m into v's list when c(m) = v d.
+
+    B is `_fujiwara_bound` of c with c_0 replaced by the larger of
+    |c_0 - v_min d| and |c_0 - v_max d|: Fujiwara's bound, rounded up as
+    there, does not decrease when some |c_k| below the lead grows; only
+    c_0 - v d depends on v, and its absolute value is convex in v, so it is
+    largest at an end of [v_min, v_max].  So every root of every c - v d
+    lies in |z| < B.  The scan is taken when its 2B - 1 integers are at
+    most _SCAN_PER_LIFT per value: at degrees 1-8 a lifted value cost
+    9-25 us and a scanned integer 0.4-1.1 us, per-value bookkeeping
+    included (200 targets, 2-vCPU x86_64), a ratio of 17-24.
+    """
     if p.degree < 1:
         raise ValueError("p must be nonconstant")
     c, d = scale_to_integer(p)
-    return [_integer_roots(_plus(c, -v * d)) for v in values]
+    values = tuple(values)
+    ends = [abs(c[0] - v * d) for v in (min(values, default=0), max(values, default=0))]
+    bound = _fujiwara_bound([max(ends)] + c[1:])
+    if 2 * bound > _SCAN_PER_LIFT * len(values):
+        return [_integer_roots(_plus(c, -v * d)) for v in values]
+    found = {v: [] for v in values}
+    for m in range(1 - bound, bound):
+        v, r = divmod(eval_int_scaled(c, m), d)
+        if not r and v in found:
+            found[v].append(m)
+    return [list(found[v]) for v in values]
 
 
 def _integer_roots(c: list[int]) -> list[int]:

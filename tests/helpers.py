@@ -215,6 +215,16 @@ def rational_nested(coeffs, inners) -> RatPolynomial:
     return acc
 
 
+def fraction_newton_interpolate(points, values) -> RatPolynomial:
+    """Reference for `poly._interpolate`: Newton's divided-difference table
+    on `Fraction`s, nested by `rational_nested`."""
+    d = list(map(Fraction, values))
+    for j in range(1, len(points)):
+        for i in reversed(range(j, len(points))):
+            d[i] = (d[i] - d[i - 1]) / (points[i] - points[i - j])
+    return rational_nested(d, [RatPolynomial((-x, 1)) for x in points[:-1]])
+
+
 def lagrange_interpolate(points, values) -> RatPolynomial:
     """Reference for `poly._interpolate`: the sum over k of
     v_k * prod_(j != k) (x - x_j)/(x_k - x_j)."""

@@ -56,6 +56,10 @@ _ISOLATE_TESTS = (
     "tests/test_roots.py::test_isolate_roots_from_fujiwara_cells_matches_full_start",
 )
 _FULL_SCAN = ("tests/test_roots.py::test_integer_roots_match_full_scan_oracle",)
+_SCAN_TESTS = (
+    "tests/test_roots.py::test_integer_solutions_scan_edges",
+    "tests/test_roots.py::test_integer_solutions_scan_matches_lifting_and_brute_force",
+)
 _CHUNKS = "tests/test_fork_map.py::test_statement41_random_chunks_match_the_serial_loop"
 _FIRST_FAILING = "tests/test_fork_map.py::test_statement41_random_reports_the_first_failing_trial"
 _KILLED_CHILD = "tests/test_fork_map.py::test_statement41_random_runs_a_killed_childs_chunk_here"
@@ -88,9 +92,12 @@ MUTANTS = (
     Mutant("_nested drops W_k from a_k*W_k", _POLY,
            "acc[0] += ak * wk", "acc[0] += ak", _NESTED_TESTS),
     Mutant("_nested divides by D alone", _POLY,
-           "Fraction(x, d * wk)", "Fraction(x, d)", _NESTED_TESTS),
+           "Fraction(x, d * wk * den)", "Fraction(x, d * den)", _NESTED_TESTS),
     Mutant("_nested swaps u and v", _POLY,
            "for ak, (u, v, w) in zip", "for ak, (v, u, w) in zip", _NESTED_TESTS),
+    Mutant("_interpolate's table runs over (W - 1)!", _POLY,
+           "math.factorial(max(points) - min(points))", "math.factorial(max(points) - min(points) - 1)",
+           ("tests/test_poly.py::test_interpolate_matches_lagrange_on_every_exceptional_configuration",)),
     Mutant("compose_affine drops sigma", _POLY,
            "[sigma * c for c in p]", "list(p)", _NESTED_TESTS),
     Mutant("RatPolynomial.__mul__ divides by da alone", _POLY,
@@ -150,6 +157,13 @@ MUTANTS = (
            "s ** (len(e) - 1)", "s", ("tests/test_roots.py::test_isolate_roots_examples",)),
     Mutant("_integer_roots' residue scan skips the c' check", _ROOTS,
            "if _eval_mod(dc, r, q) == 0:", "if False:", ("tests/test_roots.py::test_integer_solutions_examples",)),
+    Mutant("integer_solutions' scan stops one short of the bound", _ROOTS,
+           "range(1 - bound, bound)", "range(1 - bound, bound - 1)", _SCAN_TESTS),
+    Mutant("integer_solutions' bound is taken from v_max alone", _ROOTS,
+           "_fujiwara_bound([max(ends)]", "_fujiwara_bound([ends[1]]", _SCAN_TESTS),
+    Mutant("integer_solutions' scan drops the c(m) % d check", _ROOTS,
+           "if not r and v in found:", "if v in found:",
+           ("tests/test_cli.py::test_cli_golden[text-levels_denominator]", *_SCAN_TESTS)),
     Mutant("factorial_lower_bound raises the factorial product to q", _BOUNDS,
            "_factorial_product(2 * k - 1) ** p", "_factorial_product(2 * k - 1) ** q",
            ("tests/test_bounds.py::test_factorial_bound_examples",

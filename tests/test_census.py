@@ -9,6 +9,7 @@ import sympy
 from primepoly import census as census_module
 from primepoly import roots
 from primepoly.census import level_census, prime_census, unit_fibers
+from primepoly.constructions import build_n_plus_1
 from primepoly.errors import TheoremViolation
 from primepoly.poly import RatPolynomial, evaluate, parse_poly
 
@@ -184,16 +185,52 @@ def test_prime_census_solves_each_factor_once(monkeypatch):
     assert [fib.factor for fib in census.fibers] == [0, 1]
 
 
-def test_level_census_solves_all_targets_in_one_call(monkeypatch):
-    # the first `levels` line of the unit_search benchmark workload at seed 0
+def _workload_levels(seed: int) -> list[tuple[RatPolynomial, list[int]]]:
+    """(f, targets) of the `levels` lines of the unit_search benchmark workload."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    argv = next(a for a in workloads.generate("unit_search", 0) if a[0] == "levels")
-    f = parse_poly(argv[1].removeprefix("--poly="))
-    targets = [int(v) for v in argv[2].removeprefix("--set=").split(",")]
-    assert len(targets) == 200
+    return [
+        (parse_poly(a[1].removeprefix("--poly=")), [int(v) for v in a[2].removeprefix("--set=").split(",")])
+        for a in workloads.generate("unit_search", seed) if a[0] == "levels"
+    ]
+
+
+def _count_lifts(monkeypatch) -> list[list[int]]:
+    """Record each list `roots._integer_roots` lifts."""
+    lifted, lift = [], roots._integer_roots
+
+    def counted(c):
+        lifted.append(c)
+        return lift(c)
+
+    monkeypatch.setattr(roots, "_integer_roots", counted)
+    return lifted
+
+
+def test_many_target_levels_scan_and_large_fibers_lift(monkeypatch):
+    # each 200-target line scans the integers below one root bound; in the
+    # degree-40 x * g of nplus1 the degree-39 g - 1 and g + 1 lift, and only
+    # the x factor scans
+    lines = _workload_levels(0) + _workload_levels(7)
+    wanted = []
+    for f, targets in lines:
+        c, d = roots.scale_to_integer(f)
+        wanted.append(tuple(sorted({m for v in targets for m in roots._integer_roots(roots._plus(c, -v * d))})))
+    lifted = _count_lifts(monkeypatch)
+    for (f, targets), want in zip(lines, wanted):
+        assert len(targets) == 200
+        assert level_census(f, targets).witnesses == want
+    assert lifted == []
+    cert = build_n_plus_1(40)
+    assert sorted(len(c) - 1 for c in lifted) == [39, 39]
+    assert [fib.factor for fib in cert.census.fibers] == [0, 1]
+
+
+def test_level_census_solves_all_targets_in_one_call(monkeypatch):
+    # the first `levels` line of the unit_search benchmark workload at seed 0
+    f, targets = _workload_levels(0)[0]
     calls, cleared = _count_preimage_work(monkeypatch)
     cen = level_census(f, targets)
     assert calls == cleared == [f]

@@ -42,6 +42,10 @@ CASES = [
     ("levels", ["levels", "--poly=1,-3,1", "--set=-1,1,5,11"], EXIT_OK),
     ("levels_binom", ["levels", "--poly=binom:3,0,0,0,2", "--set=3,5"], EXIT_OK),
     ("levels_double_root", ["levels", "--poly=-4,12,-9,-2,3", "--set=-1,0,1,4"], EXIT_OK),
+    # many targets in a short range: read off the integers below one root bound
+    ("levels_301_targets", ["levels", "--poly=1,-3,0,2", "--set=" + ",".join(map(str, range(-150, 151)))], EXIT_OK),
+    # (2x^2 + 3x)/6 is an integer at some integers only, so c(m) = 6v is checked
+    ("levels_denominator", ["levels", "--poly=0,1/2,1/3", "--set=" + ",".join(map(str, range(61)))], EXIT_OK),
     ("construct_deg2", ["construct", "deg2"], EXIT_OK),
     ("construct_deg3", ["construct", "deg3"], EXIT_OK),
     ("construct_deg4", ["construct", "deg4"], EXIT_OK),

@@ -23,6 +23,7 @@ from primepoly.poly import (
 from helpers import (
     binomial_coefficients,
     fraction_mul,
+    fraction_newton_interpolate,
     lagrange_interpolate,
     random_rat_poly,
     rational_nested,
@@ -278,13 +279,14 @@ def test_mul_matches_fraction_convolution(a, b, k):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(-10, 10), min_size=1, max_size=6, unique=True).flatmap(
-    lambda xs: st.tuples(st.just(xs), st.lists(_fractions, min_size=len(xs), max_size=len(xs)))))
+@given(st.lists(st.integers(-30, 30), min_size=1, max_size=8, unique=True).flatmap(
+    lambda xs: st.tuples(st.just(xs), st.lists(_fractions | st.sampled_from([1, -1]), min_size=len(xs), max_size=len(xs)))))
 def test_interpolate_matches_lagrange(points_values):
+    # the integer table over span! D divides exactly, for unsorted points too
     points, values = points_values
     h = _interpolate(points, values)
-    assert h == lagrange_interpolate(points, values)
-    assert h.degree < len(points)
+    assert h == lagrange_interpolate(points, values) == fraction_newton_interpolate(points, values)
+    assert h.degree < len(points) and all(type(c) is F for c in h)
 
 
 def test_interpolate_matches_lagrange_on_every_exceptional_configuration():

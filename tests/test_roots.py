@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from primepoly import roots
 from primepoly.constructions import build_n_plus_1, build_p_plus
 from primepoly.errors import TheoremViolation
-from primepoly.poly import RatPolynomial, from_binomial
+from primepoly.poly import RatPolynomial, evaluate, from_binomial, scale_to_integer
 from primepoly.roots import (
     IsolatedRoot,
     _chain,
@@ -21,6 +21,7 @@ from primepoly.roots import (
     _deriv,
     _fujiwara_bound,
     _integer_roots,
+    _plus,
     _separate,
     _sign_at,
     _sturm,
@@ -165,6 +166,11 @@ def test_integer_solutions_examples():
     assert integer_solutions(H2, [1])[0] == [0, 3]
     assert integer_solutions(H2, [-1])[0] == [1, 2]
     assert integer_solutions(RatPolynomial([0, 0, 1]), [2])[0] == []
+    # the same three lifted directly: through integer_solutions the last
+    # one (B = 4) scans
+    assert _integer_roots([0, -3, 1]) == [0, 3]  # 0 and 3 collide mod 3
+    assert _integer_roots([2, -3, 1]) == [1, 2]
+    assert _integer_roots([-2, 0, 1]) == []
     for constant, values in ((5, [5]), (5, []), (0, [0, 1])):
         with pytest.raises(ValueError):
             integer_solutions(RatPolynomial([constant]), values)
@@ -523,7 +529,7 @@ def test_integer_solutions_first_prime_without_reduction(monkeypatch):
         raise AssertionError("reduced to the square-free part")
 
     monkeypatch.setattr(roots, "_sturm", no_reduction)
-    assert integer_solutions(RatPolynomial([0, 1]) * power(RatPolynomial([1, 0, 1]), 2), [0])[0] == [0]
+    assert _integer_roots(_to_int(RatPolynomial([0, 1]) * power(RatPolynomial([1, 0, 1]), 2))) == [0]
 
 
 def test_sturm_divides_by_a_primitive_gcd():
@@ -645,10 +651,80 @@ def _binomial_polys(draw):
     st.lists(st.integers(-20, 20), max_size=20),
 )
 @example(RatPolynomial([1, -3, 1]), [1, -1, 1, 0, -1])
+@example(RatPolynomial([1, -3, 1]), [1, -1, 10 ** 6])  # B = 2^11: lifts
 @example(from_binomial([0, 0, 0, 0, 1]), [])
 def test_integer_solutions_per_value_match_sturm(p, values):
     # one clearing of p serves every value, repeats included, in order
     assert integer_solutions(p, values) == [sturm_integer_solutions(p, v) for v in values]
+
+
+def _lifted(p, values) -> list[list[int]]:
+    """Reference for `integer_solutions`: one p-adic lifting per value."""
+    c, d = scale_to_integer(p)
+    return [_integer_roots(_plus(c, -v * d)) for v in values]
+
+
+def _scan_bound(p, values) -> int:
+    c, d = scale_to_integer(p)
+    return _fujiwara_bound([max(abs(c[0] - v * d) for v in values)] + c[1:])
+
+
+@st.composite
+def _binomial_polys_to_8(draw):
+    """sum c_k C(x, k), c_k rational, degree 1-8: denominators up to 8! d."""
+    degree = draw(st.integers(1, 8))
+    return from_binomial(draw(st.lists(_rationals, min_size=degree, max_size=degree)) + [draw(_nonzero)])
+
+
+@st.composite
+def _target_lists(draw):
+    """1-300 targets: mostly near 0, with repeats, and sometimes far out."""
+    near = draw(st.lists(st.integers(-60, 60), min_size=1, max_size=300))
+    far = draw(st.lists(st.integers(-10 ** 20, 10 ** 20), max_size=3))
+    values = near + far + draw(st.lists(st.sampled_from(near), max_size=20))
+    return draw(st.permutations(values[:300]))
+
+
+# x^4 - x^3 - 3x^2 - 7x: every |c_(4-k)| < 2^k, so B = 4 for the targets
+# -15..15, and its value 6 at x = 3 = B - 1; its mirror has 6 at -3
+_EDGE = RatPolynomial([0, -7, -3, -1, 1])
+_EDGE_MIRROR = RatPolynomial([0, 7, -3, 1, 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_dense_polys(), _binomial_polys_to_8()), _target_lists())
+@example(_EDGE, list(range(-15, 16)))
+@example(_EDGE_MIRROR, list(range(15, -16, -1)))
+@example(RatPolynomial([0, 1]), list(range(-100, 2)))          # v_min alone sets B = 256
+@example(RatPolynomial([0, 1]), list(range(101, -2, -1)))      # v_max alone sets B = 256
+@example(RatPolynomial([0, F(1, 2), F(1, 3)]), list(range(61)) * 2)  # an integer at m = 0 mod 6 only
+def test_integer_solutions_scan_matches_lifting_and_brute_force(p, values):
+    # whichever path is taken, each target gets the lifted list; and
+    # within |m| <= 200 a brute-force scan agrees, with the extremes
+    # of the targets in either order
+    got = integer_solutions(p, values)
+    assert got == _lifted(p, values)
+    assert integer_solutions(p, values[::-1]) == got[::-1]
+    at = {m: evaluate(p, m) for m in range(-200, 201)}
+    assert [[m for m in ms if abs(m) <= 200] for ms in got] == [[m for m in at if at[m] == v] for v in values]
+
+
+def test_integer_solutions_scan_edges(monkeypatch):
+    # the scan reaches the integer roots at +-(B - 1), and B covers the
+    # far end of the targets, whichever end that is
+    def no_lift(c):
+        raise AssertionError("lifted")
+
+    monkeypatch.setattr(roots, "_integer_roots", no_lift)
+    for p, level_6 in ((_EDGE, [-1, 3]), (_EDGE_MIRROR, [-3, 1])):
+        values = list(range(-15, 16))
+        assert _scan_bound(p, values) == 4
+        assert integer_solutions(p, values)[15 + 6] == level_6
+    x = RatPolynomial([0, 1])
+    for values in (list(range(-100, 2)), list(range(101, -2, -1))):
+        assert _scan_bound(x, values) == 256
+        assert _scan_bound(x, values[-1:]) == 4  # the near end alone
+        assert integer_solutions(x, values) == [[v] for v in values]
 
 
 def test_separate_raises_on_one_real_given_twice():
