@@ -10,12 +10,12 @@ def fork_map(func, items: list):
     """Yield func(chunk) for each chunk in order, `items` cut into one contiguous
     chunk per CPU this process may run on; `func` must be deterministic.
     Chunk 0 runs here, each other chunk in a forked child that pickles back its
-    result, which should stay far below PIPE_BUF.  A chunk that sends nothing
-    (its `func` raised, its child died, or there is no fork) runs here, so a
-    failure is the one a serial loop meets first.  A caller may stop early by
-    leaving its loop: every child is killed and reaped once this generator
-    returns, raises or is closed.  Library calls fork here: `statement41
-    --random` and the long windows of `primes.find_multiplier`."""
+    result, any picklable value of any size: each pipe is read to its end.
+    A chunk that sends nothing (its `func` raised, its child died, or there is
+    no fork) runs here, so a failure is the one a serial loop meets first.  A
+    caller may stop early by leaving its loop: every child is killed and reaped
+    once this generator returns, raises or is closed.  Library calls fork here:
+    `statement41 --random` and the long windows of `primes.find_multiplier`."""
     import os
     import pickle
     import signal

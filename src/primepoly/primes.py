@@ -17,8 +17,8 @@ window's survivors while its cost per window stays fixed.  A survivor's
 values then pass one strong base-2 test each before any of them gets a
 full verdict: every prime passes it, so no hit is lost, and a hit's
 verdicts come from `is_prime`.  From the third window on, the survivors
-are screened on every CPU (`forkmap.fork_map`); the hit is the first in
-scan order, so the result does not depend on the number of CPUs.
+are screened on every CPU (`forkmap.fork_map`); each chunk returns its
+first hit with its verdicts, and the earliest chunk's is the serial scan's.
 
 The small primes come from one sieve of Eratosthenes at import
 (`_SIEVE_PRIMES`); `primes_stream` yields from that table and, past its
@@ -229,13 +229,13 @@ def find_multiplier(Ms, positive_required: bool, t_max: int) -> ProgressionHit:
     composite next to a prime, so the Lucas part of BPSW runs on little
     more than the hit's own values.
 
-    From the third window on (16,384 values and more), the survivors are
+    From the third window on (16,384 values and more), the survivors' t are
     cut into one contiguous chunk per CPU (`forkmap.fork_map`): chunk 0 is
-    screened here and each other chunk in a forked child, which sends back
-    the t of its first hit or None.  The first hit in scan order is chunk
-    0's, or else the earliest later chunk's, so t, its verdicts and every
-    run-out are those of the serial scan on any number of CPUs.  A hit
-    screened here keeps its verdicts; a child's t gets `is_prime` here.
+    screened here and each other chunk in a forked child, and each chunk
+    returns its first hit with its verdicts, or None.  The first hit in
+    scan order is chunk 0's, or else the earliest later chunk's, so t, its
+    verdicts and every run-out are those of the serial scan on any number
+    of CPUs.
     The first two windows stay in this process: the `nplus1` and `pplus`
     scans of n <= 40 end there, and their few hundred survivors do not pay
     for a fork (about 3 ms for two chunks, some 60-100 screens).
@@ -243,12 +243,10 @@ def find_multiplier(Ms, positive_required: bool, t_max: int) -> ProgressionHit:
     Ms = tuple(Ms)
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
-    found = {}  # t -> verdicts, for each hit screened in this process
 
-    def screen(ks):
-        """t of the first hit among the window's survivor flags ks, or None."""
-        for k in ks:
-            t = -start - k // 2 if k % 2 else start + k // 2
+    def screen(ts):
+        """The first hit among the multipliers ts, or None."""
+        for t in ts:
             values = [1 + t * M for M in Ms]
             if positive_required and min(values) <= 0:
                 continue
@@ -256,8 +254,7 @@ def find_multiplier(Ms, positive_required: bool, t_max: int) -> ProgressionHit:
                 continue
             verdicts = tuple(map(is_prime, values))
             if all(v.is_prime for v in verdicts):
-                found[t] = verdicts
-                return t
+                return ProgressionHit(t, verdicts)
         return None
 
     residues, depth = [], 0  # the sieve so far: the first `depth` of _SIEVE_PRIMES
@@ -278,15 +275,15 @@ def find_multiplier(Ms, positive_required: bool, t_max: int) -> ProgressionHit:
             flags[k::step] = zero[: (last - k) // step + 1]
             k = 2 * ((inv - start) % q) + 1
             flags[k::step] = zero[: (last - k) // step + 1]
-        survivors = compress(range(2 * n), flags)
+        ts = [-start - k // 2 if k % 2 else start + k // 2 for k in compress(range(2 * n), flags)]
         if window < 2:
-            t = screen(survivors)
+            hit = screen(ts)
         else:
             from .forkmap import fork_map
 
-            t = next(filter(None, fork_map(screen, list(survivors))), None)  # the earliest chunk's hit (t != 0)
-        if t is not None:
-            return ProgressionHit(t, found.get(t) or tuple(map(is_prime, [1 + t * M for M in Ms])))
+            hit = next(filter(None, fork_map(screen, ts)), None)  # the earliest chunk's hit
+        if hit:
+            return hit
     raise BudgetExhausted(
         f"no multiplier with |t| <= {t_max} makes 1 + t*{' and 1 + t*'.join(map(str, Ms))} prime",
         frontier=t_max,

@@ -65,7 +65,10 @@ _FIRST_FAILING = "tests/test_fork_map.py::test_statement41_random_reports_the_fi
 _KILLED_CHILD = "tests/test_fork_map.py::test_statement41_random_runs_a_killed_childs_chunk_here"
 _CHUNK_0_WINS = "tests/test_fork_map.py::test_find_multiplier_takes_chunk_0s_hit_over_a_later_chunks"
 _LATER_CHUNK = "tests/test_fork_map.py::test_find_multiplier_takes_the_earliest_later_chunks_hit"
+_CHILDS_VERDICTS = "tests/test_fork_map.py::test_find_multiplier_takes_a_childs_verdicts"
 _GOLDEN_ANALYZE = ("tests/test_cli.py::test_cli_golden[text-analyze]", "tests/test_cli.py::test_cli_golden[json-analyze]")
+_GOLDEN_POLYA = tuple(f"tests/test_cli.py::test_cli_golden[{form}-polya_{case}]"
+                      for case in ("integer", "double_root") for form in ("text", "json"))
 
 MUTANTS = (
     Mutant("level_census keeps only the first target's roots", _CENSUS,
@@ -133,8 +136,11 @@ MUTANTS = (
     Mutant("_integer_roots starts with a budget of len(c) ** 3", _ROOTS,
            "_deriv(c), len(c) ** 2", "_deriv(c), len(c) ** 3", _FULL_SCAN),
     Mutant("find_multiplier swaps the flag-to-t map of the two signs", _PRIMES,
-           "t = -start - k // 2 if k % 2 else start + k // 2", "t = start + k // 2 if k % 2 else -start - k // 2",
+           "[-start - k // 2 if k % 2 else start + k // 2 for k", "[start + k // 2 if k % 2 else -start - k // 2 for k",
            ("tests/test_primes.py::test_find_multiplier_matches_unsieved_scan",)),
+    Mutant("find_multiplier's hit keeps only its first verdict", _PRIMES,
+           "ProgressionHit(t, verdicts)", "ProgressionHit(t, verdicts[:1])",
+           ("tests/test_primes.py::test_find_multiplier_minimality_certificate", _CHILDS_VERDICTS)),
     Mutant("statement41 --random keeps only chunk 0's max", _CLI,
            "max(fork_map(lambda chunk: max(block_report(g, h).k for g, h in chunk), pairs))",
            "next(fork_map(lambda chunk: max(block_report(g, h).k for g, h in chunk), pairs))", (_CHUNKS,)),
@@ -151,8 +157,8 @@ MUTANTS = (
     Mutant("fork_map drops the item at each chunk boundary", _FORKMAP,
            "items[len(items) * i // n:", "items[len(items) * i // n + (i > 0):", (_LATER_CHUNK,)),
     Mutant("find_multiplier takes the last chunk's hit", _PRIMES,
-           "next(filter(None, fork_map(screen, list(survivors))), None)",
-           "next(filter(None, reversed(list(fork_map(screen, list(survivors))))), None)", (_CHUNK_0_WINS,)),
+           "next(filter(None, fork_map(screen, ts)), None)",
+           "next(filter(None, reversed(list(fork_map(screen, ts)))), None)", (_CHUNK_0_WINS,)),
     Mutant("_var_coeffs reads V(+-inf) without the degree parity", _ROOTS,
            "s ** (len(e) - 1)", "s", ("tests/test_roots.py::test_isolate_roots_examples",)),
     Mutant("_integer_roots' residue scan skips the c' check", _ROOTS,
@@ -177,6 +183,17 @@ MUTANTS = (
            'str(v) if key == "value" else _report(v)', "_report(v)", _GOLDEN_ANALYZE),
     Mutant("_render_text indents by one space", _CLI,
            'pad = "  " * indent', 'pad = " " * indent', _GOLDEN_ANALYZE),
+    Mutant("_ln_bracket drops its tail bound", _BOUNDS,
+           "return lo, hi - (-t_hi * d2 // (k * (d2 - n2)))", "return lo, hi",
+           ("tests/test_bounds.py::test_ln_bracket_contains_the_scaled_logarithm",)),
+    # test_polya_examples passes this one; two of the polya goldens flip their verdicts
+    Mutant("the Polya check compares with 4 * ratio", _BOUNDS,
+           "upper ** n <= 4 ** n * ratio", "upper ** n <= 4 * ratio", _GOLDEN_POLYA),
+    Mutant("search_n_plus_2 pins three values", _CONSTRUCTIONS,
+           "_multiplier_poly(bs, range(4), False, t_max)", "_multiplier_poly(bs, range(3), False, t_max)",
+           ("tests/test_constructions.py::test_search_n_plus_2_small_n",)),
+    Mutant("block_report counts the last block as central", _BAD,
+           "j < k - 1)", "j <= k - 1)", ("tests/test_badpoints.py::test_block_report_quartic_pair",)),
 )
 
 

@@ -3,11 +3,14 @@ the process may use (`forkmap.fork_map`).  Its bytes, exit code and stderr
 equal those of the serial loop for any number of chunks, the first
 failing trial in serial order is the one reported, a chunk whose child
 dies runs in the calling process, and no child process outlives `cli.run`.
+A chunk's result may be larger than a pipe buffer, and closing `fork_map`
+early leaves no child.
 
 `primes.find_multiplier` screens the survivors of its third and later
 windows the same way.  Its hit is the first in scan order whatever the
-number of chunks, its run-outs are unchanged, a chunk whose child dies is
-screened here, and no child outlives the call.
+number of chunks, a child sends back its whole hit, verdicts included, so
+the parent asks `is_prime` nothing about it, its run-outs are unchanged, a
+chunk whose child dies is screened here, and no child outlives the call.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import io
 import itertools
+import math
 import os
 import signal
 import subprocess
@@ -26,9 +30,10 @@ import pytest
 
 from primepoly import cli, primes
 from primepoly.cli import EXIT_BAD_INPUT, EXIT_OK, EXIT_VIOLATION, run
-from primepoly.constructions import search_n_plus_2
+from primepoly.constructions import quadratic_anchor_points, search_n_plus_2
 from primepoly.errors import BudgetExhausted, TheoremViolation
-from primepoly.primes import STATUS_PRIME, PrimalityVerdict, ProgressionHit, find_multiplier
+from primepoly.forkmap import fork_map
+from primepoly.primes import STATUS_PRIME, PrimalityVerdict, ProgressionHit, find_multiplier, is_prime
 
 from helpers import serial_statement41, statement41_pairs
 
@@ -191,6 +196,28 @@ def test_statement41_random_runs_a_killed_childs_chunk_here(cpus, monkeypatch):
     _assert_no_children()
 
 
+@pytest.mark.parametrize("cpus", [2, 3, 4])
+def test_fork_map_returns_results_larger_than_a_pipe_buffer(cpus, monkeypatch):
+    # each chunk's result pickles to about 300 kB, well past a 64 KiB pipe
+    # buffer; the parent reads each pipe to its end, in chunk order
+    _pin_cpus(monkeypatch, cpus)
+    parent = os.getpid()
+
+    def func(chunk):
+        return os.getpid(), bytes(chunk) * 300_000
+
+    results = list(fork_map(func, list(range(cpus))))
+    assert [payload for _, payload in results] == [bytes([i]) * 300_000 for i in range(cpus)]
+    pids = [pid for pid, _ in results]
+    assert pids[0] == parent and parent not in pids[1:] and len(set(pids)) == cpus
+    _assert_no_children()
+    # closed after chunk 0, while the children may still be writing
+    chunks = fork_map(func, list(range(cpus)))
+    assert next(chunks) == (parent, bytes([0]) * 300_000)
+    chunks.close()
+    _assert_no_children()
+
+
 # ---------------------------------------------------------------------------
 # the multiplier scan: windows from the third on (|t| > 2,304) fork
 # ---------------------------------------------------------------------------
@@ -266,9 +293,26 @@ def test_find_multiplier_takes_the_earliest_later_chunks_hit(cpus, monkeypatch):
         with monkeypatch.context() as m:
             asked = _rig_screens(m, hits)
             assert find_multiplier([_SCAN_M], False, _SCAN_T_MAX) == _rigged_hit(hits[0])
-            # a child's t gets its verdicts here, once
-            assert asked == [1 + hits[0] * _SCAN_M]
+            # a child sends back its whole hit, verdicts included
+            assert asked == []
         _assert_no_children()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_find_multiplier_takes_a_childs_verdicts(cpus, monkeypatch):
+    # the hit of search_n_plus_2(30), t = -12,923, is survivor 340 of the
+    # third window's 513, in a forked chunk on 2-4 CPUs; no t before it
+    # reaches `is_prime`, so only a hit screened here asks anything here
+    bs = tuple(itertools.islice(quadratic_anchor_points(200), 28))
+    Ms = [math.prod(i - b for b in bs) for i in range(4)]
+    _pin_cpus(monkeypatch, cpus)
+    asked = []
+    monkeypatch.setattr(primes, "is_prime", lambda v: asked.append(v) or is_prime(v))
+    hit = find_multiplier(Ms, False, 10**6)
+    assert hit.t == -12923
+    assert hit.verdicts == tuple(is_prime(1 + hit.t * M) for M in Ms)
+    assert len(asked) == (4 if cpus == 1 else 0)
+    _assert_no_children()
 
 
 @pytest.mark.parametrize("cpus", [2, 3, 4])
