@@ -181,20 +181,16 @@ def _cmd_lemmas(args) -> tuple[dict, int]:
         k = rng.randint(1, kmax)
         balanced = rng.sample(range(-coord, coord + 1), 2 * k)
         a, b = balanced[:k], balanced[k:]
-        cross = cross_difference_bound(a, b)
-        pair = cross.data
-        if not cross.holds:
-            violations.append({"check": "cross_difference", "a": sorted(a), "b": sorted(b)})
-        if not factorial_lower_bound(a, b).holds:
-            violations.append({"check": "factorial", "a": sorted(a), "b": sorted(b)})
-        if pair.W != pair.U * pair.V * pair.D:
-            violations.append({"check": "merged_product", "a": sorted(a), "b": sorted(b)})
         k2 = rng.randint(1, kmax)
         s2 = rng.randint(k2, kmax)
         mixed = rng.sample(range(-coord, coord + 1), k2 + s2)
         a2, b2 = mixed[:k2], mixed[k2:]
-        if not factorial_lower_bound(a2, b2).holds:
-            violations.append({"check": "unbalanced_factorial", "a": sorted(a2), "b": sorted(b2)})
+        cross = cross_difference_bound(a, b)
+        pair = cross.data
+        rows = (("cross_difference", cross.holds, a, b), ("factorial", factorial_lower_bound(a, b).holds, a, b),
+                ("merged_product", pair.W == pair.U * pair.V * pair.D, a, b),
+                ("unbalanced_factorial", factorial_lower_bound(a2, b2).holds, a2, b2))
+        violations += ({"check": check, "a": sorted(x), "b": sorted(y)} for check, holds, x, y in rows if not holds)
     return {
         "trials": args.trials,
         "seed": args.seed,
@@ -217,12 +213,10 @@ def _cmd_statement41(args) -> tuple[dict, int]:
             raise ValueError("--random requires --trials and --seed")
         if args.trials < 1:
             raise ValueError("--trials must be at least 1")
-        rng, pairs = random.Random(args.seed), []
-        for _ in range(args.trials):
-            dg, dh = rng.randint(1, 4), rng.randint(1, 4)
-            gc = [rng.randint(-5, 5) for _ in range(dg)] + [rng.choice([c for c in range(-5, 6) if c])]
-            hc = [rng.randint(-5, 5) for _ in range(dh)] + [rng.choice([c for c in range(-5, 6) if c])]
-            pairs.append((RatPolynomial(gc), RatPolynomial(hc)))
+        rng, leads = random.Random(args.seed), [c for c in range(-5, 6) if c]
+        # per pair: dg, dh, then g's coefficients and lead, then h's
+        pairs = [tuple(RatPolynomial([rng.randint(-5, 5) for _ in range(d)] + [rng.choice(leads)])
+                       for d in (rng.randint(1, 4), rng.randint(1, 4))) for _ in range(args.trials)]
         from .forkmap import fork_map
 
         max_k = max(fork_map(lambda chunk: max(block_report(g, h).k for g, h in chunk), pairs))

@@ -137,7 +137,7 @@ def quadratic_anchor_points(limit: int):
     first on ties); the unit fiber {0, 1, 2, 3} fails the prime test."""
     for magnitude in range(1, limit + 1):
         for b in (magnitude, -magnitude):
-            if is_prime(abs(int(evaluate(H2, b)))).is_prime:
+            if is_prime(int(evaluate(H2, b))).is_prime:
                 yield b
 
 

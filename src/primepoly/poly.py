@@ -199,7 +199,10 @@ def parse_rational(text: str) -> Fraction:
     point and an exponent, and `1e999999` builds a million-digit integer."""
     if any(ch in text for ch in ".eE"):
         raise ValueError(f"Invalid literal for Fraction: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def parse_poly(text: str) -> RatPolynomial:
@@ -217,7 +220,7 @@ def parse_poly(text: str) -> RatPolynomial:
         raise ValueError("empty polynomial")
     try:
         coeffs = tuple(parse_rational(part.strip()) for part in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ValueError(f"bad polynomial {text!r}: {exc}") from None
     if binom:
         return from_binomial(coeffs)

@@ -131,10 +131,6 @@ def _signs(chain: list[list[int]], num: int, den: int) -> list[int]:
     return [_sign(_eval_scaled_frac(c, num, den)) for c in chain]
 
 
-def _var_at(chain: list[list[int]], num: int, den: int) -> int:
-    return _variations(_signs(chain, num, den))
-
-
 def _var_coeffs(chain: list[list[int]]) -> tuple[int, ...]:
     """V(-inf), V(+inf), unevaluated: at s inf an entry has its lead's sign times s^deg."""
     return tuple(_variations([_sign(e[-1]) * s ** (len(e) - 1) for e in chain]) for s in (-1, 1))
@@ -147,7 +143,7 @@ def _count(chain: list[list[int]], lo: Fraction, hi: Fraction) -> int:
     V(x0) = V(x0+).  For _chain(p, r), r a positive multiple of p'q mod p,
     p square-free and neither end a root of p, it is the Tarski query: the
     sum of sign q(x) over the roots x of p in (lo, hi) (Sturm-Tarski)."""
-    return _var_at(chain, lo.numerator, lo.denominator) - _var_at(chain, hi.numerator, hi.denominator)
+    return _variations(_signs(chain, *lo.as_integer_ratio())) - _variations(_signs(chain, *hi.as_integer_ratio()))
 
 
 def _exact_div(a: list[int], b: list[int]) -> list[int]:
@@ -240,10 +236,6 @@ class IsolatedRoot(NamedTuple):
     @property
     def is_exact(self) -> bool:
         return self.lo == self.hi
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
 
     def refine(self, width: Fraction) -> "IsolatedRoot":
         """Bisect until the interval is at most `width` wide (or exact)."""
@@ -461,8 +453,8 @@ def _separate(entries: list[tuple[IsolatedRoot, object]]) -> list[tuple[Isolated
             if a.hi >= b.lo:
                 if _same_real(a, b):
                     raise TheoremViolation(f"{a} and {b} are the same real")
-                entries[i] = a.refine(a.width / 4), a_tag
-                entries[i + 1] = b.refine(b.width / 4), b_tag
+                entries[i] = a.refine((a.hi - a.lo) / 4), a_tag
+                entries[i + 1] = b.refine((b.hi - b.lo) / 4), b_tag
                 changed = True
         entries.sort(key=key)
     return entries
@@ -499,6 +491,6 @@ def sublevel_measure(p: RatPolynomial, K, tol) -> tuple[Fraction, Fraction]:
     upper = Fraction(0)
     for i in contributing:
         a, b = boundary[i], boundary[i + 1]
-        lower += max(Fraction(0), b.lo - a.hi)
+        lower += b.lo - a.hi
         upper += b.hi - a.lo
     return lower, upper

@@ -34,8 +34,9 @@ from primepoly.roots import (
     _separate,
     _sign,
     _sturm,
+    _signs,
     _to_int,
-    _var_at,
+    _variations,
     integer_solutions,
     isolate_roots,
 )
@@ -312,7 +313,7 @@ def fraction_isolate_roots(p: RatPolynomial) -> list[IsolatedRoot]:
     bound = _cauchy_bound(c)
 
     def var(x: Fraction) -> int:
-        return _var_at(chain, x.numerator, x.denominator)
+        return _variations(_signs(chain, x.numerator, x.denominator))
 
     found: list[IsolatedRoot] = []
     stack = [(Fraction(-bound), Fraction(bound), var(Fraction(-bound)), var(Fraction(bound)))]

@@ -194,6 +194,22 @@ MUTANTS = (
            ("tests/test_constructions.py::test_search_n_plus_2_small_n",)),
     Mutant("block_report counts the last block as central", _BAD,
            "j < k - 1)", "j <= k - 1)", ("tests/test_badpoints.py::test_block_report_quartic_pair",)),
+    Mutant("_count reads V(hi) - V(lo)", _ROOTS,
+           "*lo.as_integer_ratio())) - _variations(_signs(chain, *hi",
+           "*hi.as_integer_ratio())) - _variations(_signs(chain, *lo",
+           ("tests/test_roots.py::test_sturm_count_examples", "tests/test_roots.py::test_sign_at_matches_pq_chain_oracle")),
+    Mutant("_separate refines an overlap to half its width", _ROOTS,
+           "a.refine((a.hi - a.lo) / 4), a_tag\n                entries[i + 1] = b.refine((b.hi - b.lo) / 4)",
+           "a.refine((a.hi - a.lo) / 2), a_tag\n                entries[i + 1] = b.refine((b.hi - b.lo) / 2)",
+           ("tests/test_badpoints.py::test_bad_points_refine_an_overlap_to_a_quarter_of_its_width",)),
+    Mutant("sublevel_measure's lower bracket adds b.hi - a.lo", _ROOTS,
+           "lower += b.lo - a.hi", "lower += b.hi - a.lo", ("tests/test_roots.py::test_sublevel_measure_examples",)),
+    Mutant("statement41 --random draws one coefficient fewer", _CLI,
+           "for _ in range(d)]", "for _ in range(d - 1)]",
+           ("tests/test_cli.py::test_cli_golden[text-statement41_random]",)),
+    Mutant("the lemmas table keeps the rows whose check holds", _CLI,
+           "for check, holds, x, y in rows if not holds", "for check, holds, x, y in rows if holds",
+           ("tests/test_cli.py::test_cli_golden[text-lemmas_50_1]",)),
 )
 
 

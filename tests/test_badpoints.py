@@ -82,6 +82,16 @@ def test_bad_points_separates_overlapping_candidates_with_their_tags():
         assert a.root.hi < b.root.lo
 
 
+def test_bad_points_refine_an_overlap_to_a_quarter_of_its_width():
+    # g - 1 = 2 - x - 5x^2 has its roots in (-1, 0) and (0, 1), which share
+    # the endpoint 0: one pass of _separate quarters both intervals
+    g, h = RatPolynomial([3, -1, -5]), RatPolynomial([5, -4])
+    assert [(r.lo, r.hi) for r in isolate_roots(g - 1)] == [(-1, 0), (0, 1)]
+    pts = bad_points(g, h)
+    assert [(p.root.lo, p.root.hi) for p in pts] == [(F(-3, 4), F(-1, 2)), (F(1, 2), F(3, 4)), (F(3, 2), F(3, 2))]
+    assert [p.tags for p in pts] == [("g+",), ("g+",), ("h-",)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2 ** 32), st.sampled_from(["random", "h=g", "h=-g", "h=g+2", "h=2g-1"]))
 def test_bad_points_match_product_filter(seed, shape):

@@ -122,6 +122,9 @@ CASES = [
     # a rational is int or int/int: 1e999999 would build a million-digit integer
     ("polya_K_decimal", ["polya", "--poly=0,1", "--K", "1.5"], EXIT_BAD_INPUT),
     ("levels_exponent", ["levels", "--poly=1e999999,1", "--set=1"], EXIT_BAD_INPUT),
+    # a zero denominator is malformed input, named as such
+    ("polya_K_zero_denominator", ["polya", "--poly=0,1", "--K", "1/0"], EXIT_BAD_INPUT),
+    ("analyze_zero_denominator", ["analyze", "--factors=1/0,1;0,1"], EXIT_BAD_INPUT),
     ("statement41_random_no_trials", ["statement41", "--random"], EXIT_BAD_INPUT),
     ("statement41_no_factors", ["statement41"], EXIT_BAD_INPUT),
     # rejected by the argument parser itself: usage and error on stderr
@@ -218,6 +221,31 @@ def test_cli_lemmas_violations_exit_1(monkeypatch):
             {"check": "unbalanced_factorial", "a": [-50, 39, 47, 48], "b": [-37, -21, -16, 7, 25, 42]},
             {"check": "factorial", "a": [-48, -47, 33], "b": [-49, -2, 19]},
             {"check": "unbalanced_factorial", "a": [-47, -22, 4, 17, 42, 47], "b": [-21, -6, 6, 13, 20, 36]},
+        ],
+        "pass": False,
+    }
+
+
+def test_cli_lemmas_cross_and_merged_violations_exit_1(monkeypatch):
+    # U = V = W = 10^5000 puts U*V far above every D, so the cross check
+    # fails, and breaks W = U*V*D; the two factorial checks still pass
+    monkeypatch.setattr(bounds, "_internal_product", lambda xs: 10 ** 5000)
+    code, out, err = _capture(["lemmas", "--trials", "3", "--seed", "1", "--json"])
+    assert code == EXIT_VIOLATION and err == ""
+    assert json.loads(out) == {
+        "command": "lemmas",
+        "version": "0.1.0",
+        "trials": 3,
+        "seed": 1,
+        "kmax": 6,
+        "coord": 50,
+        "violations": [
+            {"check": "cross_difference", "a": [22, 47], "b": [-42, -18]},
+            {"check": "merged_product", "a": [22, 47], "b": [-42, -18]},
+            {"check": "cross_difference", "a": [-38, 12], "b": [-47, -1]},
+            {"check": "merged_product", "a": [-38, 12], "b": [-47, -1]},
+            {"check": "cross_difference", "a": [-48, -47, 33], "b": [-49, -2, 19]},
+            {"check": "merged_product", "a": [-48, -47, 33], "b": [-49, -2, 19]},
         ],
         "pass": False,
     }

@@ -17,6 +17,7 @@ from primepoly.poly import (
     from_binomial,
     is_integer_valued,
     parse_poly,
+    parse_rational,
     scale_to_integer,
 )
 
@@ -323,3 +324,10 @@ def test_parse_and_format():
         parse_poly("1,x,2")
     with pytest.raises(ValueError):
         parse_poly("1/0")
+
+
+def test_parse_rational_zero_denominator_is_a_value_error():
+    with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+        parse_rational("1/0")
+    with pytest.raises(ValueError, match="bad polynomial '1,-1/0': zero denominator in '-1/0'"):
+        parse_poly("1,-1/0")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import signal
@@ -24,10 +25,11 @@ from primepoly.roots import (
     _plus,
     _separate,
     _sign_at,
+    _signs,
     _sturm,
     _to_int,
-    _var_at,
     _var_coeffs,
+    _variations,
     integer_solutions,
     isolate_roots,
     sublevel_measure,
@@ -43,6 +45,7 @@ from helpers import (
     record_types,
     random_int_poly,
     random_rat_poly,
+    statement41_pairs,
     sturm_integer_solutions,
 )
 
@@ -561,7 +564,7 @@ def test_variations_read_from_the_coefficients(p):
     # past every root of the head V is V(+-inf): 2F lies past them all
     chain = _sturm(_to_int(p))
     far = 2 * _fujiwara_bound(chain[0])
-    assert _var_coeffs(chain) == (_var_at(chain, -far, 1), _var_at(chain, far, 1))
+    assert _var_coeffs(chain) == (_variations(_signs(chain, -far, 1)), _variations(_signs(chain, far, 1)))
 
 
 def _int_poly(min_degree: int, max_degree: int):
@@ -751,3 +754,26 @@ def test_separate_raises_on_one_real_given_twice():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_separate_output_is_disjoint_ascending_and_inside_its_input():
+    # the four units g -+ 1, h -+ 1 of `statement41 --random` pairs, each root
+    # tagged (unit, index); a pair where two units share a real is skipped
+    x = sympy.Symbol("x")
+    checked = refined = 0
+    for g, h in itertools.islice(statement41_pairs(771534), 300):
+        units = [g - 1, g + 1, h - 1, h + 1]
+        exact = [sympy.Poly([sympy.Rational(c) for c in reversed(u)], x) for u in units]
+        if any(sympy.gcd(a, b).count_roots() for a, b in itertools.combinations(exact, 2)):
+            continue
+        given = {(i, j): r for i, u in enumerate(units) for j, r in enumerate(isolate_roots(u))}
+        out = _separate([(r, tag) for tag, r in given.items()])
+        found = [r for r, _ in out]
+        assert found == sorted(found, key=lambda r: (r.lo, r.hi))
+        assert all(a.hi < b.lo for a, b in zip(found, found[1:]))
+        assert sorted(tag for _, tag in out) == sorted(given)
+        for r, tag in out:
+            assert r.defining == given[tag].defining and given[tag].lo <= r.lo <= r.hi <= given[tag].hi
+        checked += 1
+        refined += any(r != given[tag] for r, tag in out)
+    assert checked > 250 and refined > 200
